@@ -25,11 +25,6 @@ inline constexpr const char* kResultsDir = "results";
 ///   --trace <path>   export the simulation trace (.json => Chrome format)
 ///   --jobs N         run independent sweep cases on N workers (default 1;
 ///                    table rows and CSVs are identical at any job count)
-///   --shards N       domain-decompose each simulated run into N PDES
-///                    shards (benches that support it, e.g. bench_pdes,
-///                    run {1, N} instead of their default ladder; results
-///                    are byte-identical at any shard count — the flag
-///                    trades wall time, never output)
 ///   --csv <path>     write the result CSV to an explicit file instead of
 ///                    the default results/<bench-name>.csv
 ///
@@ -44,7 +39,6 @@ struct Args {
   std::string trace_path;
   std::string csv_path;
   int jobs = 1;
-  int shards = 0;  ///< 0 = the bench's default shard ladder.
   std::vector<std::pair<std::string, std::string>> extra;  ///< registered flags
 
   [[nodiscard]] const std::string* extra_value(std::string_view flag) const {
@@ -59,8 +53,7 @@ struct Args {
     const auto fail = [&](const std::string& why) {
       std::cerr << "error: " << why << "\n"
                 << "usage: " << (argc > 0 ? argv[0] : "bench")
-                << " [--smoke] [--trace <path>] [--csv <path>] [--jobs N]"
-                << " [--shards N]";
+                << " [--smoke] [--trace <path>] [--csv <path>] [--jobs N]";
       for (const char* f : extra_value_flags) std::cerr << " [" << f << " <value>]";
       std::cerr << "\n";
       std::exit(2);
@@ -88,9 +81,6 @@ struct Args {
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
         a.jobs = parse_int("--jobs", need_value(i, "--jobs"));
         if (a.jobs < 1) fail("--jobs must be >= 1");
-      } else if (std::strcmp(argv[i], "--shards") == 0) {
-        a.shards = parse_int("--shards", need_value(i, "--shards"));
-        if (a.shards < 2) a.shards = 0;  // documented: <2 = default ladder
       } else {
         bool matched = false;
         for (const char* f : extra_value_flags) {

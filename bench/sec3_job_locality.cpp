@@ -1,11 +1,11 @@
 // §3 / Fig 6 consequence — job locality: with 1,024-GPU segments, "about
 // 96.3% of in-production LLM training jobs ... can be put in one segment,
 // achieving the utmost network performance". Replay the Fig 6 job-size
-// distribution through the segment-aware scheduler on HPN-shaped vs
-// DCN+-shaped segments.
+// distribution through the segment-aware (best-fit) placement engine on
+// HPN-shaped vs DCN+-shaped segments.
 #include "bench_common.h"
+#include "cluster/placement.h"
 #include "topo/builders.h"
-#include "workload/scheduler.h"
 #include "workload/traffic.h"
 
 namespace {
@@ -25,22 +25,23 @@ LocalityResult replay(int hosts_per_segment, int segments, int num_jobs) {
   cfg.tor_uplinks = 4;
   cfg.aggs_per_plane = 4;
   const topo::Cluster c = topo::build_hpn(cfg);
-  workload::ClusterScheduler sched{c};
+  cluster::PlacementEngine engine{c, cluster::Policy::kFragMin, /*seed=*/0};
   workload::JobSizeModel sizes{2024};  // identical trace for both shapes
 
   LocalityResult res;
   double seg_sum = 0.0;
-  std::vector<JobId> running;
+  std::vector<std::vector<int>> running;
   for (int i = 0; i < num_jobs; ++i) {
     const int gpus = sizes.sample_gpus();
-    auto p = sched.allocate(gpus);
+    const int hosts = (gpus + c.gpus_per_host - 1) / c.gpus_per_host;
+    auto p = engine.allocate(i, hosts);
     if (!p.has_value()) {
-      for (const JobId id : running) sched.release(id);
+      for (const auto& held : running) engine.release(held);
       running.clear();
-      p = sched.allocate(gpus);
+      p = engine.allocate(i, hosts);
       if (!p.has_value()) continue;
     }
-    running.push_back(p->id);
+    running.push_back(std::move(p->hosts));
     ++res.placed;
     res.single_segment += p->segments_spanned == 1;
     seg_sum += p->segments_spanned;

@@ -15,12 +15,6 @@
 //                                          grid (independent sims on a
 //                                          worker pool; table is identical
 //                                          at any --jobs)
-//   hpnsim pdes    [--shards N] [--jobs N] domain-decompose ONE run into N
-//                                          PDES shards (same build flags);
-//                                          byte-compares the merged
-//                                          observables against the 1-shard
-//                                          serial reference and reports
-//                                          window/message/crossing stats
 //   hpnsim cluster [--policy random|locality|frag-min] [--seed S]
 //                  [--jobs-count N] [--faults N] [--trace out.json]
 //                                          multi-tenant cluster mode: replay
@@ -49,27 +43,20 @@
 //   hpnsim trace 0 1024 --sport 4242
 //   hpnsim failover --trace failover.json
 //   hpnsim sweep --jobs 4
-#include <chrono>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster_sim.h"
-#include "common/rng.h"
 #include "ctrl/fabric_controller.h"
 #include "exec/runner_pool.h"
 #include "fabric/fabric.h"
-#include "flowsim/shardnet.h"
 #include "metrics/table.h"
 #include "routing/int_probe.h"
 #include "routing/router.h"
-#include "routing/shard_classify.h"
 #include "serve/serve.h"
-#include "sim/pdes.h"
 #include "topo/builders.h"
-#include "topo/partition.h"
 #include "topo/scale.h"
 #include "topo/validate.h"
 #include "train/training_job.h"
@@ -93,7 +80,6 @@ struct Options {
   std::uint16_t sport = 4242;
   std::string trace_path;
   int jobs = 1;
-  int shards = 4;  ///< PDES shard count for `pdes`.
   // `cluster` command. Scale flags override the ClusterConfig defaults only
   // when explicitly passed.
   std::string policy = "locality";
@@ -110,7 +96,7 @@ struct Options {
 };
 
 void usage() {
-  std::cout << "usage: hpnsim <build|trace|probe|scale|failover|sweep|pdes|cluster|serve>"
+  std::cout << "usage: hpnsim <build|trace|probe|scale|failover|sweep|cluster|serve>"
                " [options]\n"
             << "  --arch hpn|dcn|fattree   architecture (default hpn)\n"
             << "  --fabric <name>          fabric strategy from the registry:\n"
@@ -119,11 +105,8 @@ void usage() {
             << "  --no-dual-tor --no-dual-plane --rail-only\n"
             << "  --trace <path>           export the simulation event trace\n"
             << "                           (.json = Chrome trace_event, else CSV)\n"
-            << "  --jobs N                 workers for `sweep`/`pdes` (output\n"
+            << "  --jobs N                 workers for `sweep` (output\n"
             << "                           is identical at any job count)\n"
-            << "  --shards N               PDES shard count for `pdes`\n"
-            << "                           (default 4; observables are\n"
-            << "                           byte-identical at any N)\n"
             << "  trace/probe: <src_rank> <dst_rank> [--sport P]\n"
             << "  cluster: --policy random|locality|frag-min  placement policy\n"
             << "           --seed S --jobs-count N --faults N  trace knobs\n"
@@ -208,9 +191,6 @@ Options parse(int argc, char** argv) {
     } else if (a == "--jobs") {
       next_int(o.jobs);
       if (o.jobs < 1) throw ConfigError{"--jobs must be >= 1"};
-    } else if (a == "--shards") {
-      next_int(o.shards);
-      if (o.shards < 1) throw ConfigError{"--shards must be >= 1"};
     } else if (a == "--cache-mb") {
       next_int(o.cache_mb);
       if (o.cache_mb < 1) throw ConfigError{"--cache-mb must be >= 1"};
@@ -485,91 +465,6 @@ int cmd_sweep(const Options& o) {
   return 0;
 }
 
-/// One PDES decomposition of a seeded rail-aligned workload on the built
-/// cluster. Returns merged observables (completion CSV + trace) and stats.
-struct PdesOutcome {
-  std::string bytes;
-  double wall_ms = 0.0;
-  std::size_t completed = 0;
-  sim::ShardedSimulator::Stats stats;
-  topo::Partition part;
-};
-
-PdesOutcome run_pdes(const topo::Cluster& c, const routing::HashConfig& hash,
-                     int shards, exec::RunnerPool* pool) {
-  PdesOutcome out;
-  out.part = topo::partition_cluster(c, shards);
-  sim::ShardedSimulator sim{out.part.shards, out.part.lookahead};
-  flowsim::ShardedFlowNet net{c.topo, out.part, sim,
-                              {.chunk = DataSize::bytes(16'384)}};
-  net.enable_tracing();
-
-  routing::Router router{c.topo, hash};
-  Rng rng{0xC11D5EEDULL};
-  const int gph = c.gpus_per_host;
-  for (int i = 0; i < 256; ++i) {
-    const int src = static_cast<int>(
-        rng.uniform_index(static_cast<std::uint64_t>(c.gpu_count())));
-    const int dst_host = static_cast<int>(
-        rng.uniform_index(static_cast<std::uint64_t>(c.hosts.size())));
-    const int dst = dst_host * gph + src % gph;  // rail-aligned pair
-    const DataSize size = DataSize::bytes(rng.uniform_int(32'000, 256'000));
-    const TimePoint start = TimePoint::at_nanos(rng.uniform_int(0, 100'000));
-    const Bandwidth rate =
-        Bandwidth::gbps(static_cast<double>(rng.uniform_int(50, 400)));
-    if (dst_host == src / gph) continue;  // keep the draw count stable
-    routing::FiveTuple ft;
-    ft.src_ip = static_cast<std::uint32_t>(src);
-    ft.dst_ip = static_cast<std::uint32_t>(dst);
-    const routing::Path p = router.trace(c.nic_of(src).nic, c.nic_of(dst).nic, ft);
-    if (!p.valid()) continue;
-    net.start_flow(p.links, size, start, rate);
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.run(shards > 1 ? pool : nullptr);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  out.completed = net.completed();
-  out.stats = sim.stats();
-  std::ostringstream bytes;
-  net.write_csv(bytes);
-  bytes << "----\n";
-  net.write_trace_csv(bytes);
-  out.bytes = bytes.str();
-  return out;
-}
-
-int cmd_pdes(const Options& o) {
-  const topo::Cluster c = build_cluster(o);
-  const routing::HashConfig hash = hash_policy(o);
-  exec::RunnerPool pool{o.jobs};
-  const PdesOutcome serial = run_pdes(c, hash, 1, nullptr);
-  const PdesOutcome sharded = run_pdes(c, hash, o.shards, &pool);
-
-  std::cout << "pdes: " << c.gpu_count() << " GPUs, " << sharded.completed
-            << " flows completed\n"
-            << "  1 shard : " << metrics::Table::num(serial.wall_ms, 2) << " ms, "
-            << serial.stats.events << " events\n"
-            << "  " << o.shards << " shards: "
-            << metrics::Table::num(sharded.wall_ms, 2) << " ms, "
-            << sharded.stats.windows << " windows ("
-            << sharded.stats.lockstep_windows << " lockstep), "
-            << sharded.stats.messages << " cross-shard messages, "
-            << sharded.part.boundary_links.size() << " boundary links, lookahead "
-            << (sharded.part.lookahead.is_infinite()
-                    ? std::string{"inf"}
-                    : std::to_string(sharded.part.lookahead.as_nanos()) + " ns")
-            << "\n";
-  if (sharded.bytes != serial.bytes) {
-    std::cout << "observables: DIVERGED from the serial reference\n";
-    return 2;
-  }
-  std::cout << "observables: byte-identical to the serial reference ("
-            << serial.bytes.size() << " bytes)\n";
-  return 0;
-}
-
 int cmd_cluster(const Options& o) {
   cluster::ClusterConfig cfg;
   if (!o.fabric.empty()) cfg.fabric = o.fabric;
@@ -643,7 +538,6 @@ int main(int argc, char** argv) {
     if (o.command == "scale") return cmd_scale();
     if (o.command == "failover") return cmd_failover(o);
     if (o.command == "sweep") return cmd_sweep(o);
-    if (o.command == "pdes") return cmd_pdes(o);
     if (o.command == "cluster") return cmd_cluster(o);
     if (o.command == "serve") return cmd_serve(o);
     std::cerr << "error: unknown command '" << o.command << "'\n";

@@ -6,12 +6,13 @@
 // policies bracket the space:
 //   * random       — uniform hosts from the global free pool; the baseline
 //                    that scatters DP rings across segments and Pods.
-//   * locality     — the §3 segment-affine policy (ported from
-//                    workload::ClusterScheduler): emptiest single segment
-//                    that fits, else spill fullest-first.
-//   * frag-min     — tightest-fitting segment (min leftover), preserving
-//                    large holes for future big jobs at the price of less
-//                    headroom per placed job.
+//   * locality     — segment-affine: emptiest single segment that fits,
+//                    else spill fullest-first.
+//   * frag-min     — segment-affine best fit: tightest-fitting segment (min
+//                    leftover), preserving large holes for future big jobs
+//                    at the price of less headroom per placed job; spills
+//                    like locality. The §3 job-locality bench
+//                    (sec3_job_locality) replays the Fig 6 trace under it.
 #pragma once
 
 #include <cstdint>

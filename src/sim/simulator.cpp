@@ -260,14 +260,6 @@ void Simulator::run() {
   }
 }
 
-void Simulator::run_before(TimePoint t) {
-  for (;;) {
-    const HeapEntry* head = peek();
-    if (head == nullptr || head->at >= t) break;
-    step();
-  }
-}
-
 void Simulator::run_until(TimePoint t) {
   HPN_CHECK(t >= now_);
   for (;;) {

@@ -78,14 +78,6 @@ class Simulator {
   /// Run events with time <= `t`, then set the clock to `t`.
   void run_until(TimePoint t);
 
-  /// Run events with time strictly < `t`, leaving the clock at the last
-  /// fired event (never advanced to `t`). This is the conservative-window
-  /// primitive of the PDES layer (sim/pdes.h): a shard may safely execute
-  /// everything before `window_start + lookahead` without hearing from its
-  /// neighbors, but must not move its clock into the window boundary where
-  /// cross-shard messages can still land.
-  void run_before(TimePoint t);
-
   /// Run for `d` more simulated time.
   void run_for(Duration d) { run_until(now_ + d); }
 

@@ -147,11 +147,14 @@ TEST_F(CommunicatorTest, BusBwFormulas) {
 }
 
 // Property sweep: AllReduce completes and yields sane bus bandwidth across
-// sizes and world shapes.
+// sizes and world shapes. Both fields are 64-bit so the struct has no
+// padding: gtest writes an unprintable param's raw bytes into the test name,
+// and uninitialized padding bytes would make that name change between builds.
 struct SweepParam {
-  int hosts;
+  std::int64_t hosts;
   std::int64_t megabytes;
 };
+static_assert(sizeof(SweepParam) == 2 * sizeof(std::int64_t));
 
 class AllReduceSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -162,7 +165,7 @@ TEST_P(AllReduceSweep, CompletesWithSaneBusBw) {
   flowsim::FlowSession fs{c.topo, s};
   routing::Router r{c.topo};
   ConnectionManager cm{c, r};
-  Communicator comm{c, s, fs, cm, whole_hosts(c, p.hosts)};
+  Communicator comm{c, s, fs, cm, whole_hosts(c, static_cast<int>(p.hosts))};
   const Duration t = comm.run_all_reduce(DataSize::megabytes(p.megabytes));
   const double busbw =
       Communicator::bus_bw_all_reduce(comm.world_size(), DataSize::megabytes(p.megabytes), t);

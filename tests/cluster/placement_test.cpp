@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "fabric/fabric.h"
+#include "topo/builders.h"
 #include "topo/cluster.h"
+#include "workload/traffic.h"
 
 namespace hpn::cluster {
 namespace {
@@ -144,6 +147,82 @@ TEST(PlacementProperties, FragMinPrefersTightestFittingSegment) {
   EXPECT_EQ(b->segments_spanned, 1);
   EXPECT_EQ(segment_of(cluster, b->hosts.front()),
             segment_of(cluster, a->hosts.front()));
+}
+
+TEST(PlacementProperties, OversizeJobSpillsOverTheFewestSegments) {
+  const topo::Cluster cluster = test_cluster();
+  PlacementEngine engine{cluster, Policy::kFragMin, 1};
+  const auto a = engine.allocate(0, 12);  // 12 hosts > 8 per segment
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->hosts.size(), 12u);
+  EXPECT_EQ(a->segments_spanned, 2);
+}
+
+TEST(PlacementProperties, DoubleReleaseThrows) {
+  const topo::Cluster cluster = test_cluster();
+  PlacementEngine engine{cluster, Policy::kFragMin, 1};
+  const auto a = engine.allocate(0, 4);
+  ASSERT_TRUE(a.has_value());
+  engine.release(a->hosts);
+  EXPECT_EQ(engine.free_hosts(), engine.schedulable_hosts());
+  EXPECT_THROW(engine.release(a->hosts), CheckError);
+}
+
+TEST(PlacementProperties, BackupHostsNotSchedulable) {
+  auto cfg = topo::HpnConfig::tiny();
+  cfg.segments_per_pod = 1;
+  cfg.hosts_per_segment = 4;
+  cfg.backup_hosts_per_segment = 2;
+  const topo::Cluster cluster = topo::build_hpn(cfg);
+  PlacementEngine engine{cluster, Policy::kFragMin, 1};
+  EXPECT_EQ(engine.schedulable_hosts(), 4);  // 2 backups excluded
+  const auto a = engine.allocate(0, 4);
+  ASSERT_TRUE(a.has_value());
+  for (const int h : a->hosts) {
+    EXPECT_FALSE(cluster.hosts.at(static_cast<std::size_t>(h)).backup);
+  }
+}
+
+// The §3 claim as a statistical property: with HPN-sized segments almost
+// every production job fits one segment; with DCN+-sized segments almost
+// none of the big ones do. Best-fit (frag-min) placement, as in the
+// sec3_job_locality bench.
+TEST(PlacementProperties, SegmentSizeDrivesLocality) {
+  auto fraction_single_segment = [](int hosts_per_segment, int segments) {
+    auto cfg = topo::HpnConfig::tiny();
+    cfg.hosts_per_segment = hosts_per_segment;
+    cfg.segments_per_pod = segments;
+    cfg.tor_uplinks = 4;
+    cfg.aggs_per_plane = 4;
+    const topo::Cluster c = topo::build_hpn(cfg);
+    PlacementEngine engine{c, Policy::kFragMin, 1};
+    workload::JobSizeModel model{21};  // same stream for both fabrics
+    int single = 0, placed = 0;
+    std::vector<std::vector<int>> running;
+    for (int i = 0; i < 300; ++i) {
+      const int gpus = model.sample_gpus();
+      const int hosts = (gpus + c.gpus_per_host - 1) / c.gpus_per_host;
+      auto a = engine.allocate(i, hosts);
+      if (!a.has_value()) {
+        // Drain everything and retry (batch scheduler behavior).
+        for (const auto& held : running) engine.release(held);
+        running.clear();
+        a = engine.allocate(i, hosts);
+        if (!a.has_value()) continue;  // bigger than the whole cluster
+      }
+      ++placed;
+      single += a->segments_spanned == 1;
+      running.push_back(std::move(a->hosts));
+    }
+    return placed ? static_cast<double>(single) / placed : 0.0;
+  };
+
+  // HPN-shaped: 128-host (1024-GPU) segments. DCN+-shaped: 16-host ones.
+  const double hpn = fraction_single_segment(128, 2);
+  const double dcn = fraction_single_segment(16, 16);
+  EXPECT_GT(hpn, 0.9);   // paper: 96.3%
+  EXPECT_LT(dcn, 0.75);  // most nontrivial jobs cross segments
+  EXPECT_GT(hpn, dcn + 0.2);
 }
 
 TEST(PlacementProperties, RandomIsDeterministicPerJobId) {

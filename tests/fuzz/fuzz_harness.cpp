@@ -15,10 +15,7 @@
 #include "flowsim/fluid.h"
 #include "flowsim/packet.h"
 #include "flowsim/session.h"
-#include "flowsim/shardnet.h"
-#include "sim/pdes.h"
 #include "sim/simulator.h"
-#include "topo/partition.h"
 
 namespace hpn::fuzz {
 namespace {
@@ -353,123 +350,6 @@ void check_agreement(const Materialized& m, const std::vector<double>& a,
   }
 }
 
-/// One PDES execution of the scenario at a given shard count: merged
-/// observables (completion CSV + canonical trace) and any auditor findings.
-struct PdesRun {
-  std::string bytes;
-  std::string audit;
-};
-
-PdesRun run_pdes_at(const Scenario& s, int shards) {
-  Materialized m = materialize(s);
-  const topo::Topology& topo = m.cluster.topo;
-  const topo::Partition part = topo::partition_cluster(m.cluster, shards);
-  sim::ShardedSimulator sim{part.shards, part.lookahead};
-  for (int i = 0; i < sim.shards(); ++i) sim.shard(i).auditor().enable();
-
-  // Bound the event count on arbitrary fuzzed flow sizes: at most ~128
-  // chunks per flow, floored at 4 KiB. Identical at every shard count.
-  flowsim::ShardNetConfig cfg;
-  std::int64_t max_bits = 0;
-  for (const Materialized::Flow& f : m.flows) {
-    max_bits = std::max(max_bits, f.size.as_bits());
-  }
-  cfg.chunk = DataSize::bits(std::max<std::int64_t>(4096 * 8, (max_bits + 127) / 128));
-  flowsim::ShardedFlowNet net{topo, part, sim, cfg};
-  net.enable_tracing(1u << 16);
-
-  // The engine requires latency > 0 and capacity > 0 on every hop (the
-  // PDES no-same-instant-forwarding contract); fuzzed topologies may
-  // violate that, so such flows are skipped — deterministically, since the
-  // filter depends only on materialize(), never on the decomposition.
-  for (const Materialized::Flow& f : m.flows) {
-    if (f.path.empty() || f.size.as_bits() <= 0 || f.cap.as_bits_per_sec() <= 0.0) {
-      continue;
-    }
-    bool transportable = true;
-    for (const LinkId l : f.path) {
-      const topo::Link& lk = topo.link(l);
-      if (lk.latency <= Duration::zero() || lk.capacity.as_bits_per_sec() <= 0.0) {
-        transportable = false;
-        break;
-      }
-    }
-    if (!transportable) continue;
-    net.start_flow(f.path, f.size, TimePoint::origin(), f.cap);
-  }
-
-  const auto flap = [&net](LinkId l, TimePoint at, Duration down_for) {
-    net.fail_link(l, at);
-    if (down_for > Duration::zero()) net.repair_link(l, at + down_for);
-  };
-  for (const Materialized::Fault& fault : m.faults) {
-    if (fault.kind == ScenarioFault::Kind::kTorCrash) {
-      for (const LinkId l : topo.out_links(fault.tor)) {
-        flap(l, fault.at, fault.down_for);
-        flap(topo.link(l).reverse, fault.at, fault.down_for);
-      }
-    } else {
-      flap(fault.cable, fault.at, fault.down_for);
-      flap(topo.link(fault.cable).reverse, fault.at, fault.down_for);
-    }
-  }
-
-  sim.run();
-
-  PdesRun r;
-  std::ostringstream bytes;
-  net.write_csv(bytes);
-  bytes << "----\n";
-  net.write_trace_csv(bytes);
-  r.bytes = bytes.str();
-  for (int i = 0; i < sim.shards(); ++i) {
-    if (!sim.shard(i).auditor().ok()) {
-      append_failure(r.audit, "shard " + std::to_string(i) + ": " +
-                                  sim.shard(i).auditor().report());
-    }
-  }
-  return r;
-}
-
-/// First line where two observable dumps diverge — shrink/debug breadcrumb.
-std::string first_divergence(const std::string& a, const std::string& b) {
-  std::istringstream sa(a);
-  std::istringstream sb(b);
-  std::string la;
-  std::string lb;
-  for (std::size_t n = 1;; ++n) {
-    const bool ga = static_cast<bool>(std::getline(sa, la));
-    const bool gb = static_cast<bool>(std::getline(sb, lb));
-    if (!ga && !gb) return "identical";
-    if (la != lb || ga != gb) {
-      std::ostringstream os;
-      os << "line " << n << ": serial='" << (ga ? la : "<eof>") << "' vs sharded='"
-         << (gb ? lb : "<eof>") << "'";
-      return os.str();
-    }
-  }
-}
-
-/// PDES differential phase: the same workload + fault schedule runs on the
-/// domain-decomposed engine at `shards` and at 1 shard (the serial
-/// reference). Oracles: every shard's auditor clean in both runs, and the
-/// merged completion CSV + canonical trace byte-identical.
-void run_pdes_phase(const Scenario& s, int shards, std::string& out) {
-  const PdesRun serial = run_pdes_at(s, 1);
-  const PdesRun sharded = run_pdes_at(s, shards);
-  if (!serial.audit.empty()) {
-    append_failure(out, "pdes[1]: " + serial.audit);
-  }
-  if (!sharded.audit.empty()) {
-    append_failure(out, "pdes[" + std::to_string(shards) + "]: " + sharded.audit);
-  }
-  if (serial.bytes != sharded.bytes) {
-    append_failure(out, "pdes: " + std::to_string(shards) +
-                            "-shard run diverges from the serial reference at " +
-                            first_divergence(serial.bytes, sharded.bytes));
-  }
-}
-
 /// Jobsmix phase: the scenario's job lines replay through the multi-tenant
 /// cluster scheduler on a small HPN fabric, once per placement policy, with
 /// the InvariantAuditor armed. Oracles:
@@ -565,7 +445,6 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
   run_bgp_phase(scenario, options, failure);
   if (!scenario.jobs.empty()) run_jobsmix_phase(scenario, failure);
   if (options.aggregate) run_aggregate_phase(scenario, session_fct, failure);
-  if (options.shards >= 2) run_pdes_phase(scenario, options.shards, failure);
 
   if (scenario.faults.empty()) {
     // Cross-engine oracles need an undisturbed workload: fluid has no

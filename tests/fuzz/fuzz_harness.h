@@ -31,12 +31,6 @@ struct RunOptions {
   /// Wall for the tick/packet engines; an engine still holding active flows
   /// at the horizon is reported as a failure (stall / deadlock oracle).
   Duration horizon = Duration::seconds(8);
-  /// PDES differential phase (>= 2 enables it): the scenario's workload and
-  /// fault schedule also run on the domain-decomposed flowsim/shardnet
-  /// engine, once at this shard count and once at 1 shard, with every
-  /// shard's InvariantAuditor armed. The merged completion CSV and trace
-  /// must match the serial reference byte-for-byte.
-  int shards = 0;
   /// Aggregation differential phase: the session phase (macro-flow
   /// aggregated solver) re-runs with Aggregation::kPerFlow — the preserved
   /// per-flow engine semantics — and the two runs must complete the same
@@ -125,7 +119,7 @@ struct ReplayOutcome {
 };
 
 /// Load `path` and run the oracle battery on it. Pass the options the repro
-/// was found under (e.g. `shards`) so its phase actually re-runs.
+/// was found under (e.g. `aggregate`) so its phase actually re-runs.
 ReplayOutcome replay_scenario_file(const std::string& path,
                                    const RunOptions& options = {});
 

@@ -3,7 +3,6 @@
 //   hpnsim_fuzz --runs 500 --jobs 4 --seed 1 --out tests/fuzz/regressions
 //   hpnsim_fuzz --replay path/to/repro.scenario [--expect-clean]
 //   hpnsim_fuzz --runs 120 --jobs 8 --csv sweep.csv
-//   hpnsim_fuzz --runs 250 --shards 4          # + PDES differential phase
 //   hpnsim_fuzz --runs 250 --aggregate         # + macro-flow vs per-flow phase
 //
 // Scenario i draws from seed `master ^ golden*(i+1)`, so results are a
@@ -40,7 +39,6 @@ struct Args {
   std::string csv;
   std::string replay;
   std::string topology;  ///< Force every scenario onto one topology kind.
-  int shards = 0;        ///< >= 2 arms the PDES differential phase.
   bool aggregate = false;  ///< Arms the aggregated-vs-per-flow session phase.
   bool jobsmix = false;  ///< Guarantee a job mix: every scenario runs the
                          ///< cluster-scheduler phase.
@@ -74,8 +72,6 @@ Args parse_args(int argc, char** argv) {
       a.replay = value();
     } else if (flag == "--topology") {
       a.topology = value();
-    } else if (flag == "--shards") {
-      a.shards = std::atoi(value());
     } else if (flag == "--aggregate") {
       a.aggregate = true;
     } else if (flag == "--jobsmix") {
@@ -85,12 +81,12 @@ Args parse_args(int argc, char** argv) {
     } else {
       std::cerr << "unknown flag " << flag << "\n"
                 << "usage: hpnsim_fuzz [--runs N] [--jobs N] [--seed S] "
-                   "[--topology KIND] [--shards N] [--aggregate] [--jobsmix] "
+                   "[--topology KIND] [--aggregate] [--jobsmix] "
                    "[--out DIR] [--csv FILE] [--replay FILE [--expect-clean]]\n";
       a.ok = false;
     }
   }
-  if (a.runs < 1 || a.jobs < 1 || a.shards < 0 || a.shards == 1) a.ok = false;
+  if (a.runs < 1 || a.jobs < 1) a.ok = false;
   return a;
 }
 
@@ -123,7 +119,6 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   if (!args.ok) return 2;
   hpn::fuzz::RunOptions run;
-  run.shards = args.shards;
   run.aggregate = args.aggregate;
   if (!args.replay.empty()) return replay_file(args.replay, args.expect_clean, run);
 
