@@ -64,9 +64,23 @@ std::vector<LinkId> Router::ecmp_links(NodeId node, NodeId dst) {
   for (const LinkId lid : topo_->out_links(node)) {
     const topo::Link& l = topo_->link(lid);
     if (!l.up) continue;
-    if (dist[l.dst.index()] == here - 1) out.push_back(lid);
+    if (dist[l.dst.index()] != here - 1) continue;
+    // field_for gives endpoints a distance without expanding them, so under
+    // asymmetric failures a dual-homed NIC can look one hop closer.
+    if (l.dst != dst && !can_transit(topo_->node(l.dst).kind)) continue;
+    out.push_back(lid);
   }
   return out;
+}
+
+Path Router::first_path(NodeId src, NodeId dst) {
+  Path path;
+  for (NodeId at = src; distance(at, dst) > 0;) {
+    const LinkId next = ecmp_links(at, dst).front();
+    path.links.push_back(next);
+    at = topo_->link(next).dst;
+  }
+  return path;
 }
 
 Path Router::trace(NodeId src, NodeId dst, const FiveTuple& ft) {

@@ -44,6 +44,12 @@ class Router {
   /// switch hash at every fan-out. Empty path if unreachable.
   [[nodiscard]] Path trace(NodeId src, NodeId dst, const FiveTuple& ft);
 
+  /// The hash-free shortest path: the first ECMP candidate (out-link order)
+  /// at every hop. That is the lexicographically lowest shortest path, the
+  /// one a BFS from `src` visiting adjacency in out-link order finds. Empty
+  /// if unreachable or src == dst.
+  [[nodiscard]] Path first_path(NodeId src, NodeId dst);
+
   /// Trace with the first hop pinned (the host already chose a NIC egress
   /// port — this is how dual-ToR port/plane selection enters routing).
   [[nodiscard]] Path trace_via(LinkId first_hop, NodeId dst, const FiveTuple& ft);

@@ -4,10 +4,12 @@
 #include <bit>
 #include <iomanip>
 #include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "common/check.h"
 #include "fabric/fabric.h"
+#include "routing/router.h"
 #include "topo/builders.h"
 
 namespace hpn::fuzz {
@@ -15,49 +17,6 @@ namespace hpn::fuzz {
 namespace {
 
 constexpr std::string_view kHeader = "hpnsim-scenario v1";
-
-bool is_switch(topo::NodeKind kind) {
-  return kind == topo::NodeKind::kTor || kind == topo::NodeKind::kAgg ||
-         kind == topo::NodeKind::kCore;
-}
-
-/// Shortest path src -> dst over up access/fabric links, traversing only
-/// switch nodes in between (a path through another NIC is physically
-/// meaningless and, under PFC, can manufacture buffer cycles). BFS visits
-/// adjacency in link-id order, so the result is deterministic.
-std::vector<LinkId> bfs_path(const topo::Topology& t, NodeId src, NodeId dst) {
-  if (src == dst) return {};
-  std::vector<LinkId> via(t.node_count(), LinkId::invalid());
-  std::vector<char> seen(t.node_count(), 0);
-  std::vector<NodeId> queue{src};
-  seen[src.index()] = 1;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId at = queue[head];
-    for (const LinkId lid : t.out_links(at)) {
-      const topo::Link& l = t.link(lid);
-      if (!l.up || !t.is_up(l.reverse)) continue;
-      if (l.kind != topo::LinkKind::kAccess && l.kind != topo::LinkKind::kFabric) {
-        continue;
-      }
-      if (seen[l.dst.index()] != 0) continue;
-      if (l.dst != dst && !is_switch(t.node(l.dst).kind)) continue;
-      seen[l.dst.index()] = 1;
-      via[l.dst.index()] = lid;
-      if (l.dst == dst) {
-        std::vector<LinkId> path;
-        for (NodeId n = dst; n != src;) {
-          const LinkId step = via[n.index()];
-          path.push_back(step);
-          n = t.link(step).src;
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      queue.push_back(l.dst);
-    }
-  }
-  return {};
-}
 
 /// The shrinker's terminal topology: hosts as bare NICs, two ToRs, one or
 /// two Aggs. Keeps dual-ToR origination and tier2 transit meaningful at
@@ -643,12 +602,12 @@ Materialized materialize(const Scenario& scenario) {
     Materialized::Flow flow;
     flow.src = m.endpoints[src_idx];
     flow.dst = m.endpoints[dst_idx];
-    flow.path = bfs_path(m.cluster.topo, flow.src, flow.dst);
-    if (flow.path.empty()) continue;  // unreachable pair: drop
     flow.size = DataSize::bytes(std::max<std::int64_t>(1, f.size_bytes));
     flow.cap = Bandwidth::gbps(std::clamp(f.cap_gbps, 0.5, 400.0));
     m.flows.push_back(std::move(flow));
   }
+  route_flows(m.cluster.topo, m.flows);
+  std::erase_if(m.flows, [](const Materialized::Flow& f) { return f.path.empty(); });
 
   for (const ScenarioFault& f : scenario.faults) {
     Materialized::Fault fault;
@@ -673,8 +632,18 @@ Materialized materialize(const Scenario& scenario) {
   return m;
 }
 
-std::vector<LinkId> shortest_path(const topo::Topology& topo, NodeId src, NodeId dst) {
-  return bfs_path(topo, src, dst);
+void route_flows(const topo::Topology& topo, std::vector<Materialized::Flow>& flows) {
+  std::vector<std::size_t> order(flows.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&flows](std::size_t a, std::size_t b) {
+    return flows[a].dst.index() < flows[b].dst.index();
+  });
+  routing::Router router{topo};
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    Materialized::Flow& f = flows[order[k]];
+    if (k > 0 && flows[order[k - 1]].dst != f.dst) router.invalidate();
+    f.path = router.first_path(f.src, f.dst).links;
+  }
 }
 
 std::uint64_t scenario_weight(const Scenario& scenario) {

@@ -144,7 +144,7 @@ struct Materialized {
   struct Flow {
     NodeId src = NodeId::invalid();
     NodeId dst = NodeId::invalid();
-    std::vector<LinkId> path;  ///< BFS shortest path at build time (all-up).
+    std::vector<LinkId> path;  ///< Router::first_path at build time (all-up).
     DataSize size = DataSize::zero();
     Bandwidth cap = Bandwidth::zero();
   };
@@ -169,11 +169,12 @@ struct Materialized {
 /// Deterministic: same scenario -> identical cluster and resolutions.
 Materialized materialize(const Scenario& scenario);
 
-/// The path policy materialize() resolves flows with: BFS shortest path
-/// over *up* access/fabric links, switch-transit only, deterministic
-/// (adjacency in link-id order). Exposed so the serve daemon routes
-/// add-job probe flows exactly like base flows.
-std::vector<LinkId> shortest_path(const topo::Topology& topo, NodeId src, NodeId dst);
+/// Set every flow's `path` to routing::Router::first_path over the
+/// topology's *up* links (empty = unreachable). Flows are routed grouped by
+/// destination, so one distance field is alive at a time. materialize()
+/// routes with it, and the serve daemon routes add-job probe flows with it,
+/// exactly like base flows.
+void route_flows(const topo::Topology& topo, std::vector<Materialized::Flow>& flows);
 
 /// Greedy shrink candidates, most aggressive first: drop flow/fault
 /// subsets, halve sizes, shrink the topology, and cross-kind simplification

@@ -131,7 +131,7 @@ struct QueryEngine::BaseState {
     for (const LinkId l : planning_dead) topo.set_duplex_up(l, false);
     solver.notify_topology_changed();
     // Base flows install in materialization order — the deterministic
-    // ordering both the cold and warm paths share. Paths were BFS-routed
+    // ordering both the cold and warm paths share. Paths were routed
     // all-up by materialize(); flows crossing a planning-dead link stall.
     handles.reserve(mat.flows.size());
     for (const fuzz::Materialized::Flow& flow : mat.flows) {
@@ -214,19 +214,23 @@ QueryResult eval_add_job(BaseState& b, std::uint32_t hosts, double gbps) {
   if (n < 2) throw ConfigError{"add-job: need >= 2 placeable endpoints"};
   const topo::Topology& topo = b.mat.cluster.topo;
   sync_scratch(b);
-  // Probe workload: a ring over the first n endpoints, routed by the same
-  // BFS policy as base flows — but over the *planning* topology, the way a
-  // newly placed job would actually be routed today.
+  // Probe workload: a ring over the first n endpoints, routed like base
+  // flows — but over the *planning* topology, the way a newly placed job
+  // would actually be routed today.
+  std::vector<fuzz::Materialized::Flow> ring(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    ring[i].src = eps[i];
+    ring[i].dst = eps[(i + 1) % n];
+  }
+  fuzz::route_flows(topo, ring);
   std::vector<flowsim::IncrementalMaxMin::Handle> job_handles;
   job_handles.reserve(n);
   const double cap_bps = Bandwidth::gbps(gbps).as_bits_per_sec();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::vector<LinkId> path =
-        fuzz::shortest_path(topo, eps[i], eps[(i + 1) % n]);
-    if (path.empty()) {
+  for (const fuzz::Materialized::Flow& f : ring) {
+    if (f.path.empty()) {
       job_handles.push_back(flowsim::IncrementalMaxMin::kInvalidHandle);
     } else {
-      job_handles.push_back(b.scratch.add_flow(path, cap_bps));
+      job_handles.push_back(b.scratch.add_flow(f.path, cap_bps));
     }
   }
   b.scratch.resolve();

@@ -41,7 +41,7 @@
 //                        additionally down; base paths are kept, flows
 //                        crossing the dead cable stall
 //   add-job <n> <gbps>   allocation with a ring of n probe flows (over the
-//                        first n endpoints, BFS-routed like base flows)
+//                        first n endpoints, routed like base flows)
 //                        added at the given source cap
 //   resize <size>        base allocation of the scenario with its size
 //                        knob replaced (evaluated as its own base)

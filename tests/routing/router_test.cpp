@@ -146,6 +146,70 @@ TEST_F(RouterHpnTest, TraceViaDownFirstHopFails) {
   EXPECT_FALSE(r.trace_via(att.access[0], c.nic_of(8).nic, tuple_for(c, 0, 8)).valid());
 }
 
+// Asymmetric failures can make a dual-homed NIC look one hop closer than
+// its ToR: the NIC takes its distance from its healthy-plane ToR, while its
+// other ToR only reaches the destination the long way. The NIC must still
+// never be offered as a transit hop.
+TEST(RouterAsymmetricFailures, DualHomedNicIsNeverATransitHop) {
+  HpnConfig cfg;
+  cfg.segments_per_pod = 3;
+  cfg.hosts_per_segment = 2;
+  cfg.gpus_per_host = 1;
+  cfg.tor_uplinks = 2;
+  cfg.aggs_per_plane = 2;
+  Cluster c = topo::build_hpn(cfg);
+  // c.tors: [seg0 p0, seg0 p1, seg1 p0, seg1 p1, seg2 p0, seg2 p1];
+  // c.aggs: [plane0 a0, plane0 a1, plane1 a0, plane1 a1].
+  const NodeId tor0 = c.tors[0];
+  const NodeId tor_dst = c.tors[2];
+  const auto kill = [&c](NodeId a, NodeId b) {
+    for (const LinkId l : c.topo.find_links(a, b)) c.topo.set_duplex_up(l, false);
+  };
+  // Plane 0 from segment 0 to segment 1 now detours through segment 2:
+  // seg0 p0 -> a0 -> seg2 p0 -> a1 -> seg1 p0 (four hops instead of two).
+  kill(tor0, c.aggs[1]);
+  kill(tor_dst, c.aggs[0]);
+  const auto& relay = c.nic_of(0);  // host 0: on seg0 p0 and seg0 p1
+  const auto& src = c.nic_of(1);    // host 1: plane-1 cable dead
+  c.topo.set_duplex_up(src.access[1], false);
+  const NodeId dst = c.nic_of(2).nic;  // host 2, segment 1
+
+  Router r{c.topo};
+  ASSERT_EQ(r.distance(relay.nic, dst), 4);  // via its plane-1 ToR
+  ASSERT_EQ(r.distance(tor0, dst), 5);       // the plane-0 detour
+  for (const LinkId l : r.ecmp_links(tor0, dst)) {
+    EXPECT_EQ(c.topo.node(c.topo.link(l).dst).kind, NodeKind::kAgg);
+  }
+  const auto no_nic_transit = [&](const Path& p) {
+    ASSERT_TRUE(p.valid());
+    EXPECT_EQ(p.hops(), 6u);
+    for (std::size_t i = 0; i + 1 < p.links.size(); ++i) {
+      EXPECT_NE(c.topo.node(c.topo.link(p.links[i]).dst).kind, NodeKind::kNic);
+    }
+  };
+  for (std::uint16_t sport = 0; sport < 20; ++sport) {
+    no_nic_transit(r.trace(src.nic, dst, FiveTuple{.src_ip = 1, .dst_ip = 2, .src_port = sport}));
+  }
+}
+
+TEST_F(RouterHpnTest, FirstPathTakesTheFirstCandidateAtEveryHop) {
+  const NodeId src = c.nic_of(0).nic;
+  const NodeId dst = c.nic_of(4 * 8).nic;
+  const Path p = r.first_path(src, dst);
+  ASSERT_EQ(p.hops(), 4u);
+  NodeId at = src;
+  for (const LinkId l : p.links) {
+    EXPECT_EQ(l, r.ecmp_links(at, dst).front());
+    at = c.topo.link(l).dst;
+  }
+  EXPECT_EQ(at, dst);
+  EXPECT_FALSE(r.first_path(src, src).valid());
+  c.topo.set_duplex_up(c.nic_of(4 * 8).access[0], false);
+  c.topo.set_duplex_up(c.nic_of(4 * 8).access[1], false);
+  r.invalidate();
+  EXPECT_FALSE(r.first_path(src, dst).valid());
+}
+
 TEST(RouterMultiPod, CrossPodIsSixHops) {
   auto cfg = HpnConfig::tiny();
   cfg.pods = 2;
