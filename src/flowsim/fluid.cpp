@@ -28,7 +28,14 @@ FlowId FluidSimulator::start_flow(std::vector<LinkId> path, Bandwidth cap, DataS
   f.infinite = size.as_bits() == std::numeric_limits<std::int64_t>::max();
   f.remaining_bits = static_cast<double>(size.as_bits());
   f.on_complete = std::move(on_complete);
-  for (const LinkId l : f.path) links_.try_emplace(l);
+  for (const LinkId l : f.path) {
+    HPN_CHECK(l.is_valid());
+    if (slot_of_.size() <= l.index()) slot_of_.resize(l.index() + 1, kNoSlot);
+    if (slot_of_[l.index()] != kNoSlot) continue;
+    slot_of_[l.index()] = static_cast<std::uint32_t>(links_.size());
+    links_.emplace_back();
+    used_links_.insert(std::lower_bound(used_links_.begin(), used_links_.end(), l), l);
+  }
   if (sim_->auditor().enabled() && !f.infinite) {
     audit_injected_bits_ += f.remaining_bits;
   }
@@ -51,22 +58,26 @@ bool FluidSimulator::stop_flow(FlowId id) {
   return true;
 }
 
+const FluidSimulator::LinkState* FluidSimulator::find_state(LinkId link) const {
+  if (!link.is_valid() || link.index() >= slot_of_.size()) return nullptr;
+  const std::uint32_t slot = slot_of_[link.index()];
+  return slot == kNoSlot ? nullptr : &links_[slot];
+}
+
 DataSize FluidSimulator::queue_of(LinkId link) const {
-  const auto it = links_.find(link);
-  return it == links_.end() ? DataSize::zero()
-                            : DataSize::bits(static_cast<std::int64_t>(it->second.queue_bits));
+  const LinkState* st = find_state(link);
+  return st == nullptr ? DataSize::zero()
+                       : DataSize::bits(static_cast<std::int64_t>(st->queue_bits));
 }
 
 Bandwidth FluidSimulator::arrival_rate(LinkId link) const {
-  const auto it = links_.find(link);
-  return it == links_.end() ? Bandwidth::zero()
-                            : Bandwidth::bits_per_sec(it->second.arrival_bps);
+  const LinkState* st = find_state(link);
+  return st == nullptr ? Bandwidth::zero() : Bandwidth::bits_per_sec(st->arrival_bps);
 }
 
 Bandwidth FluidSimulator::delivered_rate(LinkId link) const {
-  const auto it = links_.find(link);
-  return it == links_.end() ? Bandwidth::zero()
-                            : Bandwidth::bits_per_sec(it->second.delivered_bps);
+  const LinkState* st = find_state(link);
+  return st == nullptr ? Bandwidth::zero() : Bandwidth::bits_per_sec(st->delivered_bps);
 }
 
 Bandwidth FluidSimulator::flow_rate(FlowId id) const {
@@ -106,9 +117,9 @@ void FluidSimulator::tick() {
   const double dt = config_.tick.as_seconds();
 
   // 1. Offered arrivals per link.
-  for (auto& [lid, st] : links_) st.arrival_bps = 0.0;
+  for (LinkState& st : links_) st.arrival_bps = 0.0;
   for (const auto& [fid, f] : flows_) {
-    for (const LinkId l : f.path) links_.at(l).arrival_bps += f.rate_bps;
+    for (const LinkId l : f.path) state(l).arrival_bps += f.rate_bps;
   }
 
   // 2. Queues integrate (arrival - capacity).
@@ -116,7 +127,8 @@ void FluidSimulator::tick() {
   const bool sample =
       tracer.enabled() && config_.trace_sample_every > 0 &&
       tick_count_++ % static_cast<std::uint64_t>(config_.trace_sample_every) == 0;
-  for (auto& [lid, st] : links_) {
+  for (const LinkId lid : used_links_) {
+    LinkState& st = state(lid);
     const double cap = topo_->link(lid).capacity.as_bits_per_sec();
     st.delivered_bps = std::min(st.arrival_bps + st.queue_bits / dt, cap);
     st.queue_bits = std::max(0.0, st.queue_bits + (st.arrival_bps - cap) * dt);
@@ -135,7 +147,7 @@ void FluidSimulator::tick() {
     double scale = 1.0;
     double p_mark = 0.0;
     for (const LinkId l : f.path) {
-      const LinkState& st = links_.at(l);
+      const LinkState& st = state(l);
       const double cap = topo_->link(l).capacity.as_bits_per_sec();
       if (st.arrival_bps > cap) scale = std::min(scale, cap / st.arrival_bps);
       p_mark = std::max(p_mark, mark_probability(st.queue_bits));
@@ -171,7 +183,7 @@ void FluidSimulator::audit_tick() {
   const TimePoint now = sim_->now();
   constexpr double kRelEps = 1e-6;
 
-  std::unordered_map<LinkId, double> goodput_load;
+  audit_goodput_.assign(links_.size(), 0.0);
   double inflight_bits = 0.0;
   for (const auto& [fid, f] : flows_) {
     if (!f.infinite) inflight_bits += std::max(0.0, f.remaining_bits);
@@ -182,10 +194,12 @@ void FluidSimulator::audit_tick() {
                        << " bps exceeds its cap " << f.cap_bps << " bps";
                     return os.str();
                   });
-    for (const LinkId l : f.path) goodput_load[l] += f.goodput_bps;
+    for (const LinkId l : f.path) audit_goodput_[slot_of_[l.index()]] += f.goodput_bps;
   }
 
-  for (const auto& [lid, st] : links_) {
+  for (const LinkId lid : used_links_) {
+    const std::uint32_t slot = slot_of_[lid.index()];
+    const LinkState& st = links_[slot];
     const double cap = topo_->link(lid).capacity.as_bits_per_sec();
     auditor.check(st.queue_bits >= 0.0, sim::AuditRule::kNegativeQueue, now, [&] {
       std::ostringstream os;
@@ -199,8 +213,7 @@ void FluidSimulator::audit_tick() {
                        << " bps over capacity " << cap << " bps";
                     return os.str();
                   });
-    const auto it = goodput_load.find(lid);
-    const double goodput = it == goodput_load.end() ? 0.0 : it->second;
+    const double goodput = audit_goodput_[slot];
     auditor.check(goodput <= cap * (1.0 + kRelEps) + 1.0,
                   sim::AuditRule::kRateOverCapacity, now, [&] {
                     std::ostringstream os;

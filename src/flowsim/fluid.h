@@ -8,6 +8,13 @@
 // deterministic fluid limit of DCQCN: additive increase toward line rate,
 // multiplicative decrease proportional to the ECN marking probability of
 // the most-congested hop, queues integrating (inflow - capacity).
+//
+// Link state is found through a slot table dense by LinkId, so the per-tick
+// loops index vectors instead of hashing. Determinism: each tick walks the
+// links that any flow has touched in ascending LinkId order, so per-tick
+// tracer samples (queue depth, then utilization, per watched link) are
+// recorded in ascending LinkId order. Per-link arrival sums follow the flow
+// map's iteration order, which fixes their floating-point rounding.
 #pragma once
 
 #include <functional>
@@ -89,12 +96,22 @@ class FluidSimulator {
   void audit_tick();
   [[nodiscard]] double mark_probability(double queue_bits) const;
   void ensure_ticking();
+  /// State of a link some flow has touched: two vector indexes, no hashing.
+  [[nodiscard]] LinkState& state(LinkId link) { return links_[slot_of_[link.index()]]; }
+  /// State of `link`, or nullptr if no flow ever used it (or it is invalid).
+  [[nodiscard]] const LinkState* find_state(LinkId link) const;
 
   const topo::Topology* topo_;
   sim::Simulator* sim_;
   FluidConfig config_;
   std::unordered_map<FlowId, ActiveFlow> flows_;
-  std::unordered_map<LinkId, LinkState> links_;
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Dense by LinkId index: the link's position in links_, or kNoSlot. A
+  /// slot table keeps untouched links at 4 B each instead of a LinkState.
+  std::vector<std::uint32_t> slot_of_;
+  std::vector<LinkState> links_;       ///< Links flows have touched, first-touch order.
+  std::vector<LinkId> used_links_;     ///< The same links, ascending LinkId.
+  std::vector<double> audit_goodput_;  ///< Auditor scratch, parallel to links_.
   FlowId::underlying next_id_ = 1;
   std::unique_ptr<sim::PeriodicTimer> timer_;
   std::uint64_t tick_count_ = 0;

@@ -39,9 +39,11 @@ std::string_view to_string(TraceEventKind kind) {
 
 void Tracer::enable(std::size_t capacity) {
   HPN_CHECK_MSG(capacity > 0, "tracer needs a nonzero ring");
+  HPN_CHECK_MSG(capacity <= std::size_t{0xFFFFFFFFu}, "tracer ring is capped at 2^32 events");
   if (ring_.size() != capacity) {
     ring_.assign(capacity, TraceEvent{});
     total_ = 0;
+    ++generation_;
   }
   enabled_ = true;
 }
@@ -50,6 +52,7 @@ void Tracer::push(const TraceEvent& ev) {
   if (ring_.empty()) ring_.assign(1u << 20, TraceEvent{});  // enable() skipped
   ring_[total_ % ring_.size()] = ev;
   ++total_;
+  ++generation_;
 }
 
 void Tracer::watch_link(LinkId link) {
@@ -68,47 +71,78 @@ std::uint64_t Tracer::dropped() const {
 
 void Tracer::clear() {
   total_ = 0;
+  ++generation_;
   next_span_ = 1;
+}
+
+template <typename F>
+void Tracer::for_each_event(F&& f) const {
+  const std::size_t n = size();
+  const std::size_t start = static_cast<std::size_t>(total_ - n);
+  for (std::size_t i = 0; i < n; ++i) f(ring_[(start + i) % ring_.size()]);
+}
+
+namespace {
+
+std::uint64_t index_key(TraceEventKind kind, std::uint32_t a) {
+  return static_cast<std::uint64_t>(kind) << 32 | a;
+}
+
+}  // namespace
+
+template <typename F>
+void Tracer::for_each_of(TraceEventKind kind, std::uint32_t a, F&& f) const {
+  const std::lock_guard<std::mutex> lock{index_mu_};
+  if (index_generation_ != generation_) {
+    index_.clear();
+    for_each_event([&](const TraceEvent& ev) {
+      index_[index_key(ev.kind, ev.a)].push_back(
+          static_cast<std::uint32_t>(&ev - ring_.data()));
+    });
+    index_generation_ = generation_;
+  }
+  const auto it = index_.find(index_key(kind, a));
+  if (it == index_.end()) return;
+  for (const std::uint32_t slot : it->second) f(ring_[slot]);
 }
 
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  const std::size_t start = static_cast<std::size_t>(total_ - n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(ring_[(start + i) % ring_.size()]);
+  out.reserve(size());
+  for_each_event([&](const TraceEvent& ev) { out.push_back(ev); });
   return out;
 }
 
 std::vector<TraceEvent> Tracer::events_of(TraceEventKind kind, std::uint32_t a) const {
   std::vector<TraceEvent> out;
-  for (const TraceEvent& ev : events()) {
-    if (ev.kind != kind) continue;
-    if (a != kTraceNoId && ev.a != a) continue;
-    out.push_back(ev);
+  const auto keep = [&](const TraceEvent& ev) { out.push_back(ev); };
+  if (a != kTraceNoId) {
+    for_each_of(kind, a, keep);
+  } else {
+    for_each_event([&](const TraceEvent& ev) {
+      if (ev.kind == kind) keep(ev);
+    });
   }
   return out;
 }
 
 TimeSeries Tracer::series(TraceEventKind kind, std::uint32_t a) const {
   TimeSeries ts{std::string{to_string(kind)} + ":" + std::to_string(a)};
-  for (const TraceEvent& ev : events()) {
-    if (ev.kind == kind && ev.a == a) ts.record(ev.at, ev.value);
-  }
+  for_each_of(kind, a, [&](const TraceEvent& ev) { ts.record(ev.at, ev.value); });
   return ts;
 }
 
 void Tracer::write_csv(std::ostream& os) const {
   os << "time_ns,kind,a,b,value,label\n";
   char num[32];
-  for (const TraceEvent& ev : events()) {
+  for_each_event([&](const TraceEvent& ev) {
     os << ev.at.as_nanos() << ',' << to_string(ev.kind) << ',';
     if (ev.a != kTraceNoId) os << ev.a;
     os << ',';
     if (ev.b != kTraceNoId) os << ev.b;
     std::snprintf(num, sizeof num, "%.9g", ev.value);
     os << ',' << num << ',' << (ev.label != nullptr ? ev.label : "") << '\n';
-  }
+  });
 }
 
 namespace {
@@ -129,7 +163,7 @@ void Tracer::write_chrome_json(std::ostream& os) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
   char num[32];
-  for (const TraceEvent& ev : events()) {
+  for_each_event([&](const TraceEvent& ev) {
     if (!first) os << ",\n";
     first = false;
     const std::string_view kind = to_string(ev.kind);
@@ -182,7 +216,7 @@ void Tracer::write_chrome_json(std::ostream& os) const {
         break;
       }
     }
-  }
+  });
   os << "\n]}\n";
 }
 

@@ -12,12 +12,22 @@
 // nothing allocates, nothing records. Enabled, events land in a fixed-size
 // ring (oldest overwritten first, drops counted), exportable as CSV or as
 // Chrome trace_event JSON loadable in chrome://tracing / Perfetto.
+//
+// Read-path cost: the exporters and events_of(kind) walk the ring in place,
+// O(retained events) with no copy; events() is the one accessor that copies
+// the ring. series(kind, a) and events_of(kind, a) read a per-(kind, entity)
+// index of ring slots. The first such read after the ring changes rebuilds
+// the index in one pass over the ring; every read until the next change
+// costs O(that entity's events). A bench reading one series per watched link
+// after a run therefore pays one ring pass, not one per link.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -77,6 +87,7 @@ class Tracer {
  public:
   /// Start recording into a ring of `capacity` events (~40 B each). A
   /// second enable() with a different capacity reallocates and clears.
+  /// Capacity is capped at 2^32 events (index slots are 32-bit).
   void enable(std::size_t capacity = 1u << 20);
   void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
@@ -112,13 +123,15 @@ class Tracer {
   [[nodiscard]] bool empty() const { return total_ == 0; }
   void clear();
 
-  /// Retained events, oldest first.
+  /// Retained events, oldest first. Copies the whole ring.
   [[nodiscard]] std::vector<TraceEvent> events() const;
   /// Retained events of one kind (optionally one primary entity), in order.
+  /// With an entity this reads the per-entity index.
   [[nodiscard]] std::vector<TraceEvent> events_of(
       TraceEventKind kind, std::uint32_t a = kTraceNoId) const;
   /// Periodic samples of `kind` for entity `a` as a TimeSeries — the bench
-  /// replacement for hand-rolled queue/utilization sampling.
+  /// replacement for hand-rolled queue/utilization sampling. Reads the
+  /// per-entity index. Const reads may run concurrently with each other.
   [[nodiscard]] TimeSeries series(TraceEventKind kind, std::uint32_t a) const;
 
   // ---- Exporters ------------------------------------------------------------
@@ -134,13 +147,32 @@ class Tracer {
 
  private:
   void push(const TraceEvent& ev);
+  /// Calls f(ev) for every retained event, oldest first, in place.
+  template <typename F>
+  void for_each_event(F&& f) const;
+  /// Calls f(ev) for every retained event of `kind` whose primary entity is
+  /// exactly `a`, oldest first, rebuilding the index first if it is stale.
+  template <typename F>
+  void for_each_of(TraceEventKind kind, std::uint32_t a, F&& f) const;
 
   bool enabled_ = false;
   bool watch_all_ = false;
   std::vector<TraceEvent> ring_;
   std::uint64_t total_ = 0;  ///< Events ever recorded; next slot = total_ % cap.
+  /// Bumped by every change to the retained events (push, clear, enable with
+  /// a new capacity). total_ cannot stand in for it: re-enabling with a new
+  /// capacity and recording as many events leaves total_ where it was.
+  std::uint64_t generation_ = 0;
   std::uint32_t next_span_ = 1;
   std::vector<std::uint8_t> watched_;  ///< Dense by LinkId index.
+
+  // Per-(kind, a) index: ring slots of each entity's events, oldest first.
+  // Built lazily by const reads under index_mu_; valid while
+  // index_generation_ == generation_.
+  static constexpr std::uint64_t kNoIndex = ~std::uint64_t{0};
+  mutable std::mutex index_mu_;
+  mutable std::uint64_t index_generation_ = kNoIndex;
+  mutable std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
 };
 
 }  // namespace hpn::metrics

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "topo/topology.h"
 
 namespace hpn::flowsim {
 namespace {
 
+using metrics::TraceEvent;
 using topo::LinkKind;
 using topo::NodeKind;
 using topo::Topology;
@@ -114,6 +117,69 @@ TEST_F(FluidTest, EmptyPathRejected) {
 TEST_F(FluidTest, QueueOfUnknownLinkIsZero) {
   FluidSimulator fl{t, s};
   EXPECT_EQ(fl.queue_of(LinkId{999}).as_bits(), 0);
+}
+
+TEST_F(FluidTest, LinkAccessorsAreZeroForUnusedAndInvalidLinks) {
+  FluidSimulator fl{t, s};
+  fl.start_flow({hot}, Bandwidth::gbps(200));
+  fl.start_flow({hot}, Bandwidth::gbps(200));
+  s.run_for(Duration::millis(10));
+  ASSERT_GT(fl.arrival_rate(hot).as_gbps(), 0.0);
+  // `cold` exists in the topology but no flow has crossed it; LinkId{999}
+  // is past every link; invalid() is the sentinel id.
+  for (const LinkId l : {cold, LinkId{999}, LinkId::invalid()}) {
+    EXPECT_EQ(fl.queue_of(l).as_bits(), 0) << l;
+    EXPECT_EQ(fl.arrival_rate(l).as_bits_per_sec(), 0.0) << l;
+    EXPECT_EQ(fl.delivered_rate(l).as_bits_per_sec(), 0.0) << l;
+  }
+}
+
+TEST(FluidSampleOrderTest, TickSamplesAreInAscendingLinkIdOrder) {
+  // Flows touch links in a scrambled order; every sampled tick must still
+  // record its per-link samples in ascending LinkId order, queue depth
+  // before utilization for each link.
+  Topology t;
+  sim::Simulator s;
+  const NodeId tor = t.add_node(NodeKind::kTor, "tor");
+  std::vector<LinkId> up;
+  for (int i = 0; i < 6; ++i) {
+    const NodeId nic = t.add_node(NodeKind::kNic, "nic" + std::to_string(i));
+    up.push_back(t.add_duplex_link(nic, tor, LinkKind::kAccess, Bandwidth::gbps(200),
+                                   Duration::micros(1))
+                     .forward);
+  }
+  s.tracer().enable(1u << 12);
+  s.tracer().watch_all_links(true);
+  FluidSimulator fl{t, s};
+  for (const std::size_t i : {3u, 0u, 5u, 1u, 4u, 2u}) {
+    fl.start_flow({up[i]}, Bandwidth::gbps(100));
+  }
+  s.run_for(Duration::millis(1));
+
+  std::size_t ticks = 0;
+  std::vector<TraceEvent> tick_samples;
+  const auto check_tick = [&] {
+    if (tick_samples.empty()) return;
+    ++ticks;
+    ASSERT_EQ(tick_samples.size(), 2 * up.size());
+    for (std::size_t i = 0; i < tick_samples.size(); ++i) {
+      const std::uint32_t link = static_cast<std::uint32_t>(up[i / 2].value());
+      EXPECT_EQ(tick_samples[i].a, link) << "tick " << ticks << " sample " << i;
+      EXPECT_EQ(tick_samples[i].kind, i % 2 == 0 ? metrics::TraceEventKind::kQueueDepth
+                                                 : metrics::TraceEventKind::kLinkUtilization);
+    }
+    tick_samples.clear();
+  };
+  for (const TraceEvent& ev : s.tracer().events()) {
+    if (ev.kind != metrics::TraceEventKind::kQueueDepth &&
+        ev.kind != metrics::TraceEventKind::kLinkUtilization) {
+      continue;
+    }
+    if (!tick_samples.empty() && tick_samples.back().at != ev.at) check_tick();
+    tick_samples.push_back(ev);
+  }
+  check_tick();
+  EXPECT_EQ(ticks, 10u);  // 1 ms of 100 us ticks
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Tracer unit tests: ring-buffer semantics, filters, exporters.
+// Tracer unit tests: ring-buffer semantics, filters, exporters, and the
+// per-entity read index against the copy-and-scan oracle.
 #include "metrics/trace.h"
 
 #include <gtest/gtest.h>
@@ -6,6 +7,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
+
+#include "common/rng.h"
+#include "tests/support/reference_tracer_reads.h"
 
 namespace hpn::metrics {
 namespace {
@@ -187,6 +192,160 @@ TEST(TracerTest, SavePicksFormatBySuffix) {
   std::remove(json_path.c_str());
 
   EXPECT_FALSE(t.save("/nonexistent-dir/trace.json"));
+}
+
+// ---- Indexed reads vs the copy-and-scan oracle -----------------------------
+
+constexpr auto kLastKind = TraceEventKind::kJobEnd;
+constexpr std::uint32_t kEntities = 6;
+
+void expect_same_events(const std::vector<TraceEvent>& got,
+                        const std::vector<TraceEvent>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].at, want[i].at) << what << " #" << i;
+    EXPECT_EQ(got[i].kind, want[i].kind) << what << " #" << i;
+    EXPECT_EQ(got[i].a, want[i].a) << what << " #" << i;
+    EXPECT_EQ(got[i].b, want[i].b) << what << " #" << i;
+    EXPECT_EQ(got[i].value, want[i].value) << what << " #" << i;
+    EXPECT_EQ(got[i].label, want[i].label) << what << " #" << i;
+  }
+}
+
+void expect_same_series(const TimeSeries& got, const TimeSeries& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.name(), want.name()) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.points()[i].at, want.points()[i].at) << what << " #" << i;
+    EXPECT_EQ(got.points()[i].value, want.points()[i].value) << what << " #" << i;
+  }
+}
+
+/// Every kind x every entity in [0, kEntities) plus kTraceNoId: series and
+/// events_of must equal the oracle's reads of the same tracer.
+void expect_reads_match_oracle(const Tracer& t, const std::string& where) {
+  for (int k = 0; k <= static_cast<int>(kLastKind); ++k) {
+    const auto kind = static_cast<TraceEventKind>(k);
+    for (std::uint32_t a = 0; a <= kEntities; ++a) {
+      const std::uint32_t id = a == kEntities ? kTraceNoId : a;
+      const std::string what = where + " kind " + std::string{to_string(kind)} + " a " +
+                               std::to_string(id);
+      expect_same_series(t.series(kind, id), reference::series(t, kind, id), what);
+      expect_same_events(t.events_of(kind, id), reference::events_of(t, kind, id), what);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(TracerIndexTest, ReadsMatchOracleOverRandomTraces) {
+  // Each seed interleaves records with reads, clears, disable/enable
+  // toggles and capacity changes; capacities are small so rings wrap.
+  constexpr std::size_t kCapacities[] = {4, 8, 16};
+  constexpr TraceEventKind kKinds[] = {TraceEventKind::kQueueDepth,
+                                       TraceEventKind::kLinkUtilization,
+                                       TraceEventKind::kFlowStart, TraceEventKind::kLinkDown};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng{seed};
+    Tracer t;
+    t.enable(kCapacities[rng.uniform_index(3)]);
+    std::int64_t now_us = 0;
+    bool wrapped = false;
+    for (int op = 0; op < 300; ++op) {
+      const std::uint64_t roll = rng.uniform_index(100);
+      if (roll < 70) {
+        now_us += static_cast<std::int64_t>(rng.uniform_index(3));  // ties allowed
+        const std::uint64_t e = rng.uniform_index(kEntities + 1);
+        const std::uint32_t a = e == kEntities ? kTraceNoId : static_cast<std::uint32_t>(e);
+        t.record(at_us(now_us), kKinds[rng.uniform_index(4)], a,
+                 static_cast<std::uint32_t>(rng.uniform_index(4)),
+                 rng.uniform_real(0.0, 1e6), rng.uniform_index(2) == 0 ? "x" : nullptr);
+        wrapped |= t.dropped() > 0;
+      } else if (roll < 88) {
+        expect_reads_match_oracle(t, "seed " + std::to_string(seed) + " op " + std::to_string(op));
+        if (HasFailure()) return;
+      } else if (roll < 91) {
+        t.clear();
+      } else if (roll < 95) {
+        if (t.enabled()) {
+          t.disable();
+        } else {
+          t.enable(t.capacity());  // same capacity: keeps the events
+        }
+      } else {
+        t.enable(kCapacities[rng.uniform_index(3)]);
+      }
+    }
+    expect_reads_match_oracle(t, "seed " + std::to_string(seed) + " end");
+    if (HasFailure()) return;
+    EXPECT_TRUE(wrapped) << "seed " << seed << " never wrapped its ring";
+  }
+}
+
+TEST(TracerIndexTest, ReenableWithNewCapacityRebuildsIndex) {
+  // A re-enable with a new capacity followed by as many records leaves the
+  // event count where it was; the index must still see the new events.
+  Tracer t;
+  t.enable(8);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    t.record(at_us(i), TraceEventKind::kQueueDepth, 1, kTraceNoId, 100.0 + i);
+  }
+  ASSERT_EQ(t.series(TraceEventKind::kQueueDepth, 1).size(), 5u);
+  t.enable(16);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    t.record(at_us(10 + i), TraceEventKind::kQueueDepth, 2, kTraceNoId, 200.0 + i);
+  }
+  EXPECT_EQ(t.series(TraceEventKind::kQueueDepth, 1).size(), 0u);
+  const TimeSeries two = t.series(TraceEventKind::kQueueDepth, 2);
+  ASSERT_EQ(two.size(), 5u);
+  EXPECT_EQ(two.points().front().at, at_us(10));
+  EXPECT_DOUBLE_EQ(two.points().back().value, 204.0);
+  expect_same_events(t.events_of(TraceEventKind::kQueueDepth, 2),
+                     reference::events_of(t, TraceEventKind::kQueueDepth, 2), "after re-enable");
+}
+
+TEST(TracerIndexTest, ClearThenRecordRebuildsIndex) {
+  Tracer t;
+  t.enable(8);
+  t.record(at_us(1), TraceEventKind::kQueueDepth, 3, kTraceNoId, 1.0);
+  ASSERT_EQ(t.series(TraceEventKind::kQueueDepth, 3).size(), 1u);
+  t.clear();
+  EXPECT_EQ(t.series(TraceEventKind::kQueueDepth, 3).size(), 0u);
+  t.record(at_us(2), TraceEventKind::kQueueDepth, 3, kTraceNoId, 2.0);
+  const TimeSeries s = t.series(TraceEventKind::kQueueDepth, 3);
+  ASSERT_EQ(s.size(), 1u);
+  EXPECT_DOUBLE_EQ(s.points()[0].value, 2.0);
+}
+
+TEST(TracerConcurrencyTest, ConstReadsFromTwoThreadsAgree) {
+  // No read has built the index yet, so both threads race to build it;
+  // CI runs this under TSan.
+  Tracer t;
+  t.enable(1024);
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    t.record(at_us(i), i % 2 == 0 ? TraceEventKind::kQueueDepth : TraceEventKind::kLinkUtilization,
+             i % 7, kTraceNoId, static_cast<double>(i));
+  }
+  const Tracer& reader = t;
+  std::vector<std::size_t> want(7);
+  for (std::uint32_t a = 0; a < 7; ++a) {
+    want[a] = reference::series(reader, TraceEventKind::kQueueDepth, a).size();
+    ASSERT_GT(want[a], 0u);
+  }
+  std::vector<int> mismatches(2, 0);
+  const auto work = [&](std::size_t who) {
+    for (int round = 0; round < 50; ++round) {
+      for (std::uint32_t a = 0; a < 7; ++a) {
+        if (reader.series(TraceEventKind::kQueueDepth, a).size() != want[a]) ++mismatches[who];
+        if (reader.events_of(TraceEventKind::kQueueDepth, a).size() != want[a]) ++mismatches[who];
+      }
+    }
+  };
+  std::thread other{work, std::size_t{1}};
+  work(std::size_t{0});
+  other.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
 }
 
 }  // namespace
