@@ -7,13 +7,13 @@
 #include <memory>
 #include <utility>
 
-#include "cluster/tenant.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "ctrl/fabric_controller.h"
 #include "metrics/stats.h"
 #include "routing/router.h"
 #include "topo/frontend.h"
+#include "train/training_job.h"
 #include "workload/inference.h"
 
 namespace hpn::cluster {
@@ -140,7 +140,7 @@ class ClusterSim {
     int checkpointed = 0;  ///< Training iterations safely on storage.
   };
   struct RunningTraining {
-    std::unique_ptr<TenantTrainingJob> job;
+    std::unique_ptr<train::TrainingJob> job;
     Allocation alloc;
     PendingJob meta;
     TimePoint chunk_start;  ///< Progress since here is lost on a crash.
@@ -192,11 +192,11 @@ class ClusterSim {
     const auto [pp, dp] = factor_parallelism(static_cast<int>(alloc.hosts.size()));
     workload::PlacementPlan plan = workload::ParallelismPlanner{cluster_}.plan_on_hosts(
         cluster_.gpus_per_host, pp, dp, alloc.hosts);
-    TenantOptions opts;
+    train::TrainOptions opts;
     opts.dp_overlap = config_.dp_overlap;
     opts.comm_timeout = config_.comm_timeout;
     RunningTraining rt;
-    rt.job = std::make_unique<TenantTrainingJob>(
+    rt.job = std::make_unique<train::TrainingJob>(
         cluster_, sim_, *session_, *conns_, std::move(plan), config_.model, opts,
         static_cast<std::uint32_t>(job.spec.id));
     rt.alloc = std::move(alloc);
@@ -369,7 +369,7 @@ class ClusterSim {
   std::deque<PendingJob> queue_;
   std::map<int, RunningTraining> running_training_;
   std::map<int, RunningInference> running_inference_;
-  std::vector<std::unique_ptr<TenantTrainingJob>> dead_training_;
+  std::vector<std::unique_ptr<train::TrainingJob>> dead_training_;
   std::vector<std::unique_ptr<workload::InferenceService>> dead_inference_;
   std::map<int, JobStats> stats_;
 

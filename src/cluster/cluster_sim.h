@@ -3,13 +3,13 @@
 // One run = one fabric + one Simulator + one FlowSession carrying every
 // tenant's traffic. Jobs arrive from a deterministic trace, queue FIFO, get
 // hosts from a PlacementEngine policy, and run co-resident: training jobs
-// as event-driven TenantTrainingJobs (their collectives contend in the
-// shared max-min session — the interference locality placement avoids),
-// inference services (§8) as workload::InferenceService tenants on the
-// frontend network. Fault injection flaps access links through the
-// FabricController; a job stalled past its collective timeout crashes,
-// rolls back to its last checkpoint (fault::CheckpointPolicy), pays the
-// restart time, and is rescheduled — possibly onto different hosts.
+// as event-driven train::TrainingJobs started with run() (their collectives
+// contend in the shared max-min session — the interference locality
+// placement avoids), inference services (§8) as workload::InferenceService
+// tenants on the frontend network. Fault injection flaps access links
+// through the FabricController; a job stalled past its collective timeout
+// crashes, rolls back to its last checkpoint (fault::CheckpointPolicy),
+// pays the restart time, and is rescheduled — possibly onto different hosts.
 //
 // Determinism contract: a run is a pure function of (config). The CSV
 // emitters format with fixed precision, so byte-identical output at any

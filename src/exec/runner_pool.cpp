@@ -35,19 +35,21 @@ bool RunnerPool::for_each(std::size_t count,
     unfinished_.store(count, std::memory_order_relaxed);
     // Release-publish the callable before any task becomes acquirable.
     batch_fn_.store(&fn, std::memory_order_release);
-    ++batch_gen_;
-  }
 
-  // Seed the queues round-robin *after* the batch state is live: a worker
-  // tailing out of the previous batch may legitimately acquire and run
-  // these tasks before the notify below.
-  for (int w = 0; w < jobs_; ++w) {
-    WorkQueue& q = *queues_[w];
-    const std::lock_guard<std::mutex> lk(q.mu);
-    for (std::size_t i = static_cast<std::size_t>(w); i < count;
-         i += static_cast<std::size_t>(jobs_)) {
-      q.tasks.push_back(i);
+    // Seed the queues round-robin *after* the batch state is live (a worker
+    // tailing out of the previous batch may legitimately acquire and run
+    // these tasks before the notify below) but *before* bumping the
+    // generation: a worker that sees the new generation with empty queues
+    // goes back to sleep on a satisfied generation and never wakes again.
+    for (int w = 0; w < jobs_; ++w) {
+      WorkQueue& q = *queues_[static_cast<std::size_t>(w)];
+      const std::lock_guard<std::mutex> qlk(q.mu);
+      for (std::size_t i = static_cast<std::size_t>(w); i < count;
+           i += static_cast<std::size_t>(jobs_)) {
+        q.tasks.push_back(i);
+      }
     }
+    ++batch_gen_;
   }
   work_cv_.notify_all();
 

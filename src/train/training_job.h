@@ -7,13 +7,20 @@
 // 400G traffic of Fig 2). A configurable fraction of DP communication
 // overlaps with the backward pass, as Megatron does.
 //
+// The job is event-driven: run() starts iterations, the simulator advances
+// them, and a completion (or crash) callback hands control back, so many
+// jobs can share one Simulator/FlowSession (the multi-tenant cluster).
+// run_iterations() is the blocking pump for single-job benches: it runs one
+// iteration at a time and steps the simulator until that iteration ends.
+//
 // Failures: messages to an isolated host retry forever, so the synchronous
-// iteration stalls — if a stall exceeds the collective-communication
-// timeout the job crashes and must restart from its last checkpoint (§2.3).
+// iteration stalls. Each iteration arms a watchdog at start + compute +
+// comm_timeout; if the iteration has not drained by then, NCCL aborts and
+// the job crashes and must restart from its last checkpoint (§2.3).
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -35,18 +42,34 @@ enum class JobState { kRunning, kCrashed };
 
 class TrainingJob {
  public:
+  /// `crashed` is true when the watchdog aborted a stalled iteration.
+  using DoneFn = std::function<void(bool crashed)>;
+
+  /// `job_tag` labels this job's iteration spans (the tracer's b-field).
   TrainingJob(const topo::Cluster& cluster, sim::Simulator& simulator,
               flowsim::FlowSession& session, ccl::ConnectionManager& connections,
               workload::PlacementPlan plan, workload::ModelPreset model,
-              TrainOptions options = {});
+              TrainOptions options = {}, std::uint32_t job_tag = metrics::kTraceNoId);
+  /// Safe to destroy mid-iteration, also from its own callback: pending
+  /// continuations and the watchdog are disarmed; in-flight flows drain in
+  /// the session without touching this object.
   ~TrainingJob();
   TrainingJob(const TrainingJob&) = delete;
   TrainingJob& operator=(const TrainingJob&) = delete;
+
+  /// Run `iterations` more iterations asynchronously; `on_done` (may be
+  /// empty) fires when they all complete or the job crashes. Must not be
+  /// called while running or after a crash.
+  void run(int iterations, DoneFn on_done);
 
   /// Run `n` iterations (blocking: drives the simulator). Stops early on
   /// crash. Returns the number of completed iterations.
   int run_iterations(int n);
 
+  /// True from run() until its on_done fires.
+  [[nodiscard]] bool running() const { return remaining_ > 0; }
+  /// Iterations completed across all run() calls.
+  [[nodiscard]] int completed_iterations() const { return completed_; }
   /// Samples/s, one point per completed iteration (timestamped at its end).
   [[nodiscard]] const metrics::TimeSeries& throughput() const { return throughput_; }
   /// Mean samples/s over the last `k` iterations.
@@ -58,24 +81,27 @@ class TrainingJob {
   void on_fabric_change();
 
  private:
-  /// Runs one iteration; returns its wall time or nullopt on crash.
-  std::optional<Duration> run_one_iteration();
+  void begin_iteration();
+  void finish_iteration();
+  void crash();
 
-  const topo::Cluster* cluster_;
   sim::Simulator* sim_;
-  flowsim::FlowSession* session_;
   workload::PlacementPlan plan_;
   workload::ModelPreset model_;
   TrainOptions options_;
+  std::uint32_t job_tag_;
   /// One single-host communicator per host (TP), one per stage (DP).
   std::vector<std::unique_ptr<ccl::Communicator>> tp_comms_;
   std::vector<std::unique_ptr<ccl::Communicator>> dp_comms_;
   std::unique_ptr<ccl::Communicator> pp_comm_;  ///< Whole-job, for send/recv.
   metrics::TimeSeries throughput_{"samples_per_sec"};
   JobState state_ = JobState::kRunning;
-  std::uint32_t iteration_ = 0;  ///< 1-based, for tracer iteration spans.
-  /// Disarms the phase-2 continuation if the job is destroyed mid-iteration
-  /// (crash + restart replaces the job while events are pending).
+  int completed_ = 0;
+  int remaining_ = 0;  ///< Iterations left in the current run().
+  DoneFn on_done_;
+  TimePoint iter_start_ = TimePoint::origin();
+  sim::EventId watchdog_ = sim::kInvalidEvent;
+  /// Disarms every pending continuation when the job object dies.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

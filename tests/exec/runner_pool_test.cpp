@@ -59,6 +59,20 @@ TEST(RunnerPool, PoolIsReusableAcrossBatches) {
   }
 }
 
+TEST(RunnerPool, FreshPoolNeverSleepsThroughItsFirstBatch) {
+  // A worker that starts up while for_each() publishes its first batch must
+  // not see the new generation before the tasks are queued: it would go
+  // back to sleep and the batch would never finish (a hang, caught by the
+  // ctest timeout). Seeding the queues after the generation bump hung about
+  // one run in three of this loop.
+  for (int i = 0; i < 20000; ++i) {
+    RunnerPool pool{1};
+    int calls = 0;
+    ASSERT_TRUE(pool.for_each(1, [&](std::size_t) { ++calls; }));
+    ASSERT_EQ(calls, 1);
+  }
+}
+
 TEST(RunnerPool, MoreJobsThanTasks) {
   RunnerPool pool{8};
   const auto r = pool.map(3, [](std::size_t i) { return i * i; });
