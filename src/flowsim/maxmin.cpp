@@ -316,6 +316,7 @@ void IncrementalMaxMin::set_cap(Handle h, double cap_bps) {
 void IncrementalMaxMin::notify_link_changed(LinkId link) { mark_dirty(link); }
 
 std::size_t IncrementalMaxMin::resolve() {
+  affected_groups_.clear();
   if (scan_links_) {
     // Unknown links flipped: diff cached up/down state of every link that
     // carries at least one class (a flip on a flow-free link changes no
@@ -341,7 +342,6 @@ std::size_t IncrementalMaxMin::resolve() {
   // so their max-min subproblem — and rate — is untouched.
   next_stamp();
   bfs_.clear();
-  affected_groups_.clear();
   for (const LinkId l : dirty_) visit_link(l);
   dirty_.clear();
   for (std::size_t qi = 0; qi < bfs_.size(); ++qi) {

@@ -203,6 +203,18 @@ class IncrementalMaxMin {
   /// (0 when nothing changed — untouched components keep their rates).
   std::size_t resolve();
 
+  /// Class of a network flow; kNoClass for a host-local one. Class ids are
+  /// dense and recycled once a class's last member leaves.
+  static constexpr std::uint32_t kNoClass = std::numeric_limits<std::uint32_t>::max();
+  [[nodiscard]] std::uint32_t class_of(Handle h) const { return flows_[h].group; }
+  /// Per-member rate of a live class as of the last resolve().
+  [[nodiscard]] double class_rate(std::uint32_t c) const { return groups_[c].rate_bps; }
+  /// Classes the last resolve() re-rated (empty if it re-rated none). Valid
+  /// until the next add/remove/set_path/set_cap.
+  [[nodiscard]] const std::vector<std::uint32_t>& rerated_classes() const {
+    return affected_groups_;
+  }
+
   [[nodiscard]] double rate(Handle h) const {
     const Flow& f = flows_[h];
     return f.group == kNoGroup ? f.rate_bps : groups_[f.group].rate_bps;
@@ -253,7 +265,7 @@ class IncrementalMaxMin {
   [[nodiscard]] AggregationSnapshot aggregation() const;
 
  private:
-  static constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::uint32_t kNoGroup = kNoClass;
 
   struct Flow {
     PathId path = PathTable::kEmpty;

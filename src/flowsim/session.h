@@ -11,12 +11,31 @@
 // that actually changed (flows started/finished/rerouted, links flipped),
 // so failure-driven runs pay for the blast radius of the event instead of
 // a cold solve over every active flow.
+//
+// Progress is settled lazily, per solver class. Every member of a
+// (path, cap) class moves at the class's rate, so a class keeps one service
+// clock: per-member bits served since it formed, plus the rate and instant
+// of its last change. A member stores only its finish tag (its bits to
+// deliver plus the clock when it joined); its remaining bits are
+// tag - clock(now), computed when asked. Members are ordered by tag inside
+// their class, and one indexed min-heap orders the live classes by the
+// instant their smallest tag drains. A recompute therefore costs
+// O((classes re-rated + flows completed) * log n), not O(active flows):
+// only the classes the solver re-rated advance their clock and get a new
+// heap key, and the completion event is rescheduled only when the heap
+// minimum moves. Rates (rate_of, throughput_on) are the solver's, as of the
+// last recompute.
+//
+// Flows that complete at one instant fire their callbacks in ascending
+// FlowId order, after the rates of the survivors have been re-solved.
 #pragma once
 
+#include <algorithm>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <ostream>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "flowsim/maxmin.h"
@@ -74,19 +93,32 @@ class FlowSession {
     schedule_recompute();
   }
 
-  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
+  [[nodiscard]] std::size_t active_flows() const { return handle_of_.size(); }
 
-  /// Currently allocated rate; nullopt if the flow is not active.
+  /// Allocated rate as of the last recompute; nullopt if not active.
   [[nodiscard]] std::optional<Bandwidth> rate_of(FlowId id) const;
 
   /// Bits still to deliver; nullopt if not active.
   [[nodiscard]] std::optional<DataSize> remaining_of(FlowId id) const;
 
-  /// Aggregate currently-allocated rate over a link.
+  /// Aggregate allocated rate over a link, one term per path occurrence —
+  /// O(classes on the link).
   [[nodiscard]] Bandwidth throughput_on(LinkId link) const;
 
-  /// Total bytes delivered across completed + in-flight flows.
-  [[nodiscard]] DataSize delivered_total() const { return delivered_; }
+  /// Bits delivered: every completed flow's size, the bits aborted flows
+  /// had delivered before their abort, and each in-flight flow's served
+  /// bits (clamped at its size). O(active flows).
+  [[nodiscard]] DataSize delivered_total() const;
+
+  /// Work the session did: what each event cost, independent of host speed.
+  /// restore() zeroes it along with the solver's counters.
+  struct Stats {
+    std::uint64_t recomputes = 0;       ///< batched drain + re-rate passes
+    std::uint64_t classes_rerated = 0;  ///< classes a resolve moved to a new rate
+    std::uint64_t heap_updates = 0;     ///< completion-heap inserts, erases, re-keys
+    std::uint64_t completions = 0;      ///< flows drained (callbacks fired)
+  };
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Incremental-solver counters (how much re-solving each change cost).
   [[nodiscard]] const IncrementalMaxMin::Stats& solver_stats() const {
@@ -130,46 +162,188 @@ class FlowSession {
   void write_trace_csv(std::ostream& os) const;
 
  private:
-  struct ActiveFlow {
-    IncrementalMaxMin::Handle handle = IncrementalMaxMin::kInvalidHandle;
-    double remaining_bits = 0.0;
-    double rate_bps = 0.0;
-    CompletionFn on_complete;
+  using Handle = IncrementalMaxMin::Handle;
+  static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+  /// One active flow, indexed by its solver Handle (id == 0: free slot).
+  struct Slot {
+    FlowId id{0};
+    std::uint32_t cls = kNone;  ///< session class
+    std::uint32_t pos = 0;      ///< index in the class's member heap
+    bool stalled = false;       ///< rate hit zero while bits remain (down link)
+    double tag = 0.0;           ///< bits to deliver + class clock at join
     TimePoint started;
     DataSize size;
-    bool stalled = false;  ///< rate hit zero while bits remain (down link)
+    CompletionFn on_complete;
   };
 
-  void record_trace(FlowId id, const ActiveFlow& flow, bool aborted);
+  /// Slots and classes grow in fixed 1024-entry chunks: growth never
+  /// copies or frees a large block, and the chunks a restored session
+  /// releases are the size the next session asks for, so long-lived
+  /// processes that rebuild sessions (serve) do not fragment the heap.
+  template <class T>
+  class Chunked {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_; }
+    T& operator[](std::size_t i) { return chunks_[i >> kShift][i & kMask]; }
+    const T& operator[](std::size_t i) const { return chunks_[i >> kShift][i & kMask]; }
+    void resize(std::size_t n) {
+      while (chunks_.size() << kShift < n) chunks_.push_back(std::make_unique<T[]>(kChunk));
+      size_ = std::max(size_, n);
+    }
 
-  /// Rate/capacity/down-link/conservation checks after a recompute. Only
-  /// called when the simulator's InvariantAuditor is enabled; the audit
-  /// accumulators are valid if auditing was on before the first start_flow.
+   private:
+    static constexpr std::size_t kShift = 10;
+    static constexpr std::size_t kChunk = std::size_t{1} << kShift;
+    static constexpr std::size_t kMask = kChunk - 1;
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::size_t size_ = 0;
+  };
+
+  /// FlowId -> Handle for the active flows: open addressing with linear
+  /// probing and backward-shift erase, so no entry allocates.
+  class IdIndex {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    /// kNone when `id` is not active.
+    [[nodiscard]] Handle find(FlowId id) const;
+    void insert(FlowId id, Handle h);
+    void erase(FlowId id);
+
+   private:
+    struct Entry {
+      FlowId::underlying id = 0;  ///< 0: empty (FlowIds start at 1)
+      Handle h = 0;
+    };
+    [[nodiscard]] std::size_t home(FlowId::underlying id) const;
+    std::vector<Entry> table_;
+    std::size_t size_ = 0;
+  };
+
+  /// A class's members: a min-heap on (tag, id) whose first entry is
+  /// stored inline, so the common one-flow class allocates nothing.
+  class Members {
+   public:
+    [[nodiscard]] std::uint32_t size() const { return n_; }
+    [[nodiscard]] bool empty() const { return n_ == 0; }
+    [[nodiscard]] Handle front() const { return first_; }
+    [[nodiscard]] Handle back() const { return (*this)[n_ - 1]; }
+    Handle& operator[](std::uint32_t i) { return i == 0 ? first_ : rest_[i - 1]; }
+    Handle operator[](std::uint32_t i) const { return i == 0 ? first_ : rest_[i - 1]; }
+    void push_back(Handle h) {
+      if (n_++ == 0) {
+        first_ = h;
+      } else {
+        rest_.push_back(h);
+      }
+    }
+    void pop_back() {
+      if (--n_ > 0) rest_.pop_back();
+    }
+    void clear() {
+      n_ = 0;
+      rest_.clear();
+    }
+
+   private:
+    Handle first_ = 0;
+    std::uint32_t n_ = 0;
+    std::vector<Handle> rest_;
+  };
+
+  /// One solver class (or one host-local flow) with its service clock.
+  struct Class {
+    std::uint32_t group = IncrementalMaxMin::kNoClass;  ///< solver class
+    std::uint32_t heap_pos = kNone;  ///< index in heap_
+    std::uint32_t stalled = 0;       ///< members with Slot::stalled set
+    double clock = 0.0;              ///< per-member bits served, as of `at`
+    double rate = 0.0;               ///< per-member rate since `at`
+    TimePoint at;
+    Members members;
+  };
+
+  /// Completion-heap entry: the instant (s) a class's smallest tag drains
+  /// (inf while stalled), kept inline so sifting never touches classes_.
+  struct HeapEntry {
+    double key;
+    std::uint32_t cls;
+    [[nodiscard]] bool operator<(const HeapEntry& o) const {
+      return key != o.key ? key < o.key : cls < o.cls;
+    }
+  };
+
+  [[nodiscard]] double clock_at(const Class& c, TimePoint now) const {
+    return c.clock + c.rate * (now - c.at).as_seconds();
+  }
+  /// Lazily settled bits `h` still has to deliver (never negative).
+  [[nodiscard]] double remaining(Handle h) const;
+
+  /// Tag `h` with `bits` to go and add it to the class of its solver flow.
+  void attach(Handle h, double bits);
+  /// Take `h` out of its class, freeing the class if it empties.
+  void detach(Handle h);
+  /// Advance a class's clock to now and switch it to `rate`.
+  void rerate(std::uint32_t cls, double rate);
+  void rekey(std::uint32_t cls);
+  void free_class(std::uint32_t cls);
+  [[nodiscard]] bool member_less(Handle a, Handle b) const;
+  void member_sift_up(Class& c, std::uint32_t i);
+  void member_sift_down(Class& c, std::uint32_t i);
+  void heap_sift_up(std::uint32_t i);
+  void heap_sift_down(std::uint32_t i);
+
+  void record_trace(Handle h, bool aborted);
+
+  /// Rate/capacity/down-link/conservation checks plus the completion-heap
+  /// and lazy-settle rules after a recompute. Only called when the
+  /// simulator's InvariantAuditor is enabled; the audit state is valid if
+  /// auditing was on before the first start_flow.
   void audit_allocation();
-
-  /// Charge elapsed time against every flow's remaining bits.
+  /// Auditor on: eagerly settle the audit shadow (the per-flow remaining
+  /// bits the lazy clocks must reproduce) and the conservation ledger.
   void settle_to_now();
+
   /// Recompute rates and (re)schedule the next completion event.
   void schedule_recompute();
   void recompute_and_reschedule();
-  void on_completion_event();
+  void reschedule_completion();
 
   const topo::Topology* topo_;
   sim::Simulator* sim_;
   Aggregation aggregation_;  ///< kept so restore() can rebuild the solver
   IncrementalMaxMin solver_;
-  std::unordered_map<FlowId, ActiveFlow> flows_;
+  Chunked<Slot> slots_;
+  IdIndex handle_of_;
+  Chunked<Class> classes_;
+  std::vector<std::uint32_t> free_classes_;
+  std::vector<std::uint32_t> class_of_group_;  ///< solver class -> session class
+  std::vector<HeapEntry> heap_;                ///< one entry per live class
+  std::vector<std::uint32_t> touched_local_;   ///< host-local classes since last recompute
   FlowId::underlying next_id_ = 1;
-  TimePoint last_settle_;
   sim::EventId pending_recompute_ = sim::kInvalidEvent;
   sim::EventId pending_completion_ = sim::kInvalidEvent;
-  DataSize delivered_ = DataSize::zero();
+  std::uint32_t scheduled_class_ = kNone;  ///< heap minimum the event was set for
+  double scheduled_key_ = 0.0;
+  std::int64_t delivered_bits_ = 0;  ///< completed sizes + aborted flows' served bits
   bool tracing_ = false;
   std::vector<FlowRecord> trace_;
+  Stats stats_;
 
-  /// Conservation accounting for the auditor, in exact doubles (delivered_
-  /// keeps its integer-truncation semantics for the public API). Only
-  /// accumulated while the auditor is enabled.
+  // Recompute scratch.
+  std::vector<Handle> done_;
+  struct StallEvent {
+    FlowId id;
+    bool stall;
+    double bits;
+  };
+  std::vector<StallEvent> stall_events_;
+
+  /// Auditor state: the eager shadow (remaining bits per Handle, settled at
+  /// every event like the pre-lazy session) and the conservation ledger in
+  /// exact doubles. Only accumulated while the auditor is enabled.
+  std::vector<double> audit_shadow_;
+  TimePoint last_settle_;
   double audit_injected_bits_ = 0.0;
   double audit_delivered_bits_ = 0.0;
   double audit_aborted_bits_ = 0.0;

@@ -16,6 +16,8 @@ std::string_view to_string(AuditRule rule) {
     case AuditRule::kFibBlackhole: return "fib_blackhole";
     case AuditRule::kFibDownLink: return "fib_down_link";
     case AuditRule::kStuckQueue: return "stuck_queue";
+    case AuditRule::kCompletionHeap: return "completion_heap";
+    case AuditRule::kLazySettle: return "lazy_settle";
   }
   return "unknown";
 }

@@ -43,6 +43,8 @@ enum class AuditRule : std::uint8_t {
   kFibBlackhole,        ///< A FIB route's next hop has no route at quiescence.
   kFibDownLink,         ///< A FIB route resolves over a down link.
   kStuckQueue,          ///< Bytes left queued after the simulation drained.
+  kCompletionHeap,      ///< A session's next-completion heap disagrees with a full scan.
+  kLazySettle,          ///< Lazily settled remaining bits disagree with eager settling.
 };
 
 std::string_view to_string(AuditRule rule);

@@ -136,6 +136,53 @@ TEST_F(SessionTest, DeliveredTotalAccumulates) {
   EXPECT_NEAR(static_cast<double>(fs.delivered_total().as_bits()), 1e9, 1e3);
 }
 
+TEST(SessionDelivered, ExactWhenAFlowFinishesBetweenSettles) {
+  // A: 1000 bits at 300 Gbps drains at 3.33 ns, but its completion event
+  // fires at 5 ns (rounded up, plus one). B's start settles the session at
+  // 2 ns, in between. Delivered must be exactly the sizes, never rate x the
+  // elapsed time (that would report 1500 bits for A).
+  Topology t;
+  const NodeId a = t.add_node(NodeKind::kNic, "a");
+  const NodeId b = t.add_node(NodeKind::kTor, "b");
+  const LinkId fast =
+      t.add_duplex_link(a, b, LinkKind::kAccess, Bandwidth::gbps(400), Duration::micros(1))
+          .forward;
+  const LinkId back =
+      t.add_duplex_link(b, a, LinkKind::kAccess, Bandwidth::gbps(400), Duration::micros(1))
+          .forward;
+  sim::Simulator s;
+  FlowSession fs{t, s};
+  fs.start_flow({fast}, DataSize::bits(1000), Bandwidth::gbps(300));
+  s.schedule_at(TimePoint::at_nanos(2),
+                [&] { fs.start_flow({back}, DataSize::bits(7), Bandwidth::gbps(100)); });
+  s.run();
+  EXPECT_EQ(fs.active_flows(), 0u);
+  EXPECT_EQ(fs.delivered_total().as_bits(), 1007);
+}
+
+TEST_F(SessionTest, DeliveredTotalKeepsAbortedFlowsServedBits) {
+  FlowSession fs{t, s};
+  const FlowId id = fs.start_flow({ab}, DataSize::bits(1'000'000), Bandwidth::gbps(10));
+  s.schedule_at(TimePoint::at_nanos(400), [&] { fs.abort_flow(id); });
+  s.run();
+  EXPECT_EQ(fs.delivered_total().as_bits(), 400);  // 400 ns at the 1 Gbps link
+}
+
+TEST_F(SessionTest, StatsCountTheWorkOfDistinctSizedFlowsInOneClass) {
+  // Four same-(path, cap) flows form one class; each completion re-rates it.
+  FlowSession fs{t, s};
+  for (int i = 1; i <= 4; ++i) {
+    fs.start_flow({ab, bc}, DataSize::bits(i * 1'000'000), Bandwidth::gbps(10));
+  }
+  s.run();
+  const FlowSession::Stats& st = fs.stats();
+  EXPECT_EQ(st.completions, 4u);
+  EXPECT_EQ(st.recomputes, 5u);       // the start batch + one per completion
+  EXPECT_EQ(st.classes_rerated, 4u);  // the class after the starts and the first 3 drains
+  // 4 joins + 4 re-rates + 3 drains that re-key + 1 drain that frees.
+  EXPECT_EQ(st.heap_updates, 12u);
+}
+
 TEST_F(SessionTest, RateOfUnknownFlowIsNullopt) {
   FlowSession fs{t, s};
   EXPECT_FALSE(fs.rate_of(FlowId{404}).has_value());

@@ -16,6 +16,8 @@
 #include "flowsim/packet.h"
 #include "flowsim/session.h"
 #include "sim/simulator.h"
+#include "tests/support/reference_session.h"
+#include "tests/support/session_differential.h"
 
 namespace hpn::fuzz {
 namespace {
@@ -69,27 +71,33 @@ void down_node_links(topo::Topology& topo, NodeId node, bool up) {
 /// flip link state and refresh() the solver; repairs flip it back. Oracles:
 /// auditor clean, no flow beats its physical bound, and on fault-free
 /// scenarios every flow completes. `mode` selects the solver front-end
-/// (macro-flow aggregated vs per-flow) and `tag` labels any failures.
+/// (macro-flow aggregated vs per-flow), `Session` the engine (production or
+/// the eager reference), and `tag` labels any failures. `done` receives
+/// every flow's completion instant.
+template <class Session>
 void run_session_phase(const Scenario& s, flowsim::Aggregation mode,
                        const char* tag, std::vector<double>& fct,
-                       std::string& out) {
+                       std::vector<reference::Completion>& done, std::string& out) {
   Materialized m = materialize(s);
   sim::Simulator sim;
   sim.auditor().enable();
-  flowsim::FlowSession session(m.cluster.topo, sim, mode);
+  Session session(m.cluster.topo, sim, mode);
 
   fct.assign(m.flows.size(), -1.0);
+  done.assign(m.flows.size(), reference::Completion{});
   sim::Simulator* simp = &sim;
   std::vector<double>* fcts = &fct;
+  std::vector<reference::Completion>* dones = &done;
   for (std::size_t i = 0; i < m.flows.size(); ++i) {
     const Materialized::Flow& f = m.flows[i];
-    session.start_flow(f.path, f.size, f.cap, [simp, fcts, i](FlowId) {
+    session.start_flow(f.path, f.size, f.cap, [simp, fcts, dones, i](FlowId) {
       (*fcts)[i] = simp->now().since_origin().as_seconds();
+      (*dones)[i].done_ns = simp->now().since_origin().as_nanos();
     });
   }
 
   topo::Topology* topo = &m.cluster.topo;
-  flowsim::FlowSession* sess = &session;
+  Session* sess = &session;
   for (const Materialized::Fault& fault : m.faults) {
     if (fault.kind == ScenarioFault::Kind::kTorCrash) {
       const NodeId tor = fault.tor;
@@ -143,8 +151,10 @@ void run_aggregate_phase(const Scenario& s, const std::vector<double>& agg_fct,
   constexpr double kAggRelTol = 1e-6;
   constexpr double kAggAbsSec = 1e-5;
   std::vector<double> per_flow_fct;
-  run_session_phase(s, flowsim::Aggregation::kPerFlow, "aggregate[per-flow]",
-                    per_flow_fct, out);
+  std::vector<reference::Completion> per_flow_done;
+  run_session_phase<flowsim::FlowSession>(s, flowsim::Aggregation::kPerFlow,
+                                          "aggregate[per-flow]", per_flow_fct,
+                                          per_flow_done, out);
   for (std::size_t i = 0; i < agg_fct.size(); ++i) {
     const double a = agg_fct[i];
     const double p = per_flow_fct[i];
@@ -164,6 +174,21 @@ void run_aggregate_phase(const Scenario& s, const std::vector<double>& agg_fct,
       append_failure(out, os.str());
     }
   }
+}
+
+/// Reference-session differential phase (always on): the session workload
+/// + fault schedule re-runs through the eager FlowSession the lazily
+/// settled one replaced (tests/support/reference_session.h). The two must
+/// complete the same flows in the same same-instant groups with FCTs within
+/// max(1 ns, 1e-9 relative).
+void run_reference_phase(const Scenario& s, const std::vector<reference::Completion>& done,
+                         std::string& out) {
+  std::vector<double> ref_fct;
+  std::vector<reference::Completion> ref_done;
+  run_session_phase<reference::FlowSession>(s, flowsim::Aggregation::kMacroFlows,
+                                            "reference", ref_fct, ref_done, out);
+  const std::string diff = reference::compare_completions(done, ref_done);
+  if (!diff.empty()) append_failure(out, "reference: session diverges from the eager reference:\n" + diff);
 }
 
 /// BGP phase: originate host routes, replay the fault schedule as
@@ -440,8 +465,10 @@ void run_jobsmix_phase(const Scenario& s, std::string& out) {
 RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
   std::string failure;
   std::vector<double> session_fct;
-  run_session_phase(scenario, flowsim::Aggregation::kMacroFlows, "session",
-                    session_fct, failure);
+  std::vector<reference::Completion> session_done;
+  run_session_phase<flowsim::FlowSession>(scenario, flowsim::Aggregation::kMacroFlows,
+                                          "session", session_fct, session_done, failure);
+  run_reference_phase(scenario, session_done, failure);
   run_bgp_phase(scenario, options, failure);
   if (!scenario.jobs.empty()) run_jobsmix_phase(scenario, failure);
   if (options.aggregate) run_aggregate_phase(scenario, session_fct, failure);

@@ -5,6 +5,10 @@
 // Per scenario:
 //   - FlowSession runs the workload *with* the fault schedule (link/ToR
 //     faults applied as simulator events + session.refresh()).
+//   - The eager reference session (tests/support/reference_session.h)
+//     re-runs the same workload and schedule; both must complete the same
+//     flows in the same same-instant groups, FCTs within max(1 ns, 1e-9
+//     relative).
 //   - BgpFabric originates host routes, replays the fault schedule as
 //     control-plane events, and is audited for FIB loops/blackholes/down
 //     links at quiescence.

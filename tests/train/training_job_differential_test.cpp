@@ -23,11 +23,14 @@ enum class Fault {
   kPermanent,       ///< One access link down for good.
 };
 
+// gtest lists each case with a dump of the parameter's bytes. The fixed
+// fields come first so that the dump opens with the same bytes on every run,
+// not with the name's address, which moves with ASLR.
 struct Drill {
-  const char* name;
+  Fault fault;
   bool dual_tor;
   bool moe;
-  Fault fault;
+  const char* name;
 };
 
 struct Outcome {
@@ -145,24 +148,24 @@ TEST_P(TrainingJobDifferential, MatchesBlockingReference) {
 TEST(TrainingJobDifferentialDrills, ExerciseWhatTheyClaim) {
   // Guards the drill table: the healthy and repaired drills finish all 8
   // iterations, the permanent single-ToR failure crashes.
-  const Outcome healthy = run_drill<TrainingJob>({"healthy", true, false, Fault::kNone});
+  const Outcome healthy = run_drill<TrainingJob>({Fault::kNone, true, false, "healthy"});
   EXPECT_EQ(healthy.completed, 8);
-  const Outcome flap = run_drill<TrainingJob>({"flap", false, false, Fault::kFlap});
+  const Outcome flap = run_drill<TrainingJob>({Fault::kFlap, false, false, "flap"});
   EXPECT_EQ(flap.completed, 8);
   EXPECT_EQ(flap.state, JobState::kRunning);
-  const Outcome crash = run_drill<TrainingJob>({"crash", false, false, Fault::kPermanent});
+  const Outcome crash = run_drill<TrainingJob>({Fault::kPermanent, false, false, "crash"});
   EXPECT_EQ(crash.state, JobState::kCrashed);
   EXPECT_LT(crash.completed, 8);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Drills, TrainingJobDifferential,
-    ::testing::Values(Drill{"healthy", true, false, Fault::kNone},
-                      Drill{"dual_tor_fail_mid_collective", true, false,
-                            Fault::kFailThenRepair},
-                      Drill{"single_tor_flap_repaired", false, false, Fault::kFlap},
-                      Drill{"moe", true, true, Fault::kNone},
-                      Drill{"single_tor_crash", false, false, Fault::kPermanent}),
+    ::testing::Values(Drill{Fault::kNone, true, false, "healthy"},
+                      Drill{Fault::kFailThenRepair, true, false,
+                            "dual_tor_fail_mid_collective"},
+                      Drill{Fault::kFlap, false, false, "single_tor_flap_repaired"},
+                      Drill{Fault::kNone, true, true, "moe"},
+                      Drill{Fault::kPermanent, false, false, "single_tor_crash"}),
     [](const ::testing::TestParamInfo<Drill>& param_info) {
       return std::string{param_info.param.name};
     });
