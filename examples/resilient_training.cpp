@@ -9,7 +9,7 @@
 #include "fault/failure_injector.h"
 #include "topo/builders.h"
 #include "topo/frontend.h"
-#include "train/resilient_trainer.h"
+#include "train/checkpoint_loop.h"
 
 namespace {
 
@@ -47,8 +47,13 @@ train::ResilientReport run(bool dual_tor) {
   sim.schedule_after(Duration::seconds(102.0), [&] { fabric.repair_access(2, 3, 0); });
 
   const auto plan = workload::ParallelismPlanner{cluster}.plan(8, 1, 16);
-  train::ResilientTrainer trainer{cluster, sim,   session, connections, router,
-                                  plan,    model, policy,  storage,     opts};
+  train::CheckpointLoop trainer{cluster, sim,   session, connections, router,
+                                plan,    model, policy,  storage,     opts};
+  // Steer in-flight traffic off failed ports as the controller reconverges.
+  fabric.subscribe([&] {
+    session.refresh();
+    trainer.on_fabric_change();
+  });
   return trainer.run_for(Duration::minutes(3.0));
 }
 

@@ -13,7 +13,7 @@
 #include "metrics/stats.h"
 #include "routing/router.h"
 #include "topo/frontend.h"
-#include "train/training_job.h"
+#include "train/checkpoint_loop.h"
 #include "workload/inference.h"
 
 namespace hpn::cluster {
@@ -45,6 +45,9 @@ std::string fmt(double v) {
   std::snprintf(buf, sizeof buf, "%.6f", v);
   return buf;
 }
+
+/// Crash-restart attempts before a training job is aborted for good.
+constexpr int kMaxRestarts = 2;
 
 /// Deterministic (pp, dp) factoring for an allocation of `hosts` hosts.
 std::pair<int, int> factor_parallelism(int hosts) {
@@ -93,7 +96,7 @@ class ClusterSim {
     controller_ = std::make_unique<ctrl::FabricController>(cluster_, sim_, *router_);
     controller_->subscribe([this] {
       session_->refresh();
-      for (auto& [id, rt] : running_training_) rt.job->on_fabric_change();
+      for (auto& [id, rt] : running_training_) rt.loop->on_fabric_change();
     });
     engine_ = std::make_unique<PlacementEngine>(cluster_, config_.policy,
                                                 config_.trace.seed);
@@ -140,10 +143,9 @@ class ClusterSim {
     int checkpointed = 0;  ///< Training iterations safely on storage.
   };
   struct RunningTraining {
-    std::unique_ptr<train::TrainingJob> job;
+    std::unique_ptr<train::CheckpointLoop> loop;
     Allocation alloc;
     PendingJob meta;
-    TimePoint chunk_start;  ///< Progress since here is lost on a crash.
   };
   struct RunningInference {
     std::unique_ptr<workload::InferenceService> service;
@@ -196,57 +198,26 @@ class ClusterSim {
     opts.dp_overlap = config_.dp_overlap;
     opts.comm_timeout = config_.comm_timeout;
     RunningTraining rt;
-    rt.job = std::make_unique<train::TrainingJob>(
-        cluster_, sim_, *session_, *conns_, std::move(plan), config_.model, opts,
+    rt.loop = std::make_unique<train::CheckpointLoop>(
+        cluster_, sim_, *session_, *conns_, *router_, std::move(plan), config_.model,
+        config_.checkpoint, std::vector<topo::StorageHost>{}, opts,
         static_cast<std::uint32_t>(job.spec.id));
     rt.alloc = std::move(alloc);
     rt.meta = std::move(job);
-    rt.chunk_start = sim_.now();
     const int id = rt.meta.spec.id;
-    running_training_[id] = std::move(rt);
-    run_chunk(id);
-  }
-
-  /// Runs up to checkpoint_every_iters iterations, then pays the checkpoint
-  /// write and continues — so a crash always rolls back to a chunk start.
-  void run_chunk(int id) {
-    RunningTraining& rt = running_training_.at(id);
     const int remaining = rt.meta.spec.iterations - rt.meta.checkpointed;
-    const int chunk = std::min(remaining, config_.checkpoint_every_iters);
-    rt.chunk_start = sim_.now();
-    rt.job->run(chunk, [this, id](bool crashed) { on_chunk_done(id, crashed); });
+    train::CheckpointLoop& loop = *rt.loop;
+    running_training_[id] = std::move(rt);
+    loop.run({.iterations = remaining}, [this, id] { finish_training(id, /*aborted=*/false); },
+             [this, id](const fault::CrashCost& cost) { on_crash(id, cost); });
   }
 
-  void on_chunk_done(int id, bool crashed) {
-    RunningTraining& rt = running_training_.at(id);
-    if (crashed) {
-      on_crash(id);
-      return;
-    }
-    rt.meta.checkpointed += std::min(
-        rt.meta.spec.iterations - rt.meta.checkpointed, config_.checkpoint_every_iters);
-    stats_[id].iterations = rt.meta.checkpointed;
-    if (rt.meta.checkpointed >= rt.meta.spec.iterations) {
-      finish_training(id, /*aborted=*/false);
-      return;
-    }
-    sim_.schedule_after(config_.checkpoint.write_time, [this, id] {
-      if (running_training_.count(id) != 0) run_chunk(id);
-    });
-  }
-
-  void on_crash(int id) {
+  void on_crash(int id, const fault::CrashCost& cost) {
     RunningTraining& rt = running_training_.at(id);
     ++crashes_;
-    JobStats& js = stats_[id];
-    ++js.restarts;
-    const fault::CheckpointModel model{config_.checkpoint};
-    crash_cost_dollars_ +=
-        model
-            .crash_cost(sim_.now() - rt.chunk_start,
-                        static_cast<int>(rt.alloc.hosts.size()) * cluster_.gpus_per_host)
-            .dollars;
-    if (rt.meta.restarts >= config_.max_restarts) {
+    ++stats_[id].restarts;
+    crash_cost_dollars_ += cost.dollars;
+    if (rt.meta.restarts >= kMaxRestarts) {
       finish_training(id, /*aborted=*/true);
       return;
     }
@@ -254,9 +225,10 @@ class ClusterSim {
     // front (crashed jobs resume ahead of new arrivals) — possibly landing
     // on different hosts.
     PendingJob meta = std::move(rt.meta);
+    meta.checkpointed += rt.loop->report().iterations_kept;
     ++meta.restarts;
     release_and_destroy_training(id);
-    sim_.schedule_after(config_.checkpoint.restart_time, [this, meta = std::move(meta)] {
+    sim_.schedule_after(cost.restart, [this, meta = std::move(meta)] {
       queue_.push_front(meta);
       try_dispatch();
     });
@@ -266,7 +238,8 @@ class ClusterSim {
     JobStats& js = stats_[id];
     js.finish = sim_.now();
     js.aborted = aborted;
-    js.iterations = running_training_.at(id).meta.checkpointed;
+    const RunningTraining& rt = running_training_.at(id);
+    js.iterations = rt.meta.checkpointed + rt.loop->report().iterations_kept;
     sim_.trace(metrics::TraceEventKind::kJobEnd, static_cast<std::uint32_t>(id),
                metrics::kTraceNoId, js.jct().as_seconds());
     release_and_destroy_training(id);
@@ -280,7 +253,7 @@ class ClusterSim {
     engine_->release(it->second.alloc.hosts);
     // The tenant's destructor runs from the reaper event, never inside one
     // of the tenant's own callbacks.
-    dead_training_.push_back(std::move(it->second.job));
+    dead_training_.push_back(std::move(it->second.loop));
     running_training_.erase(it);
     sim_.schedule_now([this] { reap(); });
   }
@@ -369,7 +342,7 @@ class ClusterSim {
   std::deque<PendingJob> queue_;
   std::map<int, RunningTraining> running_training_;
   std::map<int, RunningInference> running_inference_;
-  std::vector<std::unique_ptr<train::TrainingJob>> dead_training_;
+  std::vector<std::unique_ptr<train::CheckpointLoop>> dead_training_;
   std::vector<std::unique_ptr<workload::InferenceService>> dead_inference_;
   std::map<int, JobStats> stats_;
 

@@ -3,13 +3,13 @@
 // One run = one fabric + one Simulator + one FlowSession carrying every
 // tenant's traffic. Jobs arrive from a deterministic trace, queue FIFO, get
 // hosts from a PlacementEngine policy, and run co-resident: training jobs
-// as event-driven train::TrainingJobs started with run() (their collectives
-// contend in the shared max-min session — the interference locality
-// placement avoids), inference services (§8) as workload::InferenceService
-// tenants on the frontend network. Fault injection flaps access links
-// through the FabricController; a job stalled past its collective timeout
-// crashes, rolls back to its last checkpoint (fault::CheckpointPolicy),
-// pays the restart time, and is rescheduled — possibly onto different hosts.
+// as event-driven train::CheckpointLoops (their collectives contend in the
+// shared max-min session — the interference locality placement avoids),
+// inference services (§8) as workload::InferenceService tenants on the
+// frontend network. Fault injection flaps access links through the
+// FabricController; a job stalled past its collective timeout crashes, rolls
+// back to its last checkpoint (fault::CheckpointPolicy), pays the restart
+// time, and is rescheduled — possibly onto different hosts.
 //
 // Determinism contract: a run is a pure function of (config). The CSV
 // emitters format with fixed precision, so byte-identical output at any
@@ -54,15 +54,13 @@ struct ClusterConfig {
   double dp_overlap = 0.5;
   Duration comm_timeout = Duration::seconds(1.5);
 
-  /// Checkpoint/restore economics, scaled to simulation-sized iterations.
+  /// Checkpoint/restore economics, scaled to simulation-sized iterations:
+  /// a checkpoint every 2 completed iterations.
   fault::CheckpointPolicy checkpoint{/*interval=*/Duration::seconds(30),
                                      /*write_time=*/Duration::millis(50),
                                      /*per_gpu=*/DataSize::gigabytes(30),
-                                     /*restart_time=*/Duration::millis(500)};
-  /// A checkpoint is taken every this many completed iterations.
-  int checkpoint_every_iters = 2;
-  /// Crash-restart attempts before a job is aborted for good.
-  int max_restarts = 2;
+                                     /*restart_time=*/Duration::millis(500),
+                                     /*every_iterations=*/2};
 
   /// Access-link flaps injected during the run (0 = fault-free). Each flap
   /// takes down both ports of one rail of a random host — isolating it —
@@ -91,7 +89,7 @@ struct JobStats {
   int segments = 0;       ///< Spanned by the last placement.
   int iterations = 0;     ///< Completed (training).
   int restarts = 0;
-  bool aborted = false;   ///< Gave up after max_restarts crashes.
+  bool aborted = false;   ///< Crashed once more after its last allowed restart.
 
   [[nodiscard]] Duration jct() const { return finish - arrival; }
   [[nodiscard]] Duration queue_wait() const { return start - arrival; }

@@ -16,6 +16,9 @@ struct CheckpointPolicy {
   DataSize per_gpu = DataSize::gigabytes(30);
   /// Process restart + checkpoint reload + NCCL re-init after a crash.
   Duration restart_time = Duration::minutes(15.0);
+  /// Also checkpoint once this many iterations ran since the last one
+  /// (0 = by interval only).
+  int every_iterations = 0;
 };
 
 struct CrashCost {

@@ -17,9 +17,9 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "routing/router.h"
+#include "tests/support/export.h"
 #include "tests/support/reference_builders.h"
 #include "topo/builders.h"
-#include "topo/export.h"
 
 namespace hpn::fabric {
 namespace {

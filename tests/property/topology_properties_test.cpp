@@ -114,18 +114,20 @@ TEST_P(HpnGrid, TorChipBudgetRespected) {
   }
 }
 
+// gtest lists each case with a dump of GridParam's bytes, its padding byte
+// included. A static table is zero-initialized, padding and all, so the
+// listing (and with it every ctest name) is the same on every run; built
+// from temporaries, the padding byte held whatever the stack did.
+constexpr GridParam kGrid[] = {
+    {1, 4, 1, true, true, true},  {2, 4, 1, true, true, true},
+    {2, 8, 1, true, true, true},  {4, 4, 1, true, true, true},
+    {2, 4, 2, true, true, true},  {2, 4, 1, false, false, true},
+    {2, 4, 1, true, false, true}, {2, 4, 1, true, true, false},
+    {3, 6, 1, true, true, true},  {2, 4, 3, true, true, true},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Grid, HpnGrid,
-    ::testing::Values(GridParam{1, 4, 1, true, true, true},
-                      GridParam{2, 4, 1, true, true, true},
-                      GridParam{2, 8, 1, true, true, true},
-                      GridParam{4, 4, 1, true, true, true},
-                      GridParam{2, 4, 2, true, true, true},
-                      GridParam{2, 4, 1, false, false, true},
-                      GridParam{2, 4, 1, true, false, true},
-                      GridParam{2, 4, 1, true, true, false},
-                      GridParam{3, 6, 1, true, true, true},
-                      GridParam{2, 4, 3, true, true, true}),
+    Grid, HpnGrid, ::testing::ValuesIn(kGrid),
     [](const ::testing::TestParamInfo<GridParam>& param_info) { return param_info.param.name(); });
 
 class FatTreeGrid : public ::testing::TestWithParam<int> {};

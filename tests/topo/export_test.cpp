@@ -1,4 +1,4 @@
-#include "topo/export.h"
+#include "tests/support/export.h"
 
 #include <gtest/gtest.h>
 

@@ -6,6 +6,7 @@
 // drill both must crash on the same iteration.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,15 +24,16 @@ enum class Fault {
   kPermanent,       ///< One access link down for good.
 };
 
-// gtest lists each case with a dump of the parameter's bytes. The fixed
-// fields come first so that the dump opens with the same bytes on every run,
-// not with the name's address, which moves with ASLR.
 struct Drill {
   Fault fault;
   bool dual_tor;
   bool moe;
   const char* name;
 };
+
+// gtest lists each case with its parameter; without this it dumps the
+// struct's bytes, whose name pointer moves with ASLR on every run.
+void PrintTo(const Drill& drill, std::ostream* os) { *os << drill.name; }
 
 struct Outcome {
   std::vector<metrics::TraceEvent> spans;
