@@ -7,13 +7,22 @@
 // dual-plane path pinning all emerge from topology + hash policy, never
 // from special cases.
 //
-// Distance fields are cached per destination and invalidated wholesale when
+// Distance fields are cached per *attachment set*, not per destination. An
+// endpoint (NIC, GPU, host) never forwards, so its field beyond its own
+// access hop is a BFS seeded at the switches whose link into it is up: in
+// HPN the NIC's dual-ToR pair (§4), shared by every NIC of that rail and
+// segment. The field is built once per distinct set, and a lookup differs
+// from it only at the destination itself (0) and at its non-transit
+// in-neighbours (1; on HPN the NIC's PCIe GPU). Switch destinations, and a
+// destination with an access port down in either direction, get a field of
+// their own. Fields are stored densely by slot and dropped wholesale when
 // link state changes (BGP reconvergence is modeled by the ctrl layer; the
 // router reflects the post-convergence fabric).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
+#include <span>
 #include <vector>
 
 #include "routing/hash.h"
@@ -47,28 +56,60 @@ class Router {
   /// The hash-free shortest path: the first ECMP candidate (out-link order)
   /// at every hop. That is the lexicographically lowest shortest path, the
   /// one a BFS from `src` visiting adjacency in out-link order finds. Empty
-  /// if unreachable or src == dst.
+  /// if unreachable or src == dst. A reachable hop with no candidate is a
+  /// router bug and fails an HPN_CHECK naming src and dst.
   [[nodiscard]] Path first_path(NodeId src, NodeId dst);
 
   /// Trace with the first hop pinned (the host already chose a NIC egress
   /// port — this is how dual-ToR port/plane selection enters routing).
   [[nodiscard]] Path trace_via(LinkId first_hop, NodeId dst, const FiveTuple& ft);
 
-  /// Drop all cached distance fields; call after any link/topology change.
+  /// Drop all cached distance fields and the destination -> field map; call
+  /// after any link/topology change.
   void invalidate();
 
   /// Monotone counter bumped by invalidate() (lets callers cache on top).
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-  [[nodiscard]] std::size_t cached_destinations() const { return fields_.size(); }
+  /// Distinct destinations resolved since the last invalidate().
+  [[nodiscard]] std::size_t cached_destinations() const { return cached_destinations_; }
+
+  /// Work the router did since construction (invalidate() keeps it).
+  struct Stats {
+    std::uint64_t fields_built = 0;           ///< BFS runs: one per set or own field
+    std::uint64_t destinations_resolved = 0;  ///< destinations mapped to a field
+  };
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  /// Distance (in hops) from every node to `dst`; -1 if unreachable.
-  const std::vector<std::int32_t>& field_for(NodeId dst);
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// The field `dst`'s lookups read (node_count() entries). Exact except at
+  /// dst and its non-transit in-neighbours; see dist_at.
+  const std::int32_t* field_for(NodeId dst);
+  /// Hop distance from `node` to `dst`, with the override applied.
+  [[nodiscard]] std::int32_t dist_at(const std::int32_t* field, NodeId node, NodeId dst) const;
+  /// Whether up link `l` is a hop one closer to dst than its source (at
+  /// distance `here`).
+  [[nodiscard]] bool is_next_hop(const std::int32_t* field, const topo::Link& l, NodeId dst,
+                                 std::int32_t here) const;
+  /// The slot of dst's field, building it on first use.
+  std::uint32_t slot_for(NodeId dst);
+  /// Multi-source BFS over up links into a new slot: `seeds` at
+  /// `seed_distance`, only transit nodes expand.
+  std::uint32_t build_field(std::span<const NodeId> seeds, std::int32_t seed_distance);
+  /// Size the per-node tables to the topology and forget every field.
+  void reset();
 
   const topo::Topology* topo_;
   EcmpHasher hasher_;
-  std::unordered_map<NodeId, std::vector<std::int32_t>> fields_;
+  std::vector<char> transit_;             ///< per node: may forward through-traffic
+  std::vector<std::uint32_t> slot_of_;    ///< per destination: field slot or kNoSlot
+  std::map<std::vector<NodeId>, std::uint32_t> set_slots_;  ///< attachment set -> slot
+  std::vector<std::int32_t> fields_;      ///< slot-major, node_count() per slot
+  std::vector<NodeId> frontier_;          ///< BFS scratch
+  std::size_t cached_destinations_ = 0;
+  Stats stats_;
   std::uint64_t epoch_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <iomanip>
 #include <limits>
-#include <numeric>
 #include <sstream>
 
 #include "common/check.h"
@@ -606,7 +605,7 @@ Materialized materialize(const Scenario& scenario) {
     flow.cap = Bandwidth::gbps(std::clamp(f.cap_gbps, 0.5, 400.0));
     m.flows.push_back(std::move(flow));
   }
-  route_flows(m.cluster.topo, m.flows);
+  m.routing = route_flows(m.cluster.topo, m.flows);
   std::erase_if(m.flows, [](const Materialized::Flow& f) { return f.path.empty(); });
 
   for (const ScenarioFault& f : scenario.faults) {
@@ -632,18 +631,11 @@ Materialized materialize(const Scenario& scenario) {
   return m;
 }
 
-void route_flows(const topo::Topology& topo, std::vector<Materialized::Flow>& flows) {
-  std::vector<std::size_t> order(flows.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&flows](std::size_t a, std::size_t b) {
-    return flows[a].dst.index() < flows[b].dst.index();
-  });
+routing::Router::Stats route_flows(const topo::Topology& topo,
+                                   std::vector<Materialized::Flow>& flows) {
   routing::Router router{topo};
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    Materialized::Flow& f = flows[order[k]];
-    if (k > 0 && flows[order[k - 1]].dst != f.dst) router.invalidate();
-    f.path = router.first_path(f.src, f.dst).links;
-  }
+  for (Materialized::Flow& f : flows) f.path = router.first_path(f.src, f.dst).links;
+  return router.stats();
 }
 
 std::uint64_t scenario_weight(const Scenario& scenario) {

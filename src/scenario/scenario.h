@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "routing/router.h"
 #include "topo/cluster.h"
 
 namespace hpn::fuzz {
@@ -149,6 +150,7 @@ struct Materialized {
     Bandwidth cap = Bandwidth::zero();
   };
   std::vector<Flow> flows;  ///< Flows with no path are dropped here.
+  routing::Router::Stats routing;  ///< Work route_flows did for `flows`.
 
   struct Fault {
     ScenarioFault::Kind kind = ScenarioFault::Kind::kLinkFail;
@@ -170,11 +172,13 @@ struct Materialized {
 Materialized materialize(const Scenario& scenario);
 
 /// Set every flow's `path` to routing::Router::first_path over the
-/// topology's *up* links (empty = unreachable). Flows are routed grouped by
-/// destination, so one distance field is alive at a time. materialize()
-/// routes with it, and the serve daemon routes add-job probe flows with it,
-/// exactly like base flows.
-void route_flows(const topo::Topology& topo, std::vector<Materialized::Flow>& flows);
+/// topology's *up* links (empty = unreachable). One Router serves the whole
+/// batch, so its cache holds one distance field per destination attachment
+/// set (e.g. 32 for a 16-segment, 2-rail Pod), not one per destination.
+/// materialize() routes with it, and the serve daemon routes add-job probe
+/// flows with it, exactly like base flows. Returns the Router's work.
+routing::Router::Stats route_flows(const topo::Topology& topo,
+                                   std::vector<Materialized::Flow>& flows);
 
 /// Greedy shrink candidates, most aggressive first: drop flow/fault
 /// subsets, halve sizes, shrink the topology, and cross-kind simplification

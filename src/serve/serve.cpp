@@ -106,6 +106,7 @@ struct QueryEngine::BaseState {
   std::unique_ptr<flowsim::FlowSession> session;
   sim::Simulator::Snapshot sim_snap;
   flowsim::FlowSession::Snapshot sess_snap;
+  std::uint64_t fields_built = 0;  ///< routing fields built for this base so far
 
   BaseState(fuzz::Scenario s, std::uint64_t h)
       : scenario(std::move(s)),
@@ -138,6 +139,7 @@ struct QueryEngine::BaseState {
       handles.push_back(solver.add_flow(flow.path, flow.cap.as_bits_per_sec()));
     }
     solver.resolve();
+    fields_built = mat.routing.fields_built;
   }
 };
 
@@ -222,7 +224,7 @@ QueryResult eval_add_job(BaseState& b, std::uint32_t hosts, double gbps) {
     ring[i].src = eps[i];
     ring[i].dst = eps[(i + 1) % n];
   }
-  fuzz::route_flows(topo, ring);
+  b.fields_built += fuzz::route_flows(topo, ring).fields_built;
   std::vector<flowsim::IncrementalMaxMin::Handle> job_handles;
   job_handles.reserve(n);
   const double cap_bps = Bandwidth::gbps(gbps).as_bits_per_sec();
@@ -462,6 +464,7 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
     std::vector<Answer> answers;
     std::uint64_t warm = 0;
     std::uint64_t cold = 0;
+    std::uint64_t fields_built = 0;
   };
   std::vector<GroupTask> groups;
   std::unordered_map<std::uint64_t, std::size_t> group_of;
@@ -497,6 +500,7 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
           BaseState local{std::move(resized), 0};
           local.hash = content_hash(encode_scenario(local.scenario));
           a.result = base_alloc(local);
+          g.fields_built += local.fields_built;
           a.source = Answer::Source::kCold;
           ++g.cold;
         } else {
@@ -505,11 +509,13 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
           if (b == nullptr) {
             if (g.built == nullptr) {
               g.built = std::make_unique<BaseState>(batch[idx].scenario, g.hash);
+              g.fields_built += g.built->fields_built;
             } else {
               warm = true;  // built earlier in this same group
             }
             b = g.built.get();
           }
+          const std::uint64_t fields_before = b->fields_built;
           switch (q.verb) {
             case QueryRequest::Verb::kRun: a.result = eval_run(*b); break;
             case QueryRequest::Verb::kKillLink:
@@ -520,6 +526,7 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
               break;
             case QueryRequest::Verb::kResize: break;  // handled above
           }
+          g.fields_built += b->fields_built - fields_before;
           a.source = warm ? Answer::Source::kWarm : Answer::Source::kCold;
           ++(warm ? g.warm : g.cold);
         }
@@ -543,6 +550,7 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
     stats_.computes += g.items.size();
     stats_.warm_evals += g.warm;
     stats_.cold_evals += g.cold;
+    stats_.fields_built += g.fields_built;
     if (g.built != nullptr) {
       ++stats_.bases_built;
       adopt_base(std::move(g.built));

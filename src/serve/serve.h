@@ -96,6 +96,7 @@ struct EngineStats {
   std::uint64_t warm_evals = 0;   ///< computes served off an existing base
   std::uint64_t cold_evals = 0;   ///< computes that had to build their base
   std::uint64_t bases_built = 0;
+  std::uint64_t fields_built = 0; ///< routing distance fields (materialize + add-job probes)
   std::uint64_t evictions = 0;    ///< result-cache LRU evictions
   std::size_t cache_bytes = 0;    ///< current result-cache footprint
   std::size_t bases = 0;          ///< current warm bases held

@@ -1,20 +1,36 @@
-// Router differential suite: fuzz::route_flows (routing::Router::first_path,
-// the one path router materialize() and serve's add-job use) against the
-// materializer's original private BFS, kept verbatim as the oracle in
-// tests/support/reference_shortest_path.h. Over random_scenario draws of
-// every fuzz topology kind plus a small Pod, three shapes must route
-// identically, unreachable pairs (empty paths) included:
+// Router differential suite. Two oracles, both kept verbatim from the code
+// they replaced:
+//   * tests/support/reference_shortest_path.h, the materializer's original
+//     private BFS: fuzz::route_flows (routing::Router::first_path, the one
+//     path router materialize() and serve's add-job use) must give its
+//     paths, unreachable pairs (empty paths) included;
+//   * tests/support/reference_router.h, the Router with one whole-Pod BFS
+//     per destination: the attachment-set Router must answer distance and
+//     ecmp_links at every node, and first_path, trace and trace_via over
+//     several 5-tuples for every ordered endpoint pair, identically.
+// Over random_scenario draws of every fuzz topology kind plus a small Pod,
+// four shapes are swept:
 //   1. every materialize() flow, and which flows it drops;
 //   2. every ordered endpoint pair on the all-up topology;
 //   3. the same pairs on serve's planning shape: duplex cable kills plus a
 //      ToR crash, the asymmetric failures under which a dual-homed NIC can
-//      look one hop closer than its ToR.
+//      look one hop closer than its ToR;
+//   4. the same pairs after one endpoint of a shared attachment set loses
+//      one port: uplink only, downlink only, or both directions (against
+//      the reference router only: the materializer's BFS has no notion of
+//      a half-down cable).
 #include <algorithm>
+#include <array>
 #include <set>
+#include <span>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "routing/router.h"
+#include "tests/support/reference_router.h"
 #include "tests/support/reference_shortest_path.h"
 #include "tests/support/scenario.h"
 
@@ -39,31 +55,84 @@ std::vector<Scenario> oracle_draws() {
   return draws;
 }
 
+constexpr std::uint16_t kTuples = 3;
+
 struct Tally {
-  std::size_t pairs = 0;
+  std::size_t queries = 0;
   std::size_t mismatches = 0;
+  std::string first;  ///< the first mismatch, for the failure message
+
+  void expect(bool same, const char* query, NodeId at, NodeId dst) {
+    ++queries;
+    if (same || mismatches++ > 0) return;
+    std::ostringstream os;
+    os << query << " at node " << at << " toward " << dst;
+    first = os.str();
+  }
 };
 
-/// Routes every ordered pair among the first kPairEndpoints endpoints with
-/// route_flows and counts the pairs whose path differs from the oracle.
-void tally_pairs(const Materialized& m, Tally& tally) {
-  const topo::Topology& t = m.cluster.topo;
-  const std::size_t k = std::min(kPairEndpoints, m.endpoints.size());
+std::span<const NodeId> pair_endpoints(const Materialized& m) {
+  return {m.endpoints.data(), std::min(kPairEndpoints, m.endpoints.size())};
+}
+
+/// Routes every ordered pair among `eps` with route_flows and counts the
+/// pairs whose path differs from the materializer's original BFS.
+void tally_bfs_pairs(const topo::Topology& t, std::span<const NodeId> eps, Tally& tally) {
   std::vector<Materialized::Flow> pairs;
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (i == j) continue;
+  for (const NodeId src : eps) {
+    for (const NodeId dst : eps) {
+      if (src == dst) continue;
       Materialized::Flow f;
-      f.src = m.endpoints[i];
-      f.dst = m.endpoints[j];
+      f.src = src;
+      f.dst = dst;
       pairs.push_back(f);
     }
   }
   route_flows(t, pairs);
-  tally.pairs += pairs.size();
   for (const Materialized::Flow& f : pairs) {
-    if (f.path != reference::bfs_path(t, f.src, f.dst)) ++tally.mismatches;
+    tally.expect(f.path == reference::bfs_path(t, f.src, f.dst), "route_flows", f.src,
+                 f.dst);
   }
+}
+
+/// Asks routing::Router and the per-destination reference router every
+/// query toward each endpoint in `eps`: distance and ECMP group at every
+/// node, then first_path and hashed trace/trace_via (every first hop) over
+/// kTuples source ports from every other endpoint. One router of each kind
+/// serves the sweep, so shared set fields are reused across destinations.
+void tally_router_queries(const topo::Topology& t, std::span<const NodeId> eps, Tally& tally) {
+  routing::Router got{t};
+  reference::Router want{t};
+  for (const NodeId dst : eps) {
+    for (const topo::Node& node : t.nodes()) {
+      tally.expect(got.distance(node.id, dst) == want.distance(node.id, dst), "distance",
+                   node.id, dst);
+      tally.expect(got.ecmp_links(node.id, dst) == want.ecmp_links(node.id, dst), "ecmp_links",
+                   node.id, dst);
+    }
+    for (const NodeId src : eps) {
+      if (src == dst) continue;
+      tally.expect(got.first_path(src, dst).links == want.first_path(src, dst).links,
+                   "first_path", src, dst);
+      for (std::uint16_t k = 0; k < kTuples; ++k) {
+        const routing::FiveTuple ft{.src_ip = src.value(),
+                                    .dst_ip = dst.value(),
+                                    .src_port = static_cast<std::uint16_t>(1000 + 7919 * k)};
+        tally.expect(got.trace(src, dst, ft).links == want.trace(src, dst, ft).links, "trace",
+                     src, dst);
+        for (const LinkId first : t.out_links(src)) {
+          tally.expect(
+              got.trace_via(first, dst, ft).links == want.trace_via(first, dst, ft).links,
+              "trace_via", src, dst);
+        }
+      }
+    }
+  }
+}
+
+void tally_pairs(const Materialized& m, Tally& tally) {
+  tally_bfs_pairs(m.cluster.topo, pair_endpoints(m), tally);
+  tally_router_queries(m.cluster.topo, pair_endpoints(m), tally);
 }
 
 TEST(RouterOracle, MaterializedFlowsMatchReference) {
@@ -103,7 +172,7 @@ TEST(RouterOracle, MaterializedFlowsMatchReference) {
 TEST(RouterOracle, AllUpEndpointPairsMatchReference) {
   Tally tally;
   for (const Scenario& s : oracle_draws()) tally_pairs(materialize(s), tally);
-  EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.pairs << " pairs";
+  EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.queries << " queries; first: " << tally.first;
 }
 
 TEST(RouterOracle, PlanningShapeEndpointPairsMatchReference) {
@@ -122,7 +191,85 @@ TEST(RouterOracle, PlanningShapeEndpointPairsMatchReference) {
     }
     tally_pairs(m, tally);
   }
-  EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.pairs << " pairs";
+  EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.queries << " queries; first: " << tally.first;
+}
+
+bool is_switch(const topo::Topology& t, NodeId n) {
+  return reference::is_switch(t.node(n).kind);
+}
+
+/// Fails one port of one endpoint (chosen among the compared endpoints):
+/// its uplink only, its downlink only, or both directions, by `variant`.
+/// Returns whether the endpoint was a NIC sharing a multi-ToR attachment
+/// set with another compared endpoint before the failure.
+bool fail_one_port(Materialized& m, Rng& rng, std::size_t variant) {
+  topo::Topology& t = m.cluster.topo;
+  const auto eps = pair_endpoints(m);
+  const NodeId victim = eps[rng.uniform_index(eps.size())];
+  std::vector<LinkId> ports;
+  for (const LinkId l : t.out_links(victim)) {
+    if (is_switch(t, t.link(l).dst)) ports.push_back(l);
+  }
+  if (ports.empty()) return false;
+  const auto tors_of = [&t](NodeId n) {
+    std::set<NodeId> tors;
+    for (const LinkId l : t.out_links(n)) {
+      if (is_switch(t, t.link(l).dst)) tors.insert(t.link(l).dst);
+    }
+    return tors;
+  };
+  const std::set<NodeId> set = tors_of(victim);
+  const bool shared = !is_switch(t, victim) && set.size() >= 2 &&
+                      std::any_of(eps.begin(), eps.end(), [&](NodeId other) {
+                        return other != victim && tors_of(other) == set;
+                      });
+  const LinkId port = ports[rng.uniform_index(ports.size())];
+  switch (variant % 3) {
+    case 0: t.set_link_up(port, false); break;                   // endpoint -> ToR
+    case 1: t.set_link_up(t.link(port).reverse, false); break;  // ToR -> endpoint
+    default: t.set_duplex_up(port, false); break;
+  }
+  return shared;
+}
+
+TEST(RouterOracle, AsymmetricAccessFailureEndpointPairsMatchReference) {
+  Tally tally;
+  std::array<std::size_t, 3> shared_victims{};
+  const std::vector<Scenario> draws = oracle_draws();
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    Materialized m = materialize(draws[i]);
+    Rng rng{draws[i].seed ^ 0xA5711E7ULL};
+    if (fail_one_port(m, rng, i)) ++shared_victims[i % 3];
+    // The materializer's BFS treats a cable as one unit, so it is no
+    // oracle for a half-down link; the per-destination router is.
+    tally_router_queries(m.cluster.topo, pair_endpoints(m), tally);
+  }
+  EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.queries << " queries; first: " << tally.first;
+  // The sweep must really split shared dual-ToR sets, in every variant.
+  for (const std::size_t n : shared_victims) EXPECT_GT(n, 200u) << "shared victims per variant";
+}
+
+TEST(RouterOracle, HpnPodBuildsOneFieldPerSegmentAndRail) {
+  Scenario pod;
+  pod.topology = TopologyKind::kHpnPod;
+  pod.size_knob = 4;  // hosts per segment
+  pod.wiring = 3;     // segments; materialize() builds 2 rails per host
+  const Materialized m = materialize(pod);
+  std::vector<Materialized::Flow> pairs;
+  for (const NodeId src : m.endpoints) {
+    for (const NodeId dst : m.endpoints) {
+      if (src == dst) continue;
+      Materialized::Flow f;
+      f.src = src;
+      f.dst = dst;
+      pairs.push_back(f);
+    }
+  }
+  const routing::Router::Stats st = route_flows(m.cluster.topo, pairs);
+  EXPECT_EQ(m.endpoints.size(), 24u);
+  EXPECT_EQ(st.destinations_resolved, 24u);
+  EXPECT_EQ(st.fields_built, 3u * 2u);
+  for (const Materialized::Flow& f : pairs) EXPECT_FALSE(f.path.empty());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "tests/support/reference_router.h"
 #include "topo/builders.h"
 
 namespace hpn::routing {
@@ -208,6 +209,89 @@ TEST_F(RouterHpnTest, FirstPathTakesTheFirstCandidateAtEveryHop) {
   c.topo.set_duplex_up(c.nic_of(4 * 8).access[1], false);
   r.invalidate();
   EXPECT_FALSE(r.first_path(src, dst).valid());
+}
+
+// Every node's distance and ECMP group toward `dst` equals the
+// per-destination reference router's.
+void expect_matches_reference(Router& r, const topo::Topology& t, NodeId dst) {
+  reference::Router want{t};
+  for (const topo::Node& node : t.nodes()) {
+    EXPECT_EQ(r.distance(node.id, dst), want.distance(node.id, dst)) << node.name;
+    EXPECT_EQ(r.ecmp_links(node.id, dst), want.ecmp_links(node.id, dst)) << node.name;
+  }
+}
+
+TEST_F(RouterHpnTest, TwoNicsOnOneTorPairShareOneField) {
+  // Host 1 and host 2, rail 0: same segment, same dual-ToR pair.
+  const NodeId a = c.nic_of(1 * 8).nic;
+  const NodeId b = c.nic_of(2 * 8).nic;
+  ASSERT_EQ(c.nic_of(1 * 8).tor, c.nic_of(2 * 8).tor);
+  expect_matches_reference(r, c.topo, a);
+  expect_matches_reference(r, c.topo, b);
+  EXPECT_EQ(r.stats().fields_built, 1u);
+  EXPECT_EQ(r.stats().destinations_resolved, 2u);
+  EXPECT_EQ(r.cached_destinations(), 2u);
+  // Another rail is another ToR pair, so another field.
+  (void)r.distance(a, c.nic_of(1 * 8 + 1).nic);
+  EXPECT_EQ(r.stats().fields_built, 2u);
+}
+
+TEST_F(RouterHpnTest, HalfDownAccessLinkSplitsASet) {
+  const auto& a = c.nic_of(1 * 8);
+  const NodeId b = c.nic_of(2 * 8).nic;
+  // NIC -> ToR only, then ToR -> NIC only: either direction gives the NIC a
+  // field of its own, and both NICs keep routing exactly as before.
+  for (const LinkId down : {a.access[0], c.topo.link(a.access[0]).reverse}) {
+    c.topo.set_link_up(down, false);
+    r.invalidate();
+    const auto built = r.stats().fields_built;
+    expect_matches_reference(r, c.topo, a.nic);
+    expect_matches_reference(r, c.topo, b);
+    EXPECT_EQ(r.stats().fields_built, built + 2);
+    c.topo.set_link_up(down, true);
+  }
+  r.invalidate();
+  const auto built = r.stats().fields_built;
+  (void)r.distance(b, a.nic);
+  (void)r.distance(a.nic, b);
+  EXPECT_EQ(r.stats().fields_built, built + 1);  // healed: one set again
+}
+
+TEST_F(RouterHpnTest, PcieGpuIsOneHopFromItsOwnNicOnly) {
+  const topo::Host& h1 = c.hosts[1];
+  const topo::Host& h2 = c.hosts[2];
+  const NodeId dst = h1.nics[0].nic;
+  // The shared field says nothing about the GPU behind dst; the override
+  // puts it one PCIe hop away. The sibling NIC's GPU cannot reach dst
+  // without transiting an endpoint.
+  EXPECT_EQ(r.distance(h1.gpus[0], dst), 1);
+  EXPECT_EQ(r.ecmp_links(h1.gpus[0], dst), std::vector<LinkId>{h1.gpu_pcie[0]});
+  EXPECT_EQ(r.first_path(h1.gpus[0], dst).links, std::vector<LinkId>{h1.gpu_pcie[0]});
+  EXPECT_EQ(r.distance(h2.gpus[0], dst), -1);
+  EXPECT_EQ(r.distance(h2.gpus[0], h2.nics[0].nic), 1);
+  EXPECT_EQ(r.stats().fields_built, 1u);
+  expect_matches_reference(r, c.topo, dst);
+  // A down PCIe link removes the override.
+  c.topo.set_duplex_up(h1.gpu_pcie[0], false);
+  r.invalidate();
+  EXPECT_EQ(r.distance(h1.gpus[0], dst), -1);
+  expect_matches_reference(r, c.topo, dst);
+}
+
+TEST_F(RouterHpnTest, InvalidateClearsTheSlotTable) {
+  const NodeId src = c.nic_of(0).nic;
+  const auto& dst = c.nic_of(8);
+  ASSERT_EQ(r.distance(src, dst.nic), 2);
+  ASSERT_EQ(r.stats().fields_built, 1u);
+  c.topo.set_duplex_up(dst.access[0], false);
+  c.topo.set_duplex_up(dst.access[1], false);
+  r.invalidate();
+  EXPECT_EQ(r.cached_destinations(), 0u);
+  // The destination resolves again, to a field built from the new state.
+  EXPECT_EQ(r.distance(src, dst.nic), -1);
+  EXPECT_EQ(r.stats().fields_built, 2u);
+  EXPECT_EQ(r.stats().destinations_resolved, 2u);
+  EXPECT_EQ(r.cached_destinations(), 1u);
 }
 
 TEST(RouterMultiPod, CrossPodIsSixHops) {
