@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 
 #include "common/check.h"
+#include "common/text.h"
 #include "fabric/fabric.h"
 #include "routing/router.h"
 #include "topo/builders.h"
@@ -182,25 +181,52 @@ std::string_view to_string(ScenarioFault::Kind kind) {
 }
 
 std::string Scenario::to_text() const {
-  std::ostringstream os;
-  os << kHeader << '\n';
-  os << "seed " << seed << '\n';
-  os << "topology " << to_string(topology) << '\n';
-  os << "size " << size_knob << '\n';
-  os << "wiring " << wiring << '\n';
+  std::string out;
+  // Lines run ~30 bytes; the longest possible flow line is 73.
+  out.reserve(96 + 40 * (flows.size() + faults.size() + jobs.size()));
+  out += kHeader;
+  out += "\nseed ";
+  text::append_uint(out, seed);
+  out += "\ntopology ";
+  out += to_string(topology);
+  out += "\nsize ";
+  text::append_uint(out, size_knob);
+  out += "\nwiring ";
+  text::append_uint(out, wiring);
+  out += '\n';
   for (const ScenarioFlow& f : flows) {
-    os << "flow " << f.src << ' ' << f.dst << ' ' << f.size_bytes << ' '
-       << std::setprecision(17) << f.cap_gbps << '\n';
+    out += "flow ";
+    text::append_uint(out, f.src);
+    out += ' ';
+    text::append_uint(out, f.dst);
+    out += ' ';
+    text::append_int(out, f.size_bytes);
+    out += ' ';
+    text::append_g17(out, f.cap_gbps);
+    out += '\n';
   }
   for (const ScenarioFault& f : faults) {
-    os << "fault " << to_string(f.kind) << ' ' << f.at_ns << ' ' << f.target << ' '
-       << f.down_for_ns << '\n';
+    out += "fault ";
+    out += to_string(f.kind);
+    out += ' ';
+    text::append_int(out, f.at_ns);
+    out += ' ';
+    text::append_uint(out, f.target);
+    out += ' ';
+    text::append_int(out, f.down_for_ns);
+    out += '\n';
   }
   for (const ScenarioJob& j : jobs) {
-    os << "job " << j.arrival_ns << ' ' << j.hosts << ' ' << j.iters << '\n';
+    out += "job ";
+    text::append_int(out, j.arrival_ns);
+    out += ' ';
+    text::append_uint(out, j.hosts);
+    out += ' ';
+    text::append_uint(out, j.iters);
+    out += '\n';
   }
-  os << "end\n";
-  return os.str();
+  out += "end\n";
+  return out;
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) {
@@ -220,20 +246,24 @@ std::optional<Scenario> Scenario::from_text(std::string_view text, std::string* 
   const auto set_error = [&](std::string msg) {
     if (error) *error = std::move(msg);
   };
-  std::istringstream is{std::string{text}};
-  std::string line;
+  std::size_t next = 0;
+  std::string_view line;
   int line_no = 0;
   // Next meaningful line: strips the CR of CRLF endings and '#'-to-EOL
-  // comments, skips blank lines. Formatting leniency lives entirely here;
-  // everything below is strict.
+  // comments, skips blank lines (only spaces and tabs count as blank).
+  // Formatting leniency lives entirely here; everything below is strict.
   const auto next_line = [&]() -> bool {
-    while (std::getline(is, line)) {
+    while (next < text.size()) {
+      const std::size_t nl = text.find('\n', next);
+      const std::size_t stop = nl == std::string_view::npos ? text.size() : nl;
+      line = text.substr(next, stop - next);
+      next = stop + 1;
       ++line_no;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (const std::size_t hash = line.find('#'); hash != std::string::npos) {
-        line.resize(hash);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (const std::size_t hash = line.find('#'); hash != std::string_view::npos) {
+        line = line.substr(0, hash);
       }
-      if (line.find_first_not_of(" \t") != std::string::npos) return true;
+      if (line.find_first_not_of(" \t") != std::string_view::npos) return true;
     }
     return false;
   };
@@ -247,10 +277,10 @@ std::optional<Scenario> Scenario::from_text(std::string_view text, std::string* 
     return std::nullopt;
   }
   {
-    std::istringstream hs{line};
-    std::string magic, version, junk;
-    hs >> magic >> version;
-    if (magic != "hpnsim-scenario" || version != "v1" || (hs >> junk)) {
+    text::Cursor hs{line};
+    const std::string_view magic = hs.token();
+    const std::string_view version = hs.token();
+    if (magic != "hpnsim-scenario" || version != "v1" || !hs.done()) {
       return fail_at(line_no, "bad header (want 'hpnsim-scenario v1')");
     }
   }
@@ -262,22 +292,18 @@ std::optional<Scenario> Scenario::from_text(std::string_view text, std::string* 
   bool saw_wiring = false;
   bool saw_end = false;
   while (next_line()) {
-    std::istringstream ls{line};
-    std::string key;
-    ls >> key;
-    // True when the line has no tokens left (trailing junk is an error on
-    // every entry: it usually means a truncated/merged line, and silently
-    // ignoring it is how corrupted scenarios replay "clean").
-    const auto line_done = [&ls]() -> bool {
-      std::string junk;
-      return !(ls >> junk);
-    };
+    text::Cursor ls{line};
+    const std::string_view key = ls.token();
+    // Every entry ends with `ls.done()`: trailing junk usually means a
+    // truncated/merged line, and silently ignoring it is how corrupted
+    // scenarios replay "clean".
+    //
     // One base-10 token as u32 (recipe indices/knobs are all u32).
     const auto read_u32 = [&ls](std::uint32_t& out, const char* what,
                                 std::string& msg) -> bool {
-      std::string tok;
+      const std::string_view tok = ls.token();
       std::uint64_t v = 0;
-      if (!(ls >> tok) || parse_u64_checked(tok, v) == NumParse::kMalformed) {
+      if (parse_u64_checked(tok, v) == NumParse::kMalformed) {
         msg = std::string("malformed '") + what + "' entry";
         return false;
       }
@@ -291,60 +317,58 @@ std::optional<Scenario> Scenario::from_text(std::string_view text, std::string* 
     std::string msg;
 
     if (key == "end") {
-      if (!line_done()) return fail_at(line_no, "trailing junk after 'end'");
+      if (!ls.done()) return fail_at(line_no, "trailing junk after 'end'");
       saw_end = true;
       break;
     }
     if (key == "seed") {
       if (saw_seed) return fail_at(line_no, "duplicate 'seed'");
       saw_seed = true;
-      std::string tok;
-      if (!(ls >> tok)) return fail_at(line_no, "malformed 'seed' entry");
-      switch (parse_u64_checked(tok, s.seed)) {
+      switch (parse_u64_checked(ls.token(), s.seed)) {
         case NumParse::kMalformed: return fail_at(line_no, "malformed 'seed' entry");
         case NumParse::kOverflow:
           return fail_at(line_no, "'seed' does not fit in 64 bits");
         case NumParse::kOk: break;
       }
-      if (!line_done()) return fail_at(line_no, "trailing junk after 'seed'");
+      if (!ls.done()) return fail_at(line_no, "trailing junk after 'seed'");
     } else if (key == "topology") {
       if (saw_topology) return fail_at(line_no, "duplicate 'topology'");
       saw_topology = true;
-      std::string name;
-      if (!(ls >> name)) return fail_at(line_no, "malformed 'topology' entry");
+      const std::string_view name = ls.token();
+      if (name.empty()) return fail_at(line_no, "malformed 'topology' entry");
       const auto kind = topology_kind_from(name);
-      if (!kind) return fail_at(line_no, "unknown topology '" + name + "'");
+      if (!kind) return fail_at(line_no, "unknown topology '" + std::string{name} + "'");
       s.topology = *kind;
-      if (!line_done()) return fail_at(line_no, "trailing junk after 'topology'");
+      if (!ls.done()) return fail_at(line_no, "trailing junk after 'topology'");
     } else if (key == "size") {
       if (saw_size) return fail_at(line_no, "duplicate 'size'");
       saw_size = true;
       if (!read_u32(s.size_knob, "size", msg)) return fail_at(line_no, msg);
       if (s.size_knob == 0) return fail_at(line_no, "'size' must be >= 1");
-      if (!line_done()) return fail_at(line_no, "trailing junk after 'size'");
+      if (!ls.done()) return fail_at(line_no, "trailing junk after 'size'");
     } else if (key == "wiring") {
       if (saw_wiring) return fail_at(line_no, "duplicate 'wiring'");
       saw_wiring = true;
       if (!read_u32(s.wiring, "wiring", msg)) return fail_at(line_no, msg);
-      if (!line_done()) return fail_at(line_no, "trailing junk after 'wiring'");
+      if (!ls.done()) return fail_at(line_no, "trailing junk after 'wiring'");
     } else if (key == "flow") {
       ScenarioFlow f;
       if (!read_u32(f.src, "flow", msg) || !read_u32(f.dst, "flow", msg)) {
         return fail_at(line_no, msg);
       }
-      if (!(ls >> f.size_bytes >> f.cap_gbps)) {
+      if (!ls.read(f.size_bytes) || !ls.read(f.cap_gbps)) {
         return fail_at(line_no, "malformed 'flow' entry");
       }
       if (f.size_bytes < 0) return fail_at(line_no, "'flow' size_bytes must be >= 0");
       if (!(f.cap_gbps > 0.0) || !(f.cap_gbps <= 10'000.0)) {
         return fail_at(line_no, "'flow' cap_gbps out of range (0, 10000]");
       }
-      if (!line_done()) return fail_at(line_no, "trailing junk after 'flow'");
+      if (!ls.done()) return fail_at(line_no, "trailing junk after 'flow'");
       s.flows.push_back(f);
     } else if (key == "fault") {
       ScenarioFault f;
-      std::string kind_name;
-      if (!(ls >> kind_name)) return fail_at(line_no, "malformed 'fault' entry");
+      const std::string_view kind_name = ls.token();
+      if (kind_name.empty()) return fail_at(line_no, "malformed 'fault' entry");
       if (kind_name == "link_fail") {
         f.kind = ScenarioFault::Kind::kLinkFail;
       } else if (kind_name == "link_flap") {
@@ -352,19 +376,19 @@ std::optional<Scenario> Scenario::from_text(std::string_view text, std::string* 
       } else if (kind_name == "tor_crash") {
         f.kind = ScenarioFault::Kind::kTorCrash;
       } else {
-        return fail_at(line_no, "unknown fault kind '" + kind_name + "'");
+        return fail_at(line_no, "unknown fault kind '" + std::string{kind_name} + "'");
       }
-      if (!(ls >> f.at_ns)) return fail_at(line_no, "malformed 'fault' entry");
+      if (!ls.read(f.at_ns)) return fail_at(line_no, "malformed 'fault' entry");
       if (!read_u32(f.target, "fault", msg)) return fail_at(line_no, msg);
-      if (!(ls >> f.down_for_ns)) return fail_at(line_no, "malformed 'fault' entry");
+      if (!ls.read(f.down_for_ns)) return fail_at(line_no, "malformed 'fault' entry");
       if (f.at_ns < 0 || f.down_for_ns < 0) {
         return fail_at(line_no, "'fault' times must be >= 0");
       }
-      if (!line_done()) return fail_at(line_no, "trailing junk after 'fault'");
+      if (!ls.done()) return fail_at(line_no, "trailing junk after 'fault'");
       s.faults.push_back(f);
     } else if (key == "job") {
       ScenarioJob j;
-      if (!(ls >> j.arrival_ns)) return fail_at(line_no, "malformed 'job' entry");
+      if (!ls.read(j.arrival_ns)) return fail_at(line_no, "malformed 'job' entry");
       if (!read_u32(j.hosts, "job", msg) || !read_u32(j.iters, "job", msg)) {
         return fail_at(line_no, msg);
       }
@@ -372,10 +396,10 @@ std::optional<Scenario> Scenario::from_text(std::string_view text, std::string* 
       if (j.hosts == 0 || j.iters == 0) {
         return fail_at(line_no, "'job' hosts and iters must be >= 1");
       }
-      if (!line_done()) return fail_at(line_no, "trailing junk after 'job'");
+      if (!ls.done()) return fail_at(line_no, "trailing junk after 'job'");
       s.jobs.push_back(j);
     } else {
-      return fail_at(line_no, "unknown key '" + key + "'");
+      return fail_at(line_no, "unknown key '" + std::string{key} + "'");
     }
   }
   if (!saw_end) {

@@ -18,6 +18,20 @@
 // scalar sections, trailing junk, overflowing numbers, and out-of-range
 // values fail with a pinned, line-numbered error message instead of being
 // silently clamped at materialization time.
+//
+// Numeric syntax is exactly what `istream >>` accepted when the format was
+// defined (tests/support/reference_scenario_parser.h keeps that parser as
+// the differential oracle; common/text.h's Cursor reproduces it):
+//  - seed and the u32 fields (flow src/dst, fault target, job hosts/iters,
+//    size, wiring) are one token of decimal digits only: no sign;
+//  - the int64 fields (size_bytes, at_ns, down_for_ns, arrival_ns) take an
+//    optional '+' or '-' and decimal digits, read up to the first
+//    non-digit, so "100.5" is 100 followed by ".5";
+//  - cap_gbps takes an optional sign, decimal digits with at most one '.',
+//    and an optional exponent ('e'/'E', optional sign, at least one digit):
+//    "+.5", "5.", "1E3" parse; "inf", "nan", hex floats and a bare "1e"
+//    do not ("malformed"); a cap that underflows to 0 ("1e-400") reads as 0
+//    and fails the (0, 10000] range check.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <list>
@@ -14,6 +13,7 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "common/text.h"
 #include "exec/runner_pool.h"
 #include "flowsim/maxmin.h"
 #include "flowsim/session.h"
@@ -39,22 +39,6 @@ std::uint64_t content_hash(std::string_view bytes) {
     h = (h ^ static_cast<unsigned char>(bytes[i])) * 1099511628211ull;
   }
   return h;
-}
-
-/// Shortest-round-trip double formatting for the reply text. 17 significant
-/// digits: two doubles render identically iff they are the same bits, which
-/// is what makes "byte-identical replies" equivalent to "bit-identical
-/// answers".
-std::string fmt_g(double v) {
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
-
-std::string hex16(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << v;
-  return os.str();
 }
 
 void finalize_summary(QueryResult& r) {
@@ -362,17 +346,27 @@ QueryEngine::~QueryEngine() = default;
 
 std::string QueryEngine::cache_key(std::uint64_t base_hash,
                                    const QueryRequest& q) const {
-  std::ostringstream os;
-  os << hex16(base_hash) << '|';
+  std::string key;
+  text::append_hex16(key, base_hash);
+  key += '|';
   switch (q.verb) {
-    case QueryRequest::Verb::kRun: os << "run"; break;
-    case QueryRequest::Verb::kKillLink: os << "kill-link|" << q.arg0; break;
-    case QueryRequest::Verb::kAddJob:
-      os << "add-job|" << q.arg0 << '|' << fmt_g(q.arg1);
+    case QueryRequest::Verb::kRun: key += "run"; break;
+    case QueryRequest::Verb::kKillLink:
+      key += "kill-link|";
+      text::append_uint(key, q.arg0);
       break;
-    case QueryRequest::Verb::kResize: os << "resize|" << q.arg0; break;
+    case QueryRequest::Verb::kAddJob:
+      key += "add-job|";
+      text::append_uint(key, q.arg0);
+      key += '|';
+      text::append_g17(key, q.arg1);
+      break;
+    case QueryRequest::Verb::kResize:
+      key += "resize|";
+      text::append_uint(key, q.arg0);
+      break;
   }
-  return os.str();
+  return key;
 }
 
 QueryEngine::BaseState* QueryEngine::find_base(std::uint64_t hash) {
@@ -578,6 +572,68 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
 // ---------------------------------------------------------------------------
 // Line-framed protocol loop.
 
+void append_reply(std::string& out, std::size_t index, std::string_view verb,
+                  const Answer& a) {
+  out += "reply ";
+  text::append_uint(out, index);
+  if (!a.ok) {
+    out += " error ";
+    out += a.error;
+    out += '\n';
+    return;
+  }
+  const QueryResult& r = a.result;
+  // Flow, job and FCT lines run 20-40 bytes ("f <j> <%.17g> ok").
+  out.reserve(out.size() + 128 +
+              40 * (r.base_flows.size() + r.job_flows.size() + r.fcts.size()));
+  out += " ok ";
+  out += verb;
+  out += a.source == Answer::Source::kCold   ? " cold"
+         : a.source == Answer::Source::kWarm ? " warm"
+                                             : " hit";
+  out += " base=";
+  text::append_hex16(out, a.base_hash);
+  out += "\nalloc ";
+  text::append_uint(out, r.base_flows.size());
+  out += '\n';
+  const auto append_line = [&out](const char* tag, std::size_t j, double value,
+                                  const char* state) {
+    out += tag;
+    text::append_uint(out, j);
+    out += ' ';
+    text::append_g17(out, value);
+    out += state;
+  };
+  for (std::size_t j = 0; j < r.base_flows.size(); ++j) {
+    append_line("f ", j, r.base_flows[j].gbps, r.base_flows[j].stalled ? " stalled\n" : " ok\n");
+  }
+  if (!r.job_flows.empty()) {
+    out += "job ";
+    text::append_uint(out, r.job_flows.size());
+    out += '\n';
+    for (std::size_t j = 0; j < r.job_flows.size(); ++j) {
+      append_line("j ", j, r.job_flows[j].gbps, r.job_flows[j].stalled ? " stalled\n" : " ok\n");
+    }
+  }
+  if (!r.fcts.empty()) {
+    out += "fct ";
+    text::append_uint(out, r.fcts.size());
+    out += '\n';
+    for (std::size_t j = 0; j < r.fcts.size(); ++j) {
+      append_line("t ", j, r.fcts[j].seconds, r.fcts[j].completed ? " done\n" : " aborted\n");
+    }
+  }
+  out += "summary flows=";
+  text::append_uint(out, r.base_flows.size() + r.job_flows.size());
+  out += " stalled=";
+  text::append_uint(out, r.stalled);
+  out += " total_gbps=";
+  text::append_g17(out, r.total_gbps);
+  out += " min_gbps=";
+  text::append_g17(out, r.min_gbps);
+  out += "\nend\n";
+}
+
 namespace {
 
 struct PendingQuery {
@@ -631,44 +687,16 @@ void parse_verb(std::istringstream& ls, PendingQuery& p) {
 
 void emit_reply(std::ostream& out, std::size_t index, const PendingQuery& p,
                 const Answer* a) {
+  // A query poisoned at read time replies like one the engine failed.
+  Answer poisoned;
   if (!p.error.empty()) {
-    out << "reply " << index << " error " << p.error << "\n";
-    return;
+    poisoned.error = p.error;
+    a = &poisoned;
   }
   HPN_CHECK(a != nullptr);
-  if (!a->ok) {
-    out << "reply " << index << " error " << a->error << "\n";
-    return;
-  }
-  const char* source = a->source == Answer::Source::kCold   ? "cold"
-                       : a->source == Answer::Source::kWarm ? "warm"
-                                                            : "hit";
-  const QueryResult& r = a->result;
-  out << "reply " << index << " ok " << p.verb_name << ' ' << source << " base="
-      << hex16(a->base_hash) << "\n";
-  out << "alloc " << r.base_flows.size() << "\n";
-  for (std::size_t j = 0; j < r.base_flows.size(); ++j) {
-    out << "f " << j << ' ' << fmt_g(r.base_flows[j].gbps) << ' '
-        << (r.base_flows[j].stalled ? "stalled" : "ok") << "\n";
-  }
-  if (!r.job_flows.empty()) {
-    out << "job " << r.job_flows.size() << "\n";
-    for (std::size_t j = 0; j < r.job_flows.size(); ++j) {
-      out << "j " << j << ' ' << fmt_g(r.job_flows[j].gbps) << ' '
-          << (r.job_flows[j].stalled ? "stalled" : "ok") << "\n";
-    }
-  }
-  if (!r.fcts.empty()) {
-    out << "fct " << r.fcts.size() << "\n";
-    for (std::size_t j = 0; j < r.fcts.size(); ++j) {
-      out << "t " << j << ' ' << fmt_g(r.fcts[j].seconds) << ' '
-          << (r.fcts[j].completed ? "done" : "aborted") << "\n";
-    }
-  }
-  out << "summary flows=" << r.base_flows.size() + r.job_flows.size()
-      << " stalled=" << r.stalled << " total_gbps=" << fmt_g(r.total_gbps)
-      << " min_gbps=" << fmt_g(r.min_gbps) << "\n";
-  out << "end\n";
+  std::string reply;
+  append_reply(reply, index, p.verb_name, *a);
+  out.write(reply.data(), static_cast<std::streamsize>(reply.size()));
 }
 
 }  // namespace
@@ -685,7 +713,7 @@ int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options)
     for (std::size_t i = 0; i < pending.size(); ++i) {
       if (pending[i].valid && pending[i].error.empty()) {
         slot[i] = static_cast<int>(valid.size());
-        valid.push_back(pending[i].req);
+        valid.push_back(std::move(pending[i].req));
       }
     }
     const std::vector<Answer> answers = engine.answer(valid);
@@ -701,33 +729,32 @@ int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options)
   bool disconnected = false;
   while (!disconnected && std::getline(in, line)) {
     strip_cr(line);
-    std::istringstream ls{line};
-    std::string cmd;
-    if (!(ls >> cmd)) continue;       // blank line between requests
+    text::Cursor lc{line};
+    const std::string_view cmd = lc.token();
+    if (cmd.empty()) continue;        // blank line between requests
     if (cmd[0] == '#') continue;      // full-line comment
     if (cmd == "query") {
       PendingQuery p;
+      std::istringstream ls{std::string{lc.rest()}};
       parse_verb(ls, p);
       // The inline scenario follows immediately, terminated by its own
-      // `end` line. It is consumed even when the verb was bad, so one bad
-      // query cannot desynchronize the framing of everything after it.
-      std::string text;
+      // `end` line (first token "end"). It is consumed even when the verb
+      // was bad, so one bad query cannot desynchronize the framing of
+      // everything after it.
+      std::string scenario_text;
       bool oversized = false;
       bool terminated = false;
       while (std::getline(in, line)) {
         strip_cr(line);
         if (!oversized &&
-            text.size() + line.size() + 1 > options.max_query_bytes) {
+            scenario_text.size() + line.size() + 1 > options.max_query_bytes) {
           oversized = true;
         }
         if (!oversized) {
-          text += line;
-          text += '\n';
+          scenario_text += line;
+          scenario_text += '\n';
         }
-        std::istringstream ts{line};
-        std::string tok;
-        ts >> tok;
-        if (tok == "end") {
+        if (text::Cursor{line}.token() == "end") {
           terminated = true;
           break;
         }
@@ -744,11 +771,11 @@ int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options)
       }
       if (p.error.empty()) {
         std::string parse_error;
-        const auto s = fuzz::Scenario::from_text(text, &parse_error);
+        auto s = fuzz::Scenario::from_text(scenario_text, &parse_error);
         if (!s) {
           p.error = "scenario parse error: " + parse_error;
         } else {
-          p.req.scenario = *s;
+          p.req.scenario = std::move(*s);
           p.valid = true;
         }
       }

@@ -57,6 +57,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/wire.h"
@@ -138,6 +139,13 @@ struct ServeOptions {
   EngineOptions engine;
   std::size_t max_query_bytes = 1u << 20;  ///< inline scenario size cap
 };
+
+/// Append the protocol reply for answer `a` to query `index` of a batch
+/// (`verb` is the verb word the query named): the exact bytes serve_loop
+/// writes for it, from the "reply" line through "end" (one error line when
+/// !a.ok). Doubles print as `%.17g`, so equal bytes mean bit-equal answers.
+void append_reply(std::string& out, std::size_t index, std::string_view verb,
+                  const Answer& a);
 
 /// Run the daemon loop over a stream pair until EOF or `quit`. Testable
 /// with stringstreams; `hpnsim_cli serve` binds it to stdin/stdout (wrap

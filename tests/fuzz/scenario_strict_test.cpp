@@ -60,6 +60,13 @@ const std::vector<MalformedCase>& corpus() {
       {"bad_fault_kind.scenario", "line 3: unknown fault kind 'meteor'"},
       {"negative_fault_time.scenario", "line 3: 'fault' times must be >= 0"},
       {"junk_after_end.scenario", "line 3: trailing junk after 'end'"},
+      // Numeric syntax the parser does not take: no inf/nan spellings, an
+      // exponent needs digits (and integers take none), and a cap that
+      // underflows to 0 is out of range.
+      {"cap_inf.scenario", "line 5: malformed 'flow' entry"},
+      {"cap_dangling_exponent.scenario", "line 5: malformed 'flow' entry"},
+      {"cap_underflow.scenario", "line 5: 'flow' cap_gbps out of range (0, 10000]"},
+      {"size_bytes_exponent.scenario", "line 5: malformed 'flow' entry"},
   };
   return kCases;
 }
@@ -134,6 +141,42 @@ TEST(ScenarioStrict, FormattingVariantsShareCanonicalBytes) {
   EXPECT_EQ(a->to_text(), b->to_text());
   EXPECT_EQ(a->to_text(), canonical) << "canonical text must be a fixed point";
   EXPECT_EQ(fnv1a64(a->to_text()), fnv1a64(b->to_text()));
+}
+
+TEST(ScenarioStrict, SignedNumbersAreAFormattingVariant) {
+  // A leading '+' is accepted on the signed and floating-point fields (not
+  // on the unsigned recipe indices) and erased by canonical re-serialization.
+  const std::string canonical =
+      "hpnsim-scenario v1\n"
+      "seed 42\n"
+      "topology tiny_clos\n"
+      "size 2\n"
+      "wiring 1\n"
+      "flow 0 1 1000000 25\n"
+      "flow 1 0 1000 0.5\n"
+      "fault link_fail 1000 0 0\n"
+      "job 0 2 3\n"
+      "end\n";
+  const std::string variant =
+      "hpnsim-scenario v1\n"
+      "seed 42\n"
+      "topology tiny_clos\n"
+      "size 2\n"
+      "wiring 1\n"
+      "flow 0 1 +1000000 +25\n"
+      "flow 1 0 +1000 +.5\n"
+      "fault link_fail +1000 0 +0\n"
+      "job +0 2 3\n"
+      "end\n";
+  const auto a = Scenario::from_text(canonical);
+  const auto b = Scenario::from_text(variant);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(*a, *b);
+  EXPECT_EQ(b->to_text(), canonical);
+  std::string error;
+  EXPECT_FALSE(Scenario::from_text("hpnsim-scenario v1\nsize +2\nend\n", &error));
+  EXPECT_EQ(error, "line 2: malformed 'size' entry");
 }
 
 TEST(ScenarioStrict, ParseSerializeParseIsAFixedPoint) {
