@@ -87,6 +87,20 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
+  // Algorithm 1's work per case: a slot stops tracing source ports once its
+  // best candidate reaches the lowest score any shortest path could.
+  metrics::Table planner{"connection planner (Algorithm 1), per case"};
+  planner.columns({"policy", "seed", "pairs_planned", "slots", "traces", "stopped_at_bound",
+                   "traces_skipped"});
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const ccl::ConnectionManager::Stats& st = reports[i].planner;
+    planner.add_row({std::string{cluster::to_string(cases[i].policy)},
+                     std::to_string(cases[i].seed), std::to_string(st.pairs_planned),
+                     std::to_string(st.slots), std::to_string(st.traces),
+                     std::to_string(st.stopped_at_bound), std::to_string(st.traces_skipped)});
+  }
+  planner.print(std::cout);
+
   // The tier-1 artifact: one summary row per (policy, seed) case.
   metrics::Table csv{"bench_cluster"};
   csv.columns({"policy", "seed", "jobs", "utilization", "mean_fragmentation", "crashes",

@@ -1,6 +1,7 @@
 #include "ccl/connection.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/check.h"
@@ -28,28 +29,48 @@ routing::FiveTuple ConnectionManager::tuple_for(int src_rank, int dst_rank,
                             .src_port = sport};
 }
 
-std::vector<LinkId> ConnectionManager::fabric_links(const routing::Path& path) const {
-  std::vector<LinkId> out;
-  for (const LinkId l : path.links) {
-    if (cluster_->topo.link(l).kind == topo::LinkKind::kFabric) out.push_back(l);
+bool ConnectionManager::is_fabric(LinkId l) const {
+  return cluster_->topo.link(l).kind == topo::LinkKind::kFabric;
+}
+
+int ConnectionManager::link_score(LinkId l) const {
+  if (!is_fabric(l)) return 0;
+  const bool mine = std::find(pair_links_.begin(), pair_links_.end(), l) != pair_links_.end();
+  return (mine ? 1'000 : 0) + fabric_usage(l);  // within-pair overlap is worst
+}
+
+int ConnectionManager::score_bound(LinkId first_hop, NodeId dst) {
+  if (best_from_.size() < cluster_->topo.node_count()) {
+    best_from_.resize(cluster_->topo.node_count(), -1);
   }
-  return out;
+  const int bound =
+      std::max(link_score(first_hop), best_score_from(cluster_->topo.link(first_hop).dst, dst));
+  for (const NodeId n : best_from_set_) best_from_[n.index()] = -1;
+  best_from_set_.clear();
+  return bound;
 }
 
-routing::Path ConnectionManager::trace_conn(const Connection& conn) const {
-  const auto& att = cluster_->nic_of(conn.src_rank);
-  const NodeId dst_nic = cluster_->nic_of(conn.dst_rank).nic;
-  return router_->trace_via(att.access.at(static_cast<std::size_t>(conn.src_port_index)),
-                            dst_nic, conn.tuple);
+int ConnectionManager::best_score_from(NodeId at, NodeId dst) {
+  if (at == dst) return 0;
+  if (best_from_[at.index()] >= 0) return best_from_[at.index()];
+  int best = std::numeric_limits<int>::max();  // no shortest path on from here
+  router_->for_each_next_hop(at, dst, [&](LinkId l) {
+    const int through = link_score(l);
+    if (through >= best) return;  // max(through, rest) cannot beat best
+    best = std::min(best, std::max(through, best_score_from(cluster_->topo.link(l).dst, dst)));
+  });
+  best_from_[at.index()] = best;
+  best_from_set_.push_back(at);
+  return best;
 }
 
-bool ConnectionManager::routable(int src_rank, int dst_rank) const {
+bool ConnectionManager::routable(int src_rank, int dst_rank) {
   const auto& att = cluster_->nic_of(src_rank);
   const NodeId dst_nic = cluster_->nic_of(dst_rank).nic;
   const routing::FiveTuple probe = tuple_for(src_rank, dst_rank, config_.sport_base);
   for (int p = 0; p < att.ports; ++p) {
-    if (router_->trace_via(att.access.at(static_cast<std::size_t>(p)), dst_nic, probe)
-            .valid()) {
+    if (router_->trace_via_into(att.access.at(static_cast<std::size_t>(p)), dst_nic, probe,
+                                trace_)) {
       return true;
     }
   }
@@ -62,10 +83,11 @@ const std::vector<ConnId>& ConnectionManager::establish(int src_rank, int dst_ra
   auto it = by_pair_.find(key);
   if (it != by_pair_.end()) return it->second;
 
+  ++stats_.pairs_planned;
   const auto& att = cluster_->nic_of(src_rank);
   const NodeId dst_nic = cluster_->nic_of(dst_rank).nic;
   std::vector<ConnId> ids;
-  std::set<LinkId> pair_fabric;  // links already used by this pair's conns
+  pair_links_.clear();
 
   // Spread connections across the NIC's ports (planes) first, then across
   // disjoint fabric paths within each plane. Disjoint mode scores each
@@ -76,42 +98,60 @@ const std::vector<ConnId>& ConnectionManager::establish(int src_rank, int dst_ra
       std::max(1, config_.sport_search_budget / std::max(1, config_.conns_per_pair));
   std::uint16_t sport = config_.sport_base;
   for (int slot = 0; slot < config_.conns_per_pair; ++slot) {
+    ++stats_.slots;
     const int port = slot % att.ports;
+    const LinkId first_hop = att.access.at(static_cast<std::size_t>(port));
+    const std::uint16_t slot_sport = sport;
 
     Connection best;
     best.src_rank = src_rank;
     best.dst_rank = dst_rank;
     best.planned_port = port;
     best.src_port_index = port;
-    long best_score = -1;
+    int best_score = -1;
+    int bound = -1;  // score_bound(), taken once a try scores above 0
 
     for (int tries = 0; tries < per_slot_budget; ++tries) {
       const routing::FiveTuple tuple = tuple_for(src_rank, dst_rank, sport++);
-      const routing::Path p = router_->trace_via(
-          att.access.at(static_cast<std::size_t>(port)), dst_nic, tuple);
-      if (!p.valid()) break;  // port/plane unreachable, try next slot
-      long score = 0;
+      ++stats_.traces;
+      if (!router_->trace_via_into(first_hop, dst_nic, tuple, trace_)) {
+        // Validity depends on (first hop, dst, router state), never on the
+        // tuple; the early stop below relies on it.
+        HPN_CHECK_MSG(best_score < 0, "source port " << tuple.src_port
+                                                     << " has no path where an earlier one had");
+        break;  // port/plane unreachable, try next slot
+      }
+      int score = 0;
       if (config_.disjoint_paths) {
-        for (const LinkId l : fabric_links(p)) {
-          long use = pair_fabric.count(l) ? 1'000 : 0;  // within-pair overlap is worst
-          const auto uit = fabric_usage_.find(l);
-          if (uit != fabric_usage_.end()) use += uit->second;
-          score = std::max(score, use);
-        }
+        for (const LinkId l : trace_) score = std::max(score, link_score(l));
       }
       if (best_score < 0 || score < best_score) {
         best_score = score;
         best.tuple = tuple;
-        best.path = p;
+        best.path.links = trace_;
         best.path_epoch = router_->epoch();
       }
       if (!config_.disjoint_paths || best_score == 0) break;  // good enough
+      if (tries + 1 == per_slot_budget) break;
+      if (bound < 0) bound = score_bound(first_hop, dst_nic);
+      if (best_score == bound) {
+        // No later source port can score lower. Skip the rest of the budget,
+        // so the next slot's ports are the ones the whole search would use.
+        ++stats_.stopped_at_bound;
+        stats_.traces_skipped += static_cast<std::uint64_t>(per_slot_budget - tries - 1);
+        sport = static_cast<std::uint16_t>(slot_sport + static_cast<unsigned>(per_slot_budget));
+        break;
+      }
     }
     if (best_score < 0) continue;  // nothing routable on this port
 
-    for (const LinkId l : fabric_links(best.path)) {
-      pair_fabric.insert(l);
-      fabric_usage_[l] += 1;
+    for (const LinkId l : best.path.links) {
+      if (!is_fabric(l)) continue;
+      if (std::find(pair_links_.begin(), pair_links_.end(), l) == pair_links_.end()) {
+        pair_links_.push_back(l);
+      }
+      if (fabric_usage_.size() <= l.index()) fabric_usage_.resize(cluster_->topo.link_count(), 0);
+      fabric_usage_[l.index()] += 1;
     }
     best.id = ConnId{static_cast<ConnId::underlying>(conns_.size())};
     ids.push_back(best.id);
@@ -175,19 +215,21 @@ const routing::Path& ConnectionManager::path_of(ConnId id) {
     // repaired links get their traffic back); if it is dead, fail over to
     // any live port — QP contexts are shared across ports (§4), so the
     // flow moves without re-establishing.
+    const auto& att = cluster_->nic_of(c.src_rank);
+    const NodeId dst_nic = cluster_->nic_of(c.dst_rank).nic;
+    const auto trace_on = [&](int port) {
+      return router_->trace_via_into(att.access.at(static_cast<std::size_t>(port)), dst_nic,
+                                     c.tuple, c.path.links);
+    };
     c.src_port_index = c.planned_port;
-    routing::Path p = trace_conn(c);
-    if (!p.valid()) {
-      const auto& att = cluster_->nic_of(c.src_rank);
-      for (int port = 0; port < att.ports && !p.valid(); ++port) {
-        if (port == c.planned_port) continue;
-        Connection alt = c;
-        alt.src_port_index = port;
-        p = trace_conn(alt);
-        if (p.valid()) c.src_port_index = port;
+    if (!trace_on(c.planned_port)) {
+      for (int port = 0; port < att.ports; ++port) {
+        if (port != c.planned_port && trace_on(port)) {
+          c.src_port_index = port;
+          break;
+        }
       }
     }
-    c.path = std::move(p);
     c.path_epoch = router_->epoch();
   }
   return c.path;
@@ -197,7 +239,7 @@ std::size_t ConnectionManager::distinct_fabric_links(const std::vector<ConnId>& 
   std::set<LinkId> links;
   for (const ConnId id : conns) {
     for (const LinkId l : conns_.at(id.index()).path.links) {
-      if (cluster_->topo.link(l).kind == topo::LinkKind::kFabric) links.insert(l);
+      if (is_fabric(l)) links.insert(l);
     }
   }
   return links.size();

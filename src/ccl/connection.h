@@ -5,7 +5,11 @@
 // connection per disjoint path. The paper uses RePaC to "reprint the exact
 // hash results in each switch"; we own the switch hash functions, so the
 // planner predicts paths exactly the same way. Thanks to dual-plane, the
-// search only enumerates the ToR's uplinks — O(60) (Table 1).
+// search only enumerates the ToR's uplinks — O(60) (Table 1). A slot's
+// search stops once its best candidate scores the lowest any shortest path
+// from its port could (a minimax over the ECMP DAG): no later source port
+// can do better, so the choice is the one the whole budget would make, and
+// the next slot's source ports start where the whole budget would end.
 //
 // Algorithm 2 (PathSelection): every connection carries a counter of bytes
 // in its outstanding Work Queue Elements; each message goes to the
@@ -68,7 +72,7 @@ class ConnectionManager {
   /// Does any network path currently exist between the pair's NICs (on any
   /// source port)? Cheap probe used before establish() for fabrics where a
   /// pair may be permanently unreachable (rail-only tier2, §10).
-  [[nodiscard]] bool routable(int src_rank, int dst_rank) const;
+  [[nodiscard]] bool routable(int src_rank, int dst_rank);
 
   /// Algorithm 2. Chooses the connection for the next message.
   ConnId pick(const std::vector<ConnId>& conns);
@@ -86,21 +90,50 @@ class ConnectionManager {
   /// observable for disjointness tests.
   [[nodiscard]] std::size_t distinct_fabric_links(const std::vector<ConnId>& conns) const;
 
+  /// Connections planned across fabric link `l` so far (the occupancy
+  /// Algorithm 1 scores candidates by).
+  [[nodiscard]] int fabric_usage(LinkId l) const {
+    return l.index() < fabric_usage_.size() ? fabric_usage_[l.index()] : 0;
+  }
+
   [[nodiscard]] const ConnectionConfig& config() const { return config_; }
+
+  /// Work Algorithm 1 did since construction.
+  struct Stats {
+    std::uint64_t pairs_planned = 0;     ///< establish() calls that planned a pair
+    std::uint64_t slots = 0;             ///< connection slots searched
+    std::uint64_t traces = 0;            ///< source ports traced by the search
+    std::uint64_t stopped_at_bound = 0;  ///< slots ended early at the minimax bound
+    std::uint64_t traces_skipped = 0;    ///< budget those early stops left untraced
+  };
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   routing::FiveTuple tuple_for(int src_rank, int dst_rank, std::uint16_t sport) const;
-  routing::Path trace_conn(const Connection& conn) const;
-  [[nodiscard]] std::vector<LinkId> fabric_links(const routing::Path& path) const;
+  [[nodiscard]] bool is_fabric(LinkId l) const;
+  /// A candidate path's cost through link `l`: cluster-wide occupancy, plus
+  /// 1,000 if this pair already uses it. A path scores its worst link.
+  [[nodiscard]] int link_score(LinkId l) const;
+  /// The lowest score any shortest path starting with `first_hop` can
+  /// reach: no source port can trace a path that scores lower.
+  int score_bound(LinkId first_hop, NodeId dst);
+  /// score_bound's minimax below `at`, memoised per node for one call.
+  int best_score_from(NodeId at, NodeId dst);
 
   const topo::Cluster* cluster_;
   routing::Router* router_;
   ConnectionConfig config_;
   std::vector<Connection> conns_;
   std::unordered_map<std::uint64_t, std::vector<ConnId>> by_pair_;
-  /// Cluster-wide fabric-link occupancy, shared by all planners using this
-  /// manager (the §6.1 host-switch collaborating system's link state).
-  std::unordered_map<LinkId, int> fabric_usage_;
+  /// Cluster-wide fabric-link occupancy by LinkId, shared by all planners
+  /// using this manager (the §6.1 host-switch collaborating system's link
+  /// state).
+  std::vector<int> fabric_usage_;
+  std::vector<LinkId> pair_links_;     ///< fabric links of the pair being planned
+  std::vector<LinkId> trace_;          ///< the candidate being scored
+  std::vector<int> best_from_;         ///< by NodeId: best_score_from, -1 = not yet
+  std::vector<NodeId> best_from_set_;  ///< nodes score_bound memoised, reset after
+  Stats stats_;
   std::uint32_t rr_counter_ = 0;
 };
 

@@ -128,6 +128,7 @@ class ClusterSim {
     }
     report.crashes = crashes_;
     report.crash_cost_dollars = crash_cost_dollars_;
+    report.planner = conns_->stats();
     if (config_.audit && !sim_.auditor().ok()) {
       report.audit_report = sim_.auditor().report();
     }

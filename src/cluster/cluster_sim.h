@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "ccl/connection.h"
 #include "cluster/placement.h"
 #include "cluster/trace.h"
 #include "fabric/fabric.h"
@@ -109,6 +110,8 @@ struct ClusterReport {
   double crash_cost_dollars = 0.0;
   /// InvariantAuditor findings (empty when clean or not armed).
   std::string audit_report;
+  /// Work the shared connection planner (Algorithm 1) did.
+  ccl::ConnectionManager::Stats planner;
 
   [[nodiscard]] double mean_jct_s(JobKind kind) const;
   [[nodiscard]] double quantile_jct_s(JobKind kind, double q) const;

@@ -27,7 +27,7 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
   return c ^ 0xFFFFFFFFu;
 }
 
-std::uint32_t hash_tuple(const FiveTuple& ft, std::uint32_t seed) {
+std::uint32_t tuple_crc(const FiveTuple& ft) {
   std::array<std::uint8_t, 13> buf{};
   auto put32 = [&buf](std::size_t at, std::uint32_t v) {
     buf[at] = static_cast<std::uint8_t>(v);
@@ -42,18 +42,26 @@ std::uint32_t hash_tuple(const FiveTuple& ft, std::uint32_t seed) {
   buf[10] = static_cast<std::uint8_t>(ft.dst_port);
   buf[11] = static_cast<std::uint8_t>(ft.dst_port >> 8);
   buf[12] = ft.protocol;
+  return crc32(buf);
+}
+
+std::uint32_t mix_seed(std::uint32_t crc, std::uint32_t seed) {
   // CRC alone is linear in its input, so XORing a seed into the message
   // would only XOR the output by a constant — all "different" seeds would
   // stay perfectly correlated. Real ASICs select among rotated/permuted
   // hash variants; we model that with a non-linear (murmur3-style) seed
   // finalizer on top of the tuple CRC.
-  std::uint32_t h = crc32(buf) ^ seed;
+  std::uint32_t h = crc ^ seed;
   h ^= h >> 16;
   h *= 0x85EBCA6Bu;
   h ^= h >> 13;
   h *= 0xC2B2AE35u;
   h ^= h >> 16;
   return h;
+}
+
+std::uint32_t hash_tuple(const FiveTuple& ft, std::uint32_t seed) {
+  return mix_seed(tuple_crc(ft), seed);
 }
 
 std::string_view to_string(SeedPolicy policy) {
@@ -81,14 +89,25 @@ std::uint32_t EcmpHasher::seed_for(NodeId node) const {
 std::size_t EcmpHasher::select(const FiveTuple& ft, NodeId node, std::size_t n) const {
   HPN_CHECK(n > 0);
   if (n == 1) return 0;
-  return hash_tuple(ft, seed_for(node)) % n;
+  return select_crc(tuple_crc(ft), node, n);
+}
+
+std::size_t EcmpHasher::select_crc(std::uint32_t crc, NodeId node, std::size_t n) const {
+  HPN_CHECK(n > 0);
+  if (n == 1) return 0;
+  return mix_seed(crc, seed_for(node)) % n;
 }
 
 std::size_t EcmpHasher::select_at_core(const FiveTuple& ft, NodeId node,
                                        std::uint16_t ingress_port, std::size_t n) const {
+  return select_at_core(ft, tuple_crc(ft), node, ingress_port, n);
+}
+
+std::size_t EcmpHasher::select_at_core(const FiveTuple& ft, std::uint32_t crc, NodeId node,
+                                       std::uint16_t ingress_port, std::size_t n) const {
   HPN_CHECK(n > 0);
   if (n == 1) return 0;
-  if (!config_.per_port_at_core) return select(ft, node, n);
+  if (!config_.per_port_at_core) return select_crc(crc, node, n);
   // Pure (ingress port, destination prefix) mapping — no five-tuple terms.
   const std::uint32_t mixed =
       (static_cast<std::uint32_t>(ingress_port) * 2654435761u) ^ (ft.dst_ip * 40503u) ^

@@ -9,14 +9,16 @@ namespace hpn::routing {
 void LoadAnalyzer::run(const std::vector<FlowSpec>& flows) {
   loads_.clear();
   unroutable_ = 0;
+  std::vector<LinkId> path;
   for (const FlowSpec& f : flows) {
-    const Path p = f.first_hop.is_valid() ? router_->trace_via(f.first_hop, f.dst, f.tuple)
-                                          : router_->trace(f.src, f.dst, f.tuple);
-    if (!p.valid()) {
+    const bool valid = f.first_hop.is_valid()
+                           ? router_->trace_via_into(f.first_hop, f.dst, f.tuple, path)
+                           : router_->trace_into(f.src, f.dst, f.tuple, path);
+    if (!valid) {
       ++unroutable_;
       continue;
     }
-    for (const LinkId l : p.links) {
+    for (const LinkId l : path) {
       LinkLoad& ll = loads_[l];
       ll.link = l;
       ll.load += f.weight;

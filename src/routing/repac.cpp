@@ -8,9 +8,10 @@ std::optional<std::uint16_t> RePaC::steer_onto(LinkId first_hop, NodeId dst, Fiv
                                                LinkId target_link, int budget) {
   for (int i = 0; i < budget; ++i) {
     ++probes_;
-    const Path p = predict(first_hop, dst, base);
-    if (!p.valid()) return std::nullopt;  // unreachable: no sport will help
-    if (std::find(p.links.begin(), p.links.end(), target_link) != p.links.end()) {
+    if (!router_->trace_via_into(first_hop, dst, base, probe_)) {
+      return std::nullopt;  // unreachable: no sport will help
+    }
+    if (std::find(probe_.begin(), probe_.end(), target_link) != probe_.end()) {
       return base.src_port;
     }
     ++base.src_port;
@@ -22,9 +23,8 @@ std::optional<std::uint16_t> RePaC::steer_away(LinkId first_hop, NodeId dst, Fiv
                                                const std::set<LinkId>& avoid, int budget) {
   for (int i = 0; i < budget; ++i) {
     ++probes_;
-    const Path p = predict(first_hop, dst, base);
-    if (!p.valid()) return std::nullopt;
-    const bool clean = std::none_of(p.links.begin(), p.links.end(),
+    if (!router_->trace_via_into(first_hop, dst, base, probe_)) return std::nullopt;
+    const bool clean = std::none_of(probe_.begin(), probe_.end(),
                                     [&](LinkId l) { return avoid.count(l) > 0; });
     if (clean) return base.src_port;
     ++base.src_port;

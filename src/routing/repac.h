@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "routing/router.h"
 
@@ -40,6 +41,7 @@ class RePaC {
  private:
   Router* router_;
   int probes_ = 0;
+  std::vector<LinkId> probe_;  ///< one probe's path, reused across probes
 };
 
 }  // namespace hpn::routing

@@ -131,13 +131,8 @@ bool Router::is_next_hop(const std::int32_t* field, const topo::Link& l, NodeId 
 }
 
 std::vector<LinkId> Router::ecmp_links(NodeId node, NodeId dst) {
-  const std::int32_t* field = field_for(dst);
-  const std::int32_t here = dist_at(field, node, dst);
   std::vector<LinkId> out;
-  if (here <= 0) return out;  // at destination or unreachable
-  for (const LinkId lid : topo_->out_links(node)) {
-    if (is_next_hop(field, topo_->link(lid), dst, here)) out.push_back(lid);
-  }
+  for_each_next_hop(node, dst, [&out](LinkId lid) { out.push_back(lid); });
   return out;
 }
 
@@ -159,42 +154,64 @@ Path Router::first_path(NodeId src, NodeId dst) {
   return path;
 }
 
-Path Router::trace(NodeId src, NodeId dst, const FiveTuple& ft) {
-  Path path;
-  NodeId at = src;
+bool Router::append_trace(NodeId src, NodeId dst, const FiveTuple& ft,
+                          std::vector<LinkId>& out) {
+  if (src == dst) return true;
+  const std::int32_t* field = field_for(dst);
+  const std::uint32_t crc = tuple_crc(ft);
+  const std::vector<topo::Link>& links = topo_->links();
   std::uint16_t ingress_port = 0;
   const std::size_t hop_limit = 32;
-  while (at != dst) {
-    const auto candidates = ecmp_links(at, dst);
-    if (candidates.empty()) return Path{};  // unreachable
-    const topo::Node& node = topo_->node(at);
+  std::size_t hops = 0;
+  for (NodeId at = src; at != dst;) {
+    const std::int32_t here = dist_at(field, at, dst);
+    if (here <= 0) return false;  // unreachable
+    candidates_.clear();
+    for (const LinkId lid : topo_->out_links(at)) {
+      if (is_next_hop(field, links[lid.index()], dst, here)) candidates_.push_back(lid);
+    }
+    if (candidates_.empty()) return false;
     const std::size_t pick =
-        node.kind == topo::NodeKind::kCore
-            ? hasher_.select_at_core(ft, at, ingress_port, candidates.size())
-            : hasher_.select(ft, at, candidates.size());
-    const LinkId chosen = candidates[pick];
-    path.links.push_back(chosen);
-    const topo::Link& l = topo_->link(chosen);
+        topo_->node(at).kind == topo::NodeKind::kCore
+            ? hasher_.select_at_core(ft, crc, at, ingress_port, candidates_.size())
+            : hasher_.select_crc(crc, at, candidates_.size());
+    const LinkId chosen = candidates_[pick];
+    out.push_back(chosen);
+    const topo::Link& l = links[chosen.index()];
     ingress_port = l.dst_port;
     at = l.dst;
-    HPN_CHECK_MSG(path.links.size() <= hop_limit, "routing loop tracing to dst");
+    HPN_CHECK_MSG(++hops <= hop_limit, "routing loop tracing to dst");
   }
+  return true;
+}
+
+bool Router::trace_into(NodeId src, NodeId dst, const FiveTuple& ft, std::vector<LinkId>& out) {
+  out.clear();
+  if (!append_trace(src, dst, ft, out)) out.clear();
+  return !out.empty();
+}
+
+Path Router::trace(NodeId src, NodeId dst, const FiveTuple& ft) {
+  Path path;
+  trace_into(src, dst, ft, path.links);
   return path;
 }
 
-Path Router::trace_via(LinkId first_hop, NodeId dst, const FiveTuple& ft) {
+bool Router::trace_via_into(LinkId first_hop, NodeId dst, const FiveTuple& ft,
+                            std::vector<LinkId>& out) {
+  out.clear();
   const topo::Link& first = topo_->link(first_hop);
-  if (!first.up) return Path{};
-  if (first.dst == dst) return Path{{first_hop}};
+  if (!first.up) return false;
+  out.push_back(first_hop);
   // The remainder must make progress from the pinned hop's far end.
-  if (distance(first.dst, dst) < 0) return Path{};
-  Path rest = trace(first.dst, dst, ft);
-  if (!rest.valid()) return Path{};
-  Path out;
-  out.links.reserve(rest.links.size() + 1);
-  out.links.push_back(first_hop);
-  out.links.insert(out.links.end(), rest.links.begin(), rest.links.end());
-  return out;
+  if (first.dst != dst && !append_trace(first.dst, dst, ft, out)) out.clear();
+  return !out.empty();
+}
+
+Path Router::trace_via(LinkId first_hop, NodeId dst, const FiveTuple& ft) {
+  Path path;
+  trace_via_into(first_hop, dst, ft, path.links);
+  return path;
 }
 
 void Router::invalidate() {

@@ -49,9 +49,27 @@ class Router {
   /// The ECMP group at `node` toward `dst`: all up out-links one hop closer.
   [[nodiscard]] std::vector<LinkId> ecmp_links(NodeId node, NodeId dst);
 
+  /// Calls `f(link)` for each link of ecmp_links(node, dst), in the same
+  /// order, without building the vector. `f` may query the router again
+  /// toward the same `dst` (the field is already resolved), not another.
+  template <class F>
+  void for_each_next_hop(NodeId node, NodeId dst, F&& f) {
+    const std::int32_t* field = field_for(dst);
+    const std::int32_t here = dist_at(field, node, dst);
+    if (here <= 0) return;  // at destination or unreachable
+    for (const LinkId lid : topo_->out_links(node)) {
+      if (is_next_hop(field, topo_->link(lid), dst, here)) f(lid);
+    }
+  }
+
   /// Trace the exact path flow `ft` takes from `src` to `dst`, applying the
   /// switch hash at every fan-out. Empty path if unreachable.
   [[nodiscard]] Path trace(NodeId src, NodeId dst, const FiveTuple& ft);
+
+  /// trace() into `out` (cleared first), reusing its capacity: the tuple's
+  /// CRC is taken once per trace and each hop's group is scanned in place.
+  /// Returns whether the path is valid (non-empty).
+  bool trace_into(NodeId src, NodeId dst, const FiveTuple& ft, std::vector<LinkId>& out);
 
   /// The hash-free shortest path: the first ECMP candidate (out-link order)
   /// at every hop. That is the lexicographically lowest shortest path, the
@@ -63,6 +81,11 @@ class Router {
   /// Trace with the first hop pinned (the host already chose a NIC egress
   /// port — this is how dual-ToR port/plane selection enters routing).
   [[nodiscard]] Path trace_via(LinkId first_hop, NodeId dst, const FiveTuple& ft);
+
+  /// trace_via() into `out` (cleared first), allocation-free once `out` has
+  /// grown to a path's length. Returns whether the path is valid.
+  bool trace_via_into(LinkId first_hop, NodeId dst, const FiveTuple& ft,
+                      std::vector<LinkId>& out);
 
   /// Drop all cached distance fields and the destination -> field map; call
   /// after any link/topology change.
@@ -93,6 +116,9 @@ class Router {
   /// distance `here`).
   [[nodiscard]] bool is_next_hop(const std::int32_t* field, const topo::Link& l, NodeId dst,
                                  std::int32_t here) const;
+  /// Appends the hashed hops from `src` to `dst` to `out`; false if some
+  /// hop has no candidate (out is then partly written).
+  bool append_trace(NodeId src, NodeId dst, const FiveTuple& ft, std::vector<LinkId>& out);
   /// The slot of dst's field, building it on first use.
   std::uint32_t slot_for(NodeId dst);
   /// Multi-source BFS over up links into a new slot: `seeds` at
@@ -108,6 +134,7 @@ class Router {
   std::map<std::vector<NodeId>, std::uint32_t> set_slots_;  ///< attachment set -> slot
   std::vector<std::int32_t> fields_;      ///< slot-major, node_count() per slot
   std::vector<NodeId> frontier_;          ///< BFS scratch
+  std::vector<LinkId> candidates_;        ///< one hop's ECMP group while tracing
   std::size_t cached_destinations_ = 0;
   Stats stats_;
   std::uint64_t epoch_ = 0;

@@ -7,7 +7,11 @@
 //   * tests/support/reference_router.h, the Router with one whole-Pod BFS
 //     per destination: the attachment-set Router must answer distance and
 //     ecmp_links at every node, and first_path, trace and trace_via over
-//     several 5-tuples for every ordered endpoint pair, identically.
+//     several 5-tuples for every ordered endpoint pair, identically; and
+//     its buffer traces (trace_via_into from every access port, trace_into;
+//     one CRC per trace) must give the reference's hashed paths over 8
+//     tuples per pair of the first 8 endpoints, under vendor-family and
+//     per-switch seeds and per-port Core hashing.
 // Over random_scenario draws of every fuzz topology kind plus a small Pod,
 // four shapes are swept:
 //   1. every materialize() flow, and which flows it drops;
@@ -130,9 +134,53 @@ void tally_router_queries(const topo::Topology& t, std::span<const NodeId> eps, 
   }
 }
 
-void tally_pairs(const Materialized& m, Tally& tally) {
+/// The hash configs the buffer traces rotate through, one per draw.
+routing::HashConfig trace_hash(std::size_t draw) {
+  switch (draw % 3) {
+    case 0: return {.seeds = routing::SeedPolicy::kVendorFamily};
+    case 1: return {.seeds = routing::SeedPolicy::kPerSwitch};
+    default: return {.seeds = routing::SeedPolicy::kVendorFamily, .per_port_at_core = true};
+  }
+}
+
+constexpr std::uint16_t kBufferTuples = 8;
+constexpr std::size_t kBufferEndpoints = 8;
+
+/// Router::trace_via_into (from every access port) and trace_into, one
+/// reused buffer each, against the reference router's trace_via and trace
+/// over kBufferTuples tuples per ordered pair of the first kBufferEndpoints
+/// endpoints, under `hash`.
+void tally_buffer_traces(const topo::Topology& t, std::span<const NodeId> all,
+                         routing::HashConfig hash, Tally& tally) {
+  const std::span<const NodeId> eps = all.first(std::min(kBufferEndpoints, all.size()));
+  routing::Router got{t, hash};
+  reference::Router want{t, hash};
+  std::vector<LinkId> via;
+  std::vector<LinkId> direct;
+  for (const NodeId dst : eps) {
+    for (const NodeId src : eps) {
+      if (src == dst) continue;
+      for (std::uint16_t k = 0; k < kBufferTuples; ++k) {
+        const routing::FiveTuple ft{.src_ip = src.value(),
+                                    .dst_ip = dst.value(),
+                                    .src_port = static_cast<std::uint16_t>(49152 + 97 * k)};
+        for (const LinkId first : t.out_links(src)) {
+          const routing::Path p = want.trace_via(first, dst, ft);
+          const bool valid = got.trace_via_into(first, dst, ft, via);
+          tally.expect(valid == p.valid() && via == p.links, "trace_via_into", src, dst);
+        }
+        const routing::Path p = want.trace(src, dst, ft);
+        const bool valid = got.trace_into(src, dst, ft, direct);
+        tally.expect(valid == p.valid() && direct == p.links, "trace_into", src, dst);
+      }
+    }
+  }
+}
+
+void tally_pairs(const Materialized& m, std::size_t draw, Tally& tally) {
   tally_bfs_pairs(m.cluster.topo, pair_endpoints(m), tally);
   tally_router_queries(m.cluster.topo, pair_endpoints(m), tally);
+  tally_buffer_traces(m.cluster.topo, pair_endpoints(m), trace_hash(draw), tally);
 }
 
 TEST(RouterOracle, MaterializedFlowsMatchReference) {
@@ -171,13 +219,16 @@ TEST(RouterOracle, MaterializedFlowsMatchReference) {
 
 TEST(RouterOracle, AllUpEndpointPairsMatchReference) {
   Tally tally;
-  for (const Scenario& s : oracle_draws()) tally_pairs(materialize(s), tally);
+  const std::vector<Scenario> draws = oracle_draws();
+  for (std::size_t i = 0; i < draws.size(); ++i) tally_pairs(materialize(draws[i]), i, tally);
   EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.queries << " queries; first: " << tally.first;
 }
 
 TEST(RouterOracle, PlanningShapeEndpointPairsMatchReference) {
   Tally tally;
-  for (const Scenario& s : oracle_draws()) {
+  const std::vector<Scenario> draws = oracle_draws();
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    const Scenario& s = draws[i];
     Materialized m = materialize(s);
     topo::Topology& t = m.cluster.topo;
     Rng rng{s.seed ^ 0x5EED0F0A17ULL};
@@ -189,7 +240,7 @@ TEST(RouterOracle, PlanningShapeEndpointPairsMatchReference) {
       const NodeId tor = m.cluster.tors[rng.uniform_index(m.cluster.tors.size())];
       for (const LinkId l : t.out_links(tor)) t.set_duplex_up(l, false);
     }
-    tally_pairs(m, tally);
+    tally_pairs(m, i, tally);
   }
   EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.queries << " queries; first: " << tally.first;
 }
@@ -243,6 +294,7 @@ TEST(RouterOracle, AsymmetricAccessFailureEndpointPairsMatchReference) {
     // The materializer's BFS treats a cable as one unit, so it is no
     // oracle for a half-down link; the per-destination router is.
     tally_router_queries(m.cluster.topo, pair_endpoints(m), tally);
+    tally_buffer_traces(m.cluster.topo, pair_endpoints(m), trace_hash(i), tally);
   }
   EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.queries << " queries; first: " << tally.first;
   // The sweep must really split shared dual-ToR sets, in every variant.

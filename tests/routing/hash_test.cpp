@@ -2,11 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace hpn::routing {
 namespace {
+
+/// hash_tuple as it was before the CRC and the seed finalizer were split:
+/// the whole 13-byte CRC per call, i.e. once per hop of a trace.
+std::uint32_t per_hop_hash_tuple(const FiveTuple& ft, std::uint32_t seed) {
+  std::array<std::uint8_t, 13> buf{};
+  auto put32 = [&buf](std::size_t at, std::uint32_t v) {
+    buf[at] = static_cast<std::uint8_t>(v);
+    buf[at + 1] = static_cast<std::uint8_t>(v >> 8);
+    buf[at + 2] = static_cast<std::uint8_t>(v >> 16);
+    buf[at + 3] = static_cast<std::uint8_t>(v >> 24);
+  };
+  put32(0, ft.src_ip);
+  put32(4, ft.dst_ip);
+  buf[8] = static_cast<std::uint8_t>(ft.src_port);
+  buf[9] = static_cast<std::uint8_t>(ft.src_port >> 8);
+  buf[10] = static_cast<std::uint8_t>(ft.dst_port);
+  buf[11] = static_cast<std::uint8_t>(ft.dst_port >> 8);
+  buf[12] = ft.protocol;
+  std::uint32_t h = crc32(buf) ^ seed;
+  h ^= h >> 16;
+  h *= 0x85EBCA6Bu;
+  h ^= h >> 13;
+  h *= 0xC2B2AE35u;
+  h ^= h >> 16;
+  return h;
+}
 
 TEST(Crc32, KnownVector) {
   // Standard IEEE CRC32 check value for "123456789".
@@ -34,6 +63,37 @@ TEST(HashTuple, SourcePortMovesHash) {
   FiveTuple b = a;
   b.src_port = 101;
   EXPECT_NE(hash_tuple(a, 7), hash_tuple(b, 7));
+}
+
+TEST(HashTuple, OneCrcSelectionMatchesPerHopHash) {
+  // A trace takes tuple_crc once and mixes each hop's seed in; every pick
+  // must equal the per-hop hash's, for any tuple, seed and group size.
+  Rng rng{0xC4C32};
+  const std::array<EcmpHasher, 3> hashers{
+      EcmpHasher{HashConfig{.seeds = SeedPolicy::kIdentical}},
+      EcmpHasher{HashConfig{.seeds = SeedPolicy::kVendorFamily}},
+      EcmpHasher{HashConfig{.seeds = SeedPolicy::kPerSwitch}}};
+  std::size_t mismatches = 0;
+  constexpr int kDraws = 1'000'000;
+  for (int i = 0; i < kDraws; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    const FiveTuple ft{.src_ip = static_cast<std::uint32_t>(bits),
+                       .dst_ip = static_cast<std::uint32_t>(bits >> 32),
+                       .src_port = static_cast<std::uint16_t>(rng.next_u64()),
+                       .dst_port = static_cast<std::uint16_t>(i % 3 == 0 ? rng.next_u64() : 4791),
+                       .protocol = static_cast<std::uint8_t>(i % 5 == 0 ? rng.next_u64() : 17)};
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const std::size_t n = 1 + rng.uniform_index(128);
+    const std::uint32_t crc = tuple_crc(ft);
+    mismatches += mix_seed(crc, seed) % n != per_hop_hash_tuple(ft, seed) % n;
+    mismatches += hash_tuple(ft, seed) != per_hop_hash_tuple(ft, seed);
+    const EcmpHasher& h = hashers[static_cast<std::size_t>(i) % hashers.size()];
+    const NodeId node{static_cast<std::uint32_t>(rng.uniform_index(1u << 20))};
+    const std::size_t want = n == 1 ? 0 : per_hop_hash_tuple(ft, h.seed_for(node)) % n;
+    mismatches += h.select_crc(crc, node, n) != want;
+    mismatches += h.select(ft, node, n) != want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << 4 * kDraws << " comparisons";
 }
 
 TEST(SeedPolicy, IdenticalSeedsEverywhere) {
@@ -116,6 +176,19 @@ TEST(EcmpHasher, PerPortCoreOffFallsBackToTupleHash) {
   EcmpHasher h{HashConfig{.per_port_at_core = false}};
   const FiveTuple ft{.src_ip = 1, .dst_ip = 42};
   EXPECT_EQ(h.select_at_core(ft, NodeId{5}, 3, 8), h.select(ft, NodeId{5}, 8));
+}
+
+TEST(EcmpHasher, CoreSelectionWithPrecomputedCrc) {
+  for (const bool per_port : {false, true}) {
+    EcmpHasher h{HashConfig{.seeds = SeedPolicy::kPerSwitch, .per_port_at_core = per_port}};
+    for (std::uint16_t sport = 0; sport < 2'000; ++sport) {
+      const FiveTuple ft{.src_ip = 7, .dst_ip = 42, .src_port = sport};
+      const auto port = static_cast<std::uint16_t>(sport % 64);
+      const std::size_t n = 1 + sport % 16;
+      EXPECT_EQ(h.select_at_core(ft, tuple_crc(ft), NodeId{5}, port, n),
+                h.select_at_core(ft, NodeId{5}, port, n));
+    }
+  }
 }
 
 }  // namespace
