@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
+#include <string>
 
 #include "topo/builders.h"
 
@@ -147,14 +149,18 @@ TEST_F(CommunicatorTest, BusBwFormulas) {
 }
 
 // Property sweep: AllReduce completes and yields sane bus bandwidth across
-// sizes and world shapes. Both fields are 64-bit so the struct has no
-// padding: gtest writes an unprintable param's raw bytes into the test name,
-// and uninitialized padding bytes would make that name change between builds.
+// sizes and world shapes.
 struct SweepParam {
   std::int64_t hosts;
   std::int64_t megabytes;
 };
-static_assert(sizeof(SweepParam) == 2 * sizeof(std::int64_t));
+
+std::string sweep_name(const SweepParam& p) {
+  return "h" + std::to_string(p.hosts) + "_mb" + std::to_string(p.megabytes);
+}
+
+// Lists each case as `# GetParam() = h<hosts>_mb<megabytes>`, not as a byte dump.
+void PrintTo(const SweepParam& p, std::ostream* os) { *os << sweep_name(p); }
 
 class AllReduceSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -180,8 +186,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, AllReduceSweep,
                                            SweepParam{2, 16}, SweepParam{4, 64},
                                            SweepParam{8, 16}, SweepParam{8, 128}),
                          [](const ::testing::TestParamInfo<SweepParam>& param_info) {
-                           return "h" + std::to_string(param_info.param.hosts) + "_mb" +
-                                  std::to_string(param_info.param.megabytes);
+                           return sweep_name(param_info.param);
                          });
 
 }  // namespace

@@ -1,10 +1,14 @@
-#include "ccl/pipeline.h"
-
+// The StagePipeline oracle kept in tests/support/reference_communicator.h:
+// the op table's admission rule and launch order are checked against it by
+// CommunicatorDifferential, so the oracle itself stays pinned here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
-namespace hpn::ccl {
+#include "tests/support/reference_communicator.h"
+
+namespace hpn::reference {
 namespace {
 
 TEST(StagePipeline, RunsAllChunksThroughAllStages) {
@@ -98,4 +102,4 @@ TEST(StagePipeline, DoubleStartThrows) {
 }
 
 }  // namespace
-}  // namespace hpn::ccl
+}  // namespace hpn::reference
