@@ -4,11 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "exec/runner_pool.h"
@@ -31,31 +28,18 @@ inline constexpr const char* kResultsDir = "results";
 /// Parsing is strict: an unknown flag, a positional argument, a missing
 /// value, or a non-numeric count prints a usage line to stderr and exits 2
 /// instead of being silently ignored (a typo'd `--smok` used to run the
-/// full-scale bench in CI). Bench-specific value flags (e.g. microperf's
-/// `--flows`) register through `extra_value_flags`; their values come back
-/// via extra_value().
+/// full-scale bench in CI).
 struct Args {
   bool smoke = false;
   std::string trace_path;
   std::string csv_path;
   int jobs = 1;
-  std::vector<std::pair<std::string, std::string>> extra;  ///< registered flags
 
-  [[nodiscard]] const std::string* extra_value(std::string_view flag) const {
-    for (const auto& [f, v] : extra) {
-      if (f == flag) return &v;
-    }
-    return nullptr;
-  }
-
-  static Args parse(int argc, char** argv,
-                    std::initializer_list<const char*> extra_value_flags = {}) {
+  static Args parse(int argc, char** argv) {
     const auto fail = [&](const std::string& why) {
       std::cerr << "error: " << why << "\n"
                 << "usage: " << (argc > 0 ? argv[0] : "bench")
-                << " [--smoke] [--trace <path>] [--csv <path>] [--jobs N]";
-      for (const char* f : extra_value_flags) std::cerr << " [" << f << " <value>]";
-      std::cerr << "\n";
+                << " [--smoke] [--trace <path>] [--csv <path>] [--jobs N]\n";
       std::exit(2);
     };
     const auto need_value = [&](int& i, const char* flag) -> const char* {
@@ -82,19 +66,8 @@ struct Args {
         a.jobs = parse_int("--jobs", need_value(i, "--jobs"));
         if (a.jobs < 1) fail("--jobs must be >= 1");
       } else {
-        bool matched = false;
-        for (const char* f : extra_value_flags) {
-          if (std::strcmp(argv[i], f) == 0) {
-            a.extra.emplace_back(f, need_value(i, f));
-            matched = true;
-            break;
-          }
-        }
-        if (!matched) {
-          fail(argv[i][0] == '-'
-                   ? std::string{"unknown flag '"} + argv[i] + "'"
-                   : std::string{"unexpected argument '"} + argv[i] + "'");
-        }
+        fail(argv[i][0] == '-' ? std::string{"unknown flag '"} + argv[i] + "'"
+                               : std::string{"unexpected argument '"} + argv[i] + "'");
       }
     }
     return a;

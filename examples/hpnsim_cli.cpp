@@ -372,15 +372,11 @@ int cmd_failover(const Options& o) {
             << tracer.events_of(metrics::TraceEventKind::kIterationEnd).size()
             << " iterations)\n";
 
-  // Macro-flow aggregation: how well the collective's identical-path flows
-  // collapsed into weighted solver items, plus the lifetime churn counters.
+  // The solver's lifetime work and the flows still live at the end.
   const flowsim::IncrementalMaxMin::Stats& ss = session.solver_stats();
-  const auto agg = session.solver_aggregation();
-  std::cout << "solver: " << ss.resolves << " resolves, " << ss.macros_formed
-            << " macro-flows formed, " << ss.demotions << " demotions; live "
-            << agg.flows << " flows in " << agg.macro_flows << " macro-flows ("
-            << agg.collapse() << "x collapse, members p50 " << agg.members_p50
-            << " max " << agg.members_max << ")\n";
+  std::cout << "solver: " << ss.resolves << " resolves, " << ss.flows_rerated
+            << " flows re-rated; live " << session.solver_aggregation().flows
+            << " network flows\n";
 
   const std::string path = o.trace_path.empty() ? "failover_trace.json" : o.trace_path;
   if (!tracer.save(path)) {

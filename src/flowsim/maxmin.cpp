@@ -23,18 +23,16 @@ void WaterFiller::begin(std::size_t item_hint) {
   path_links_.clear();
   item_cap_.clear();
   item_cap_.reserve(item_hint);
-  item_weight_.clear();
   item_rate_.clear();
   item_fixed_.clear();
 }
 
 std::uint32_t WaterFiller::add_item(const LinkId* links, std::size_t hops,
-                                    double cap_bps, double weight) {
+                                    double cap_bps) {
   const auto i = static_cast<std::uint32_t>(item_cap_.size());
   path_links_.insert(path_links_.end(), links, links + hops);
   item_path_off_.push_back(static_cast<std::uint32_t>(path_links_.size()));
   item_cap_.push_back(cap_bps);
-  item_weight_.push_back(weight);
   item_rate_.push_back(0.0);
   item_fixed_.push_back(0);
   return i;
@@ -64,11 +62,11 @@ std::uint32_t WaterFiller::touch(const topo::Topology& topo, LinkId link) {
   link_slot_[idx] = slot;
   if (slot >= remaining_.size()) {
     remaining_.push_back(0.0);
-    active_weight_.push_back(0.0);
+    active_.push_back(0.0);
     slot_count_.push_back(0);
   }
   remaining_[slot] = topo.link(link).capacity.as_bits_per_sec();
-  active_weight_[slot] = 0.0;
+  active_[slot] = 0.0;
   slot_count_[slot] = 0;
   return slot;
 }
@@ -78,16 +76,11 @@ void WaterFiller::fix(std::uint32_t i, double share, std::size_t& unfixed) {
   item_rate_[i] = rate;
   item_fixed_[i] = 1;
   --unfixed;
-  // Weight-1 items drain exactly `rate` per occurrence (1.0 * r == r), so
-  // per-flow mode is bit-equal to the reference kernel; weighted drains are
-  // exact in reals, within float rounding of w singleton subtractions.
-  const double w = item_weight_[i];
-  const double drain = w * rate;
   const std::uint32_t pend = item_path_off_[i + 1];
   for (std::uint32_t k = item_path_off_[i]; k < pend; ++k) {
     const std::uint32_t slot = link_slot_[path_links_[k].index()];
-    remaining_[slot] = std::max(0.0, remaining_[slot] - drain);
-    active_weight_[slot] -= w;
+    remaining_[slot] = std::max(0.0, remaining_[slot] - rate);
+    active_[slot] -= 1.0;
   }
 }
 
@@ -101,8 +94,8 @@ void WaterFiller::run(const topo::Topology& topo) {
   cap_order_.clear();
   const auto n = static_cast<std::uint32_t>(item_cap_.size());
 
-  // Pass 1: classify items and register their link occurrences (slot
-  // weights, plus per-slot occurrence counts for the CSR below).
+  // Pass 1: classify items and register their link occurrences (per-slot
+  // occurrence counts, for the shares and for the CSR below).
   std::size_t unfixed = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     item_rate_[i] = 0.0;
@@ -122,10 +115,9 @@ void WaterFiller::run(const topo::Topology& topo) {
       continue;
     }
     ++unfixed;
-    const double w = item_weight_[i];
     for (std::uint32_t k = pbeg; k < pend; ++k) {
       const std::uint32_t slot = touch(topo, path_links_[k]);
-      active_weight_[slot] += w;
+      active_[slot] += 1.0;
       ++slot_count_[slot];
     }
     if (std::isfinite(item_cap_[i])) cap_order_.push_back(i);
@@ -156,7 +148,7 @@ void WaterFiller::run(const topo::Topology& topo) {
             });
   heap_.reserve(slots_used_);
   for (std::uint32_t slot = 0; slot < slots_used_; ++slot) {
-    heap_.push_back(HeapEntry{remaining_[slot] / active_weight_[slot], slot});
+    heap_.push_back(HeapEntry{remaining_[slot] / active_[slot], slot});
   }
   std::make_heap(heap_.begin(), heap_.end(),
                  [](const HeapEntry& a, const HeapEntry& b) { return a.share > b.share; });
@@ -169,11 +161,11 @@ void WaterFiller::run(const topo::Topology& topo) {
     double link_share = std::numeric_limits<double>::infinity();
     while (!heap_.empty()) {
       const HeapEntry top = heap_.front();
-      if (active_weight_[top.slot] <= 0.0) {
+      if (active_[top.slot] <= 0.0) {
         heap_pop();
         continue;
       }
-      const double cur = remaining_[top.slot] / active_weight_[top.slot];
+      const double cur = remaining_[top.slot] / active_[top.slot];
       if (cur > top.share) {
         heap_pop();
         heap_push(cur, top.slot);
@@ -204,11 +196,11 @@ void WaterFiller::run(const topo::Topology& topo) {
     // current share is within kEps of the round share.
     while (!heap_.empty()) {
       const HeapEntry top = heap_.front();
-      if (active_weight_[top.slot] <= 0.0) {
+      if (active_[top.slot] <= 0.0) {
         heap_pop();
         continue;
       }
-      const double cur = remaining_[top.slot] / active_weight_[top.slot];
+      const double cur = remaining_[top.slot] / active_[top.slot];
       if (cur > top.share) {
         heap_pop();
         heap_push(cur, top.slot);
@@ -231,7 +223,7 @@ void WaterFiller::run(const topo::Topology& topo) {
 void MaxMinSolver::solve(std::vector<FlowDemand>& flows) {
   filler_.begin(flows.size());
   for (const FlowDemand& f : flows) {
-    filler_.add_item(f.path.data(), f.path.size(), f.cap_bps, 1.0);
+    filler_.add_item(f.path.data(), f.path.size(), f.cap_bps);
   }
   filler_.run(*topo_);
   for (std::size_t i = 0; i < flows.size(); ++i) {
@@ -247,12 +239,12 @@ IncrementalMaxMin::Handle IncrementalMaxMin::add_flow(PathId path, double cap_bp
   } else {
     h = static_cast<Handle>(flows_.size());
     flows_.emplace_back();
+    flow_seen_.push_back(0);
   }
   Flow& f = flows_[h];
   f.path = path;
   f.cap_bps = cap_bps;
   f.alive = true;
-  f.group = kNoGroup;
   ++alive_count_;
   if (paths_.hops(path) == 0) {
     // Host-local transfers are only NIC/loopback-limited; rate them now.
@@ -260,14 +252,18 @@ IncrementalMaxMin::Handle IncrementalMaxMin::add_flow(PathId path, double cap_bp
     return h;
   }
   f.rate_bps = 0.0;
-  join_group(h);
+  attach(h);
+  mark_path_dirty(path);
   return h;
 }
 
 void IncrementalMaxMin::remove_flow(Handle h) {
   Flow& f = flows_[h];
   HPN_CHECK_MSG(f.alive, "remove_flow on dead handle");
-  leave_group(h, /*count_demotion=*/false);
+  if (paths_.hops(f.path) != 0) {
+    mark_path_dirty(f.path);
+    detach(h);
+  }
   f.path = PathTable::kEmpty;
   f.alive = false;
   f.rate_bps = 0.0;
@@ -278,48 +274,33 @@ void IncrementalMaxMin::remove_flow(Handle h) {
 void IncrementalMaxMin::set_path(Handle h, PathId path) {
   Flow& f = flows_[h];
   HPN_CHECK_MSG(f.alive, "set_path on dead handle");
-  if (f.group != kNoGroup && groups_[f.group].path == path) {
-    // Same interned path: membership is unchanged, but keep the per-flow
-    // engine's contract of re-rating the touched component.
+  const bool was_network = paths_.hops(f.path) != 0;
+  if (was_network && f.path == path) {
+    // Same interned path: membership is unchanged; re-rate the component.
     mark_path_dirty(path);
     return;
   }
-  leave_group(h, /*count_demotion=*/true);
+  if (was_network) {
+    mark_path_dirty(f.path);
+    detach(h);
+  }
   f.path = path;
   if (paths_.hops(path) == 0) {
     f.rate_bps = std::isfinite(f.cap_bps) ? f.cap_bps : 0.0;
     return;
   }
   f.rate_bps = 0.0;
-  join_group(h);
-}
-
-void IncrementalMaxMin::set_cap(Handle h, double cap_bps) {
-  Flow& f = flows_[h];
-  HPN_CHECK_MSG(f.alive, "set_cap on dead handle");
-  if (f.group == kNoGroup) {
-    f.cap_bps = cap_bps;
-    f.rate_bps = std::isfinite(cap_bps) ? cap_bps : 0.0;
-    return;
-  }
-  if (std::bit_cast<std::uint64_t>(cap_bps) == std::bit_cast<std::uint64_t>(f.cap_bps)) {
-    // Identical cap bit-pattern: membership holds; re-rate the component
-    // like the per-flow engine does.
-    mark_path_dirty(groups_[f.group].path);
-    return;
-  }
-  leave_group(h, /*count_demotion=*/true);
-  f.cap_bps = cap_bps;
-  join_group(h);
+  attach(h);
+  mark_path_dirty(path);
 }
 
 void IncrementalMaxMin::notify_link_changed(LinkId link) { mark_dirty(link); }
 
 std::size_t IncrementalMaxMin::resolve() {
-  affected_groups_.clear();
+  affected_.clear();
   if (scan_links_) {
     // Unknown links flipped: diff cached up/down state of every link that
-    // carries at least one class (a flip on a flow-free link changes no
+    // carries at least one flow (a flip on a flow-free link changes no
     // allocation, so it can be ignored until a flow lands on it).
     scan_links_ = false;
     for (const LinkId l : member_links_) {
@@ -336,8 +317,8 @@ std::size_t IncrementalMaxMin::resolve() {
     return 0;
   }
 
-  // Closure of the conflict graph over the dirty seeds: every class on a
-  // reached link joins, pulling in every link of its path. Classes outside
+  // Closure of the conflict graph over the dirty seeds: every flow on a
+  // reached link joins, pulling in every link of its path. Flows outside
   // the closure share no link (transitively) with anything that changed,
   // so their max-min subproblem — and rate — is untouched.
   next_stamp();
@@ -347,116 +328,73 @@ std::size_t IncrementalMaxMin::resolve() {
   for (std::size_t qi = 0; qi < bfs_.size(); ++qi) {
     const LinkId l = bfs_[qi];
     link_up_seen_[l.index()] = topo_->link(l).up ? 1 : 0;
-    for (const std::uint32_t gid : link_groups_[l.index()]) {
-      if (group_seen_[gid] == stamp_) continue;
-      group_seen_[gid] = stamp_;
-      affected_groups_.push_back(gid);
-      for (const LinkId pl : paths_.links(groups_[gid].path)) visit_link(pl);
+    for (const Handle h : link_flows_[l.index()]) {
+      if (flow_seen_[h] == stamp_) continue;
+      flow_seen_[h] = stamp_;
+      affected_.push_back(h);
+      for (const LinkId pl : paths_.links(flows_[h].path)) visit_link(pl);
     }
   }
-  if (affected_groups_.empty()) {
+  if (affected_.empty()) {
     stats_.last_affected = 0;
     return 0;
   }
 
-  filler_.begin(affected_groups_.size());
-  std::size_t rerated = 0;
-  for (const std::uint32_t gid : affected_groups_) {
-    const Group& g = groups_[gid];
-    const std::vector<LinkId>& links = paths_.links(g.path);
-    filler_.add_item(links.data(), links.size(), g.cap_bps,
-                     static_cast<double>(g.members.size()));
-    rerated += g.members.size();
+  filler_.begin(affected_.size());
+  for (const Handle h : affected_) {
+    const Flow& f = flows_[h];
+    const std::vector<LinkId>& links = paths_.links(f.path);
+    filler_.add_item(links.data(), links.size(), f.cap_bps);
   }
   filler_.run(*topo_);
-  for (std::uint32_t i = 0; i < affected_groups_.size(); ++i) {
-    groups_[affected_groups_[i]].rate_bps = filler_.rate(i);
+  for (std::uint32_t i = 0; i < affected_.size(); ++i) {
+    flows_[affected_[i]].rate_bps = filler_.rate(i);
   }
 
   ++stats_.resolves;
-  stats_.flows_rerated += rerated;
-  stats_.last_affected = rerated;
-  return rerated;
+  stats_.flows_rerated += affected_.size();
+  stats_.last_affected = affected_.size();
+  return affected_.size();
 }
 
 double IncrementalMaxMin::throughput_on(LinkId link) const {
-  if (link.index() >= link_groups_.size()) return 0.0;
+  if (link.index() >= link_flows_.size()) return 0.0;
   double sum = 0.0;
-  for (const std::uint32_t gid : link_groups_[link.index()]) {
-    const Group& g = groups_[gid];
-    sum += g.rate_bps * static_cast<double>(g.members.size());
-  }
+  for (const Handle h : link_flows_[link.index()]) sum += flows_[h].rate_bps;
   return sum;
-}
-
-IncrementalMaxMin::AggregationSnapshot IncrementalMaxMin::aggregation() const {
-  AggregationSnapshot s;
-  std::vector<std::size_t> sizes;
-  sizes.reserve(groups_.size());
-  for (const Group& g : groups_) {
-    if (g.members.empty()) continue;  // free-list entry
-    sizes.push_back(g.members.size());
-    s.flows += g.members.size();
-    if (g.members.size() >= 2) ++s.multi_member;
-    s.members_max = std::max(s.members_max, g.members.size());
-  }
-  s.macro_flows = sizes.size();
-  if (!sizes.empty()) {
-    const auto mid = sizes.begin() + static_cast<std::ptrdiff_t>(sizes.size() / 2);
-    std::nth_element(sizes.begin(), mid, sizes.end());
-    s.members_p50 = *mid;
-  }
-  return s;
 }
 
 void IncrementalMaxMin::ensure_link(LinkId link) {
   const std::size_t idx = link.index();
-  if (idx < link_groups_.size()) return;
+  if (idx < link_flows_.size()) return;
   const std::size_t n = std::max(topo_->link_count(), idx + 1);
-  link_groups_.resize(n);
+  link_flows_.resize(n);
   link_up_seen_.resize(n, 1);
   member_pos_.resize(n, std::numeric_limits<std::uint32_t>::max());
   link_seen_.resize(n, 0);
 }
 
-std::uint32_t IncrementalMaxMin::new_group(PathId path, double cap_bps) {
-  std::uint32_t gid;
-  if (!free_groups_.empty()) {
-    gid = free_groups_.back();
-    free_groups_.pop_back();
-  } else {
-    gid = static_cast<std::uint32_t>(groups_.size());
-    groups_.emplace_back();
-    group_seen_.push_back(0);
-  }
-  Group& g = groups_[gid];
-  g.path = path;
-  g.cap_bps = cap_bps;
-  g.rate_bps = 0.0;
-  g.members.clear();
-  attach_group(gid);
-  return gid;
-}
-
-void IncrementalMaxMin::attach_group(std::uint32_t gid) {
-  for (const LinkId l : paths_.links(groups_[gid].path)) {
+void IncrementalMaxMin::attach(Handle h) {
+  ++network_count_;
+  for (const LinkId l : paths_.links(flows_[h].path)) {
     ensure_link(l);
     const std::size_t idx = l.index();
-    if (link_groups_[idx].empty()) {
+    if (link_flows_[idx].empty()) {
       member_pos_[idx] = static_cast<std::uint32_t>(member_links_.size());
       member_links_.push_back(l);
       link_up_seen_[idx] = topo_->link(l).up ? 1 : 0;
     }
-    link_groups_[idx].push_back(gid);
+    link_flows_[idx].push_back(h);
   }
 }
 
-void IncrementalMaxMin::detach_group(std::uint32_t gid) {
-  for (const LinkId l : paths_.links(groups_[gid].path)) {
+void IncrementalMaxMin::detach(Handle h) {
+  --network_count_;
+  for (const LinkId l : paths_.links(flows_[h].path)) {
     const std::size_t idx = l.index();
-    auto& members = link_groups_[idx];
-    const auto it = std::find(members.begin(), members.end(), gid);
-    HPN_CHECK_MSG(it != members.end(), "class missing from link membership");
+    auto& members = link_flows_[idx];
+    const auto it = std::find(members.begin(), members.end(), h);
+    HPN_CHECK_MSG(it != members.end(), "flow missing from link membership");
     *it = members.back();
     members.pop_back();
     if (members.empty()) {
@@ -468,46 +406,6 @@ void IncrementalMaxMin::detach_group(std::uint32_t gid) {
       member_links_.pop_back();
       member_pos_[idx] = std::numeric_limits<std::uint32_t>::max();
     }
-  }
-}
-
-void IncrementalMaxMin::join_group(Handle h) {
-  Flow& f = flows_[h];
-  std::uint32_t gid;
-  if (mode_ == Aggregation::kMacroFlows) {
-    const auto [it, inserted] = group_index_.try_emplace(key_of(f.path, f.cap_bps), 0u);
-    if (inserted) it->second = new_group(f.path, f.cap_bps);
-    gid = it->second;
-  } else {
-    gid = new_group(f.path, f.cap_bps);
-  }
-  Group& g = groups_[gid];
-  f.group = gid;
-  f.member_pos = static_cast<std::uint32_t>(g.members.size());
-  g.members.push_back(h);
-  if (g.members.size() == 2) ++stats_.macros_formed;
-  mark_path_dirty(g.path);
-}
-
-void IncrementalMaxMin::leave_group(Handle h, bool count_demotion) {
-  Flow& f = flows_[h];
-  const std::uint32_t gid = f.group;
-  if (gid == kNoGroup) return;  // host-local: never grouped
-  Group& g = groups_[gid];
-  if (count_demotion && g.members.size() >= 2) ++stats_.demotions;
-  const Handle moved = g.members.back();
-  g.members[f.member_pos] = moved;
-  flows_[moved].member_pos = f.member_pos;
-  g.members.pop_back();
-  f.group = kNoGroup;
-  mark_path_dirty(g.path);
-  if (g.members.empty()) {
-    if (mode_ == Aggregation::kMacroFlows) {
-      group_index_.erase(key_of(g.path, g.cap_bps));
-    }
-    detach_group(gid);
-    g.path = PathId::invalid();
-    free_groups_.push_back(gid);
   }
 }
 
@@ -523,7 +421,7 @@ void IncrementalMaxMin::mark_path_dirty(PathId path) {
 void IncrementalMaxMin::next_stamp() {
   if (++stamp_ == 0) {
     std::fill(link_seen_.begin(), link_seen_.end(), 0u);
-    std::fill(group_seen_.begin(), group_seen_.end(), 0u);
+    std::fill(flow_seen_.begin(), flow_seen_.end(), 0u);
     stamp_ = 1;
   }
 }

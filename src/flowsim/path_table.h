@@ -1,12 +1,12 @@
 // Path interning: content-hash std::vector<LinkId> paths into dense PathIds.
 //
-// LLM collective traffic is massively regular — every member of a ring
-// collective's edge, every channel, every pipeline chunk reuses the same
-// handful of link sequences — so the same path is registered thousands of
-// times. Interning makes "same path" an O(1) id compare (the hook the
-// macro-flow aggregation in IncrementalMaxMin keys on) and stores each
-// distinct link sequence exactly once, killing the per-flow vector copies
-// that used to ride along through FlowSession / FlowRecord / the solver.
+// Collective traffic reuses a small set of link sequences: every step of a
+// connection's ring, every channel and every pipeline chunk sends over the
+// same path, so the same path is registered thousands of times. Interning
+// makes "same path" an O(1) id compare (what FlowSession::reroute_flow and
+// IncrementalMaxMin::set_path check), stores each distinct link sequence
+// exactly once, and spares the per-flow vector copies that used to ride
+// along through FlowSession / FlowRecord / the solver.
 //
 // The table is append-only: distinct paths are bounded by the topology's
 // path diversity (ECMP fan-out x node pairs), not by flow count, so entries

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/check.h"
 
@@ -21,13 +20,8 @@ std::int64_t served_bits(DataSize size, double remaining) {
 }
 }  // namespace
 
-FlowSession::FlowSession(const topo::Topology& topology, sim::Simulator& simulator,
-                         Aggregation aggregation)
-    : topo_{&topology},
-      sim_{&simulator},
-      aggregation_{aggregation},
-      solver_{topology, aggregation},
-      last_settle_{simulator.now()} {}
+FlowSession::FlowSession(const topo::Topology& topology, sim::Simulator& simulator)
+    : topo_{&topology}, sim_{&simulator}, solver_{topology}, last_settle_{simulator.now()} {}
 
 FlowSession::Snapshot FlowSession::snapshot() const {
   HPN_CHECK_MSG(handle_of_.empty(), "session snapshot requires no active flows");
@@ -63,17 +57,15 @@ void FlowSession::restore(const Snapshot& snap) {
   // own tables hold only free entries now; they restart with it, and give
   // their memory back, so a quiescent session kept for re-runs (serve's
   // cached bases) does not pin its peak-sized tables.
-  solver_ = IncrementalMaxMin{*topo_, aggregation_};
+  solver_ = IncrementalMaxMin{*topo_};
   slots_ = {};
   handle_of_ = {};
-  classes_ = {};
-  free_classes_ = {};
-  class_of_group_ = {};
   heap_ = {};
   touched_local_ = {};
   done_ = {};
   audit_shadow_ = {};
-  scheduled_class_ = kNone;
+  audit_load_ = {};
+  scheduled_ = kNone;
   stats_ = Stats{};
 }
 
@@ -161,9 +153,9 @@ bool FlowSession::reroute_flow(FlowId id, PathId new_path) {
   if (h == kNone) return false;
   settle_to_now();
   if (solver_.path_id(h) == new_path) {
-    solver_.set_path(h, new_path);  // same class; re-rates its component
+    solver_.set_path(h, new_path);  // same path; re-rates its component
   } else {
-    // Settle this one member and re-tag it into its new class.
+    // Settle the flow and restart its clock on the new path.
     const double rem = remaining(h);
     detach(h);
     solver_.set_path(h, new_path);
@@ -202,7 +194,7 @@ DataSize FlowSession::delivered_total() const {
 
 double FlowSession::remaining(Handle h) const {
   const Slot& s = slots_[h];
-  return std::max(0.0, s.tag - clock_at(classes_[s.cls], sim_->now()));
+  return std::max(0.0, s.bits - clock_at(s, sim_->now()));
 }
 
 // ---- FlowId index -----------------------------------------------------------
@@ -257,172 +249,78 @@ void FlowSession::IdIndex::erase(FlowId id) {
   --size_;
 }
 
-// ---- Classes and their member heaps ----------------------------------------
+// ---- Flow clocks and the completion heap ------------------------------------
 
 void FlowSession::attach(Handle h, double bits) {
-  const TimePoint now = sim_->now();
-  const std::uint32_t group = solver_.class_of(h);
-  std::uint32_t cls = group < class_of_group_.size() ? class_of_group_[group] : kNone;
-  if (cls == kNone) {
-    if (!free_classes_.empty()) {
-      cls = free_classes_.back();
-      free_classes_.pop_back();
-    } else {
-      cls = static_cast<std::uint32_t>(classes_.size());
-      classes_.resize(cls + 1);
-    }
-    Class& c = classes_[cls];
-    c.group = group;
-    c.heap_pos = kNone;
-    c.stalled = 0;
-    c.clock = 0.0;
-    c.rate = solver_.rate(h);  // a fresh solver class rates 0 until resolved
-    c.at = now;
-    c.members.clear();
-    if (group == IncrementalMaxMin::kNoClass) {
-      touched_local_.push_back(cls);
-    } else {
-      if (group >= class_of_group_.size()) class_of_group_.resize(group + 1, kNone);
-      class_of_group_[group] = cls;
-    }
-  }
-  Class& c = classes_[cls];
-  c.clock = clock_at(c, now);
-  c.at = now;
   Slot& s = slots_[h];
-  s.cls = cls;
-  s.tag = c.clock + bits;
-  if (s.stalled) ++c.stalled;
-  s.pos = c.members.size();
-  c.members.push_back(h);
-  member_sift_up(c, s.pos);
-  rekey(cls);
+  s.bits = bits;
+  s.clock = 0.0;
+  s.rate = solver_.rate(h);  // a new network flow rates 0 until resolved
+  s.at = sim_->now();
+  if (solver_.paths().hops(solver_.path_id(h)) == 0) touched_local_.push_back(h);
+  rekey(h);
 }
 
 void FlowSession::detach(Handle h) {
   Slot& s = slots_[h];
-  const std::uint32_t cls = s.cls;
-  Class& c = classes_[cls];
-  const Handle last = c.members.back();
-  c.members.pop_back();
-  if (last != h) {
-    const std::uint32_t pos = s.pos;
-    c.members[pos] = last;
-    slots_[last].pos = pos;
-    member_sift_up(c, pos);
-    if (slots_[last].pos == pos) member_sift_down(c, pos);
-  }
-  if (s.stalled) --c.stalled;
-  s.cls = kNone;
-  if (c.members.empty()) {
-    free_class(cls);
-  } else {
-    rekey(cls);
-  }
-}
-
-void FlowSession::free_class(std::uint32_t cls) {
-  Class& c = classes_[cls];
-  const std::uint32_t pos = c.heap_pos;
+  const std::uint32_t pos = s.heap_pos;
   const HeapEntry moved = heap_.back();
   heap_.pop_back();
-  if (moved.cls != cls) {
+  if (moved.h != h) {
     heap_[pos] = moved;
-    classes_[moved.cls].heap_pos = pos;
+    slots_[moved.h].heap_pos = pos;
     heap_sift_up(pos);
-    if (classes_[moved.cls].heap_pos == pos) heap_sift_down(pos);
+    if (slots_[moved.h].heap_pos == pos) heap_sift_down(pos);
   }
   ++stats_.heap_updates;
-  c.heap_pos = kNone;
-  if (c.group != IncrementalMaxMin::kNoClass) class_of_group_[c.group] = kNone;
-  free_classes_.push_back(cls);
+  s.heap_pos = kNone;
 }
 
-void FlowSession::rerate(std::uint32_t cls, double rate) {
-  Class& c = classes_[cls];
-  // Zero-rate members are stalled on a down link; they hold position until
-  // reroute_flow/refresh gives them a live path again. Members are visited
-  // only when some of them change state.
+void FlowSession::rerate(Handle h, double rate) {
+  Slot& s = slots_[h];
+  // A zero-rate flow is stalled on a down link; it holds position until
+  // reroute_flow/refresh gives it a live path again.
   const bool stall = rate <= 0.0;
-  const bool stall_changes = stall ? c.stalled < c.members.size() : c.stalled > 0;
   // Same rate, same stall state: the clock and heap key still hold.
-  if (rate == c.rate && !stall_changes) return;
+  if (rate == s.rate && stall == s.stalled) return;
   const TimePoint now = sim_->now();
-  c.clock = clock_at(c, now);
-  c.at = now;
-  c.rate = rate;
+  s.clock = clock_at(s, now);
+  s.at = now;
+  s.rate = rate;
   ++stats_.classes_rerated;
-  if (stall_changes) {
-    for (std::uint32_t i = 0; i < c.members.size(); ++i) {
-      Slot& s = slots_[c.members[i]];
-      if (s.stalled == stall) continue;
-      s.stalled = stall;
-      stall_events_.push_back({s.id, stall, stall ? std::max(0.0, s.tag - c.clock) : 0.0});
-    }
-    c.stalled = stall ? c.members.size() : 0;
+  if (stall != s.stalled) {
+    s.stalled = stall;
+    stall_events_.push_back({s.id, stall, stall ? std::max(0.0, s.bits - s.clock) : 0.0});
   }
-  rekey(cls);
+  rekey(h);
 }
 
-void FlowSession::rekey(std::uint32_t cls) {
-  Class& c = classes_[cls];
-  const double rem = slots_[c.members.front()].tag - c.clock;
+void FlowSession::rekey(Handle h) {
+  Slot& s = slots_[h];
+  const double rem = s.bits - s.clock;
   double key;
-  if (c.rate > 0.0) {
-    key = c.at.as_seconds() + rem / c.rate;
+  if (s.rate > 0.0) {
+    key = s.at.as_seconds() + rem / s.rate;
   } else {
-    key = rem <= kBitEps ? c.at.as_seconds() : kInf;
+    key = rem <= kBitEps ? s.at.as_seconds() : kInf;
   }
   ++stats_.heap_updates;
-  if (c.heap_pos == kNone) {
-    c.heap_pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back({key, cls});
-    heap_sift_up(c.heap_pos);
+  if (s.heap_pos == kNone) {
+    s.heap_pos = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back({key, h});
+    heap_sift_up(s.heap_pos);
   } else {
-    heap_[c.heap_pos].key = key;
-    const std::uint32_t pos = c.heap_pos;
+    heap_[s.heap_pos].key = key;
+    const std::uint32_t pos = s.heap_pos;
     heap_sift_up(pos);
-    if (c.heap_pos == pos) heap_sift_down(pos);
+    if (s.heap_pos == pos) heap_sift_down(pos);
   }
 }
 
-bool FlowSession::member_less(Handle a, Handle b) const {
-  const Slot& x = slots_[a];
-  const Slot& y = slots_[b];
-  if (x.tag != y.tag) return x.tag < y.tag;
-  return x.id.value() < y.id.value();
+bool FlowSession::before(const HeapEntry& a, const HeapEntry& b) const {
+  if (a.key != b.key) return a.key < b.key;
+  return slots_[a.h].id.value() < slots_[b.h].id.value();
 }
-
-void FlowSession::member_sift_up(Class& c, std::uint32_t i) {
-  const Handle h = c.members[i];
-  while (i > 0) {
-    const std::uint32_t parent = (i - 1) / 2;
-    if (!member_less(h, c.members[parent])) break;
-    c.members[i] = c.members[parent];
-    slots_[c.members[i]].pos = i;
-    i = parent;
-  }
-  c.members[i] = h;
-  slots_[h].pos = i;
-}
-
-void FlowSession::member_sift_down(Class& c, std::uint32_t i) {
-  const Handle h = c.members[i];
-  const std::uint32_t n = c.members.size();
-  for (;;) {
-    std::uint32_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && member_less(c.members[child + 1], c.members[child])) ++child;
-    if (!member_less(c.members[child], h)) break;
-    c.members[i] = c.members[child];
-    slots_[c.members[i]].pos = i;
-    i = child;
-  }
-  c.members[i] = h;
-  slots_[h].pos = i;
-}
-
-// ---- The completion heap over classes --------------------------------------
 
 // The completion heap is 4-ary: a drain pops the root and sifts its
 // replacement down, and four 16-byte children share one cache line.
@@ -430,13 +328,13 @@ void FlowSession::heap_sift_up(std::uint32_t i) {
   const HeapEntry e = heap_[i];
   while (i > 0) {
     const std::uint32_t parent = (i - 1) / 4;
-    if (!(e < heap_[parent])) break;
+    if (!before(e, heap_[parent])) break;
     heap_[i] = heap_[parent];
-    classes_[heap_[i].cls].heap_pos = i;
+    slots_[heap_[i].h].heap_pos = i;
     i = parent;
   }
   heap_[i] = e;
-  classes_[e.cls].heap_pos = i;
+  slots_[e.h].heap_pos = i;
 }
 
 void FlowSession::heap_sift_down(std::uint32_t i) {
@@ -448,15 +346,15 @@ void FlowSession::heap_sift_down(std::uint32_t i) {
     std::uint32_t child = first;
     const std::uint32_t last = std::min(first + 4, n);
     for (std::uint32_t k = first + 1; k < last; ++k) {
-      if (heap_[k] < heap_[child]) child = k;
+      if (before(heap_[k], heap_[child])) child = k;
     }
-    if (!(heap_[child] < e)) break;
+    if (!before(heap_[child], e)) break;
     heap_[i] = heap_[child];
-    classes_[heap_[i].cls].heap_pos = i;
+    slots_[heap_[i].h].heap_pos = i;
     i = child;
   }
   heap_[i] = e;
-  classes_[e.cls].heap_pos = i;
+  slots_[e.h].heap_pos = i;
 }
 
 // ---- Recompute -------------------------------------------------------------
@@ -471,7 +369,7 @@ void FlowSession::settle_to_now() {
   for (Handle h = 0; h < slots_.size(); ++h) {
     const Slot& s = slots_[h];
     if (s.id.value() == 0) continue;
-    const double moved = classes_[s.cls].rate * dt;
+    const double moved = s.rate * dt;
     double& shadow = audit_shadow_[h];
     audit_delivered_bits_ += std::min(moved, shadow);
     shadow = std::max(0.0, shadow - moved);
@@ -493,13 +391,13 @@ void FlowSession::recompute_and_reschedule() {
   const bool audit = sim_->auditor().enabled();
 
   // Drain everything within a bit of done (incl. zero-size flows). The heap
-  // orders classes by the instant their smallest tag drains, so the sweep
-  // stops at the first class minimum that still owes more than a bit.
+  // orders flows by the instant they drain, so the sweep stops at the first
+  // flow that still owes more than a bit.
   done_.clear();
   while (!heap_.empty()) {
-    const Class& c = classes_[heap_.front().cls];
-    const Handle h = c.members.front();
-    if (slots_[h].tag - clock_at(c, now) > kBitEps) break;
+    const Handle h = heap_.front().h;
+    const Slot& s = slots_[h];
+    if (s.bits - clock_at(s, now) > kBitEps) break;
     detach(h);
     done_.push_back(h);
   }
@@ -525,21 +423,21 @@ void FlowSession::recompute_and_reschedule() {
   }
   stats_.completions += done_.size();
 
-  // Re-rate whatever the batched changes touched; unaffected classes keep
+  // Re-rate whatever the batched changes touched; unaffected flows keep
   // their rate, clock and heap key and are not revisited.
   solver_.resolve();
-  for (const std::uint32_t group : solver_.rerated_classes()) {
-    rerate(class_of_group_[group], solver_.class_rate(group));
-  }
+  for (const Handle h : solver_.rerated()) rerate(h, solver_.rate(h));
   if (!touched_local_.empty()) {
     // Host-local flows never reach the solver; their rate is fixed at the
     // cap, but a new one still needs its stall state settled.
     std::sort(touched_local_.begin(), touched_local_.end());
     touched_local_.erase(std::unique(touched_local_.begin(), touched_local_.end()),
                          touched_local_.end());
-    for (const std::uint32_t cls : touched_local_) {
-      const Class& c = classes_[cls];
-      if (c.group == IncrementalMaxMin::kNoClass && !c.members.empty()) rerate(cls, c.rate);
+    for (const Handle h : touched_local_) {
+      const Slot& s = slots_[h];
+      if (s.id.value() != 0 && solver_.paths().hops(solver_.path_id(h)) == 0) {
+        rerate(h, s.rate);
+      }
     }
     touched_local_.clear();
   }
@@ -572,24 +470,23 @@ void FlowSession::recompute_and_reschedule() {
 }
 
 void FlowSession::reschedule_completion() {
-  const std::uint32_t top = heap_.empty() ? kNone : heap_.front().cls;
+  const Handle top = heap_.empty() ? kNone : heap_.front().h;
   const double key = heap_.empty() ? kInf : heap_.front().key;
   if (pending_completion_ != sim::kInvalidEvent) {
-    if (top == scheduled_class_ && key == scheduled_key_) return;  // minimum unchanged
+    if (top == scheduled_ && key == scheduled_key_) return;  // minimum unchanged
     sim_->cancel(pending_completion_);
     pending_completion_ = sim::kInvalidEvent;
   }
   if (!std::isfinite(key)) return;
-  const Class& c = classes_[top];
-  const double rem =
-      std::max(0.0, slots_[c.members.front()].tag - clock_at(c, sim_->now()));
-  // A finite key at rate zero is a stalled member already within a bit of
+  const Slot& s = slots_[top];
+  const double rem = std::max(0.0, s.bits - clock_at(s, sim_->now()));
+  // A finite key at rate zero is a stalled flow already within a bit of
   // done: drain it at the next instant.
-  const double finish_s = c.rate > 0.0 ? rem / c.rate : 0.0;
+  const double finish_s = s.rate > 0.0 ? rem / s.rate : 0.0;
   // Round up so the flow has fully drained when the event fires.
   const Duration d =
       Duration::nanos(static_cast<std::int64_t>(std::ceil(finish_s * 1e9)) + 1);
-  scheduled_class_ = top;
+  scheduled_ = top;
   scheduled_key_ = key;
   pending_completion_ = sim_->schedule_after(d, [this] {
     pending_completion_ = sim::kInvalidEvent;
@@ -607,7 +504,7 @@ void FlowSession::audit_allocation() {
 
   double inflight_bits = 0.0;
   double brute_min = kInf;
-  std::unordered_map<LinkId, double> link_load;
+  audit_load_.assign(topo_->link_count(), 0.0);
   for (Handle h = 0; h < slots_.size(); ++h) {
     const Slot& s = slots_[h];
     if (s.id.value() == 0) continue;
@@ -625,7 +522,7 @@ void FlowSession::audit_allocation() {
                   });
     bool path_up = true;
     for (const LinkId link : solver_.path(h)) {
-      link_load[link] += rate;
+      audit_load_[link.index()] += rate;
       if (!topo_->is_up(link)) path_up = false;
     }
     auditor.check(rate <= 0.0 || path_up, sim::AuditRule::kDownLinkForwarding, now, [&] {
@@ -647,10 +544,9 @@ void FlowSession::audit_allocation() {
                   });
 
     // Brute-force projected finish, the same convention as the heap keys.
-    const Class& c = classes_[s.cls];
-    const double rem = s.tag - clock_at(c, now);
-    const double finish = c.rate > 0.0       ? now_s + rem / c.rate
-                          : rem <= kBitEps   ? c.at.as_seconds()
+    const double rem = s.bits - clock_at(s, now);
+    const double finish = s.rate > 0.0       ? now_s + rem / s.rate
+                          : rem <= kBitEps   ? s.at.as_seconds()
                                              : kInf;
     brute_min = std::min(brute_min, finish);
   }
@@ -666,7 +562,10 @@ void FlowSession::audit_allocation() {
     return os.str();
   });
 
-  for (const auto& [link, load] : link_load) {
+  // Ascending LinkId, so overload messages come out in one defined order.
+  for (std::size_t l = 0; l < audit_load_.size(); ++l) {
+    const LinkId link{static_cast<LinkId::underlying>(l)};
+    const double load = audit_load_[l];
     const double cap = topo_->link(link).capacity.as_bits_per_sec();
     auditor.check(load <= cap * (1.0 + kRelEps) + 1.0, sim::AuditRule::kRateOverCapacity,
                   now, [&] {

@@ -12,19 +12,16 @@
 // so failure-driven runs pay for the blast radius of the event instead of
 // a cold solve over every active flow.
 //
-// Progress is settled lazily, per solver class. Every member of a
-// (path, cap) class moves at the class's rate, so a class keeps one service
-// clock: per-member bits served since it formed, plus the rate and instant
-// of its last change. A member stores only its finish tag (its bits to
-// deliver plus the clock when it joined); its remaining bits are
-// tag - clock(now), computed when asked. Members are ordered by tag inside
-// their class, and one indexed min-heap orders the live classes by the
-// instant their smallest tag drains. A recompute therefore costs
-// O((classes re-rated + flows completed) * log n), not O(active flows):
-// only the classes the solver re-rated advance their clock and get a new
-// heap key, and the completion event is rescheduled only when the heap
-// minimum moves. Rates (rate_of, throughput_on) are the solver's, as of the
-// last recompute.
+// Progress is settled lazily, per flow. A flow keeps one service clock:
+// bits served since it (re)joined, plus the rate and instant of its last
+// change; its remaining bits are its bits to deliver minus clock(now),
+// computed when asked. One indexed min-heap orders the active flows by the
+// instant they drain, ties broken by FlowId. A recompute therefore costs
+// O((flows re-rated + flows completed) * log n), not O(active flows): only
+// the flows the solver re-rated advance their clock and get a new heap
+// key, and the completion event is rescheduled only when the heap minimum
+// moves. Rates (rate_of, throughput_on) are the solver's, as of the last
+// recompute.
 //
 // Flows that complete at one instant fire their callbacks in ascending
 // FlowId order, after the rates of the survivors have been re-solved.
@@ -62,8 +59,7 @@ class FlowSession {
  public:
   using CompletionFn = std::function<void(FlowId)>;
 
-  FlowSession(const topo::Topology& topology, sim::Simulator& simulator,
-              Aggregation aggregation = Aggregation::kMacroFlows);
+  FlowSession(const topo::Topology& topology, sim::Simulator& simulator);
 
   /// Starts a flow of `size` over `path`, source-capped at `cap`.
   /// `on_complete` fires when the last bit is delivered (it may start new
@@ -102,7 +98,7 @@ class FlowSession {
   [[nodiscard]] std::optional<DataSize> remaining_of(FlowId id) const;
 
   /// Aggregate allocated rate over a link, one term per path occurrence —
-  /// O(classes on the link).
+  /// O(flows on the link).
   [[nodiscard]] Bandwidth throughput_on(LinkId link) const;
 
   /// Bits delivered: every completed flow's size, the bits aborted flows
@@ -114,7 +110,7 @@ class FlowSession {
   /// restore() zeroes it along with the solver's counters.
   struct Stats {
     std::uint64_t recomputes = 0;       ///< batched drain + re-rate passes
-    std::uint64_t classes_rerated = 0;  ///< classes a resolve moved to a new rate
+    std::uint64_t classes_rerated = 0;  ///< flows a recompute moved to a new rate
     std::uint64_t heap_updates = 0;     ///< completion-heap inserts, erases, re-keys
     std::uint64_t completions = 0;      ///< flows drained (callbacks fired)
   };
@@ -125,9 +121,15 @@ class FlowSession {
     return solver_.stats();
   }
 
-  /// Point-in-time macro-flow aggregation shape of the active flow set.
-  [[nodiscard]] IncrementalMaxMin::AggregationSnapshot solver_aggregation() const {
-    return solver_.aggregation();
+  /// Active network flows and the water-filling items they form (host-local
+  /// flows never reach the solver). Each flow is one item, so the two are
+  /// equal; both are kept for reports that print the ratio.
+  struct SolverItems {
+    std::size_t flows = 0;
+    std::size_t macro_flows = 0;
+  };
+  [[nodiscard]] SolverItems solver_aggregation() const {
+    return {solver_.network_flow_count(), solver_.network_flow_count()};
   }
 
   /// The solver's path interner (intern once, start many flows by PathId).
@@ -168,19 +170,21 @@ class FlowSession {
   /// One active flow, indexed by its solver Handle (id == 0: free slot).
   struct Slot {
     FlowId id{0};
-    std::uint32_t cls = kNone;  ///< session class
-    std::uint32_t pos = 0;      ///< index in the class's member heap
-    bool stalled = false;       ///< rate hit zero while bits remain (down link)
-    double tag = 0.0;           ///< bits to deliver + class clock at join
+    std::uint32_t heap_pos = kNone;  ///< index in heap_
+    bool stalled = false;            ///< rate hit zero while bits remain (down link)
+    double bits = 0.0;               ///< bits to deliver when it (re)joined
+    double clock = 0.0;              ///< bits served since it (re)joined, as of `at`
+    double rate = 0.0;               ///< rate since `at`
+    TimePoint at;
     TimePoint started;
     DataSize size;
     CompletionFn on_complete;
   };
 
-  /// Slots and classes grow in fixed 1024-entry chunks: growth never
-  /// copies or frees a large block, and the chunks a restored session
-  /// releases are the size the next session asks for, so long-lived
-  /// processes that rebuild sessions (serve) do not fragment the heap.
+  /// Slots grow in fixed 1024-entry chunks: growth never copies or frees a
+  /// large block, and the chunks a restored session releases are the size
+  /// the next session asks for, so long-lived processes that rebuild
+  /// sessions (serve) do not fragment the heap.
   template <class T>
   class Chunked {
    public:
@@ -221,75 +225,29 @@ class FlowSession {
     std::size_t size_ = 0;
   };
 
-  /// A class's members: a min-heap on (tag, id) whose first entry is
-  /// stored inline, so the common one-flow class allocates nothing.
-  class Members {
-   public:
-    [[nodiscard]] std::uint32_t size() const { return n_; }
-    [[nodiscard]] bool empty() const { return n_ == 0; }
-    [[nodiscard]] Handle front() const { return first_; }
-    [[nodiscard]] Handle back() const { return (*this)[n_ - 1]; }
-    Handle& operator[](std::uint32_t i) { return i == 0 ? first_ : rest_[i - 1]; }
-    Handle operator[](std::uint32_t i) const { return i == 0 ? first_ : rest_[i - 1]; }
-    void push_back(Handle h) {
-      if (n_++ == 0) {
-        first_ = h;
-      } else {
-        rest_.push_back(h);
-      }
-    }
-    void pop_back() {
-      if (--n_ > 0) rest_.pop_back();
-    }
-    void clear() {
-      n_ = 0;
-      rest_.clear();
-    }
-
-   private:
-    Handle first_ = 0;
-    std::uint32_t n_ = 0;
-    std::vector<Handle> rest_;
-  };
-
-  /// One solver class (or one host-local flow) with its service clock.
-  struct Class {
-    std::uint32_t group = IncrementalMaxMin::kNoClass;  ///< solver class
-    std::uint32_t heap_pos = kNone;  ///< index in heap_
-    std::uint32_t stalled = 0;       ///< members with Slot::stalled set
-    double clock = 0.0;              ///< per-member bits served, as of `at`
-    double rate = 0.0;               ///< per-member rate since `at`
-    TimePoint at;
-    Members members;
-  };
-
-  /// Completion-heap entry: the instant (s) a class's smallest tag drains
-  /// (inf while stalled), kept inline so sifting never touches classes_.
+  /// Completion-heap entry: the instant (s) a flow drains (inf while
+  /// stalled), kept inline so sifting reads slots only to break ties.
   struct HeapEntry {
     double key;
-    std::uint32_t cls;
-    [[nodiscard]] bool operator<(const HeapEntry& o) const {
-      return key != o.key ? key < o.key : cls < o.cls;
-    }
+    Handle h;
   };
 
-  [[nodiscard]] double clock_at(const Class& c, TimePoint now) const {
-    return c.clock + c.rate * (now - c.at).as_seconds();
+  [[nodiscard]] static double clock_at(const Slot& s, TimePoint now) {
+    return s.clock + s.rate * (now - s.at).as_seconds();
   }
   /// Lazily settled bits `h` still has to deliver (never negative).
   [[nodiscard]] double remaining(Handle h) const;
 
-  /// Tag `h` with `bits` to go and add it to the class of its solver flow.
+  /// Restart `h`'s clock with `bits` to go at its solver rate and key it
+  /// into the completion heap.
   void attach(Handle h, double bits);
-  /// Take `h` out of its class, freeing the class if it empties.
+  /// Take `h` out of the completion heap.
   void detach(Handle h);
-  /// Advance a class's clock to now and switch it to `rate`.
-  void rerate(std::uint32_t cls, double rate);
-  void rekey(std::uint32_t cls);
-  void free_class(std::uint32_t cls);
-  [[nodiscard]] bool member_less(Handle a, Handle b) const;
-  void member_sift_up(Class& c, std::uint32_t i);
-  void member_sift_down(Class& c, std::uint32_t i);
+  /// Advance `h`'s clock to now and switch it to `rate`.
+  void rerate(Handle h, double rate);
+  void rekey(Handle h);
+  /// Heap order: earlier key first, then smaller FlowId.
+  [[nodiscard]] bool before(const HeapEntry& a, const HeapEntry& b) const;
   void heap_sift_up(std::uint32_t i);
   void heap_sift_down(std::uint32_t i);
 
@@ -311,19 +269,15 @@ class FlowSession {
 
   const topo::Topology* topo_;
   sim::Simulator* sim_;
-  Aggregation aggregation_;  ///< kept so restore() can rebuild the solver
   IncrementalMaxMin solver_;
   Chunked<Slot> slots_;
   IdIndex handle_of_;
-  Chunked<Class> classes_;
-  std::vector<std::uint32_t> free_classes_;
-  std::vector<std::uint32_t> class_of_group_;  ///< solver class -> session class
-  std::vector<HeapEntry> heap_;                ///< one entry per live class
-  std::vector<std::uint32_t> touched_local_;   ///< host-local classes since last recompute
+  std::vector<HeapEntry> heap_;         ///< one entry per active flow
+  std::vector<Handle> touched_local_;   ///< host-local flows since last recompute
   FlowId::underlying next_id_ = 1;
   sim::EventId pending_recompute_ = sim::kInvalidEvent;
   sim::EventId pending_completion_ = sim::kInvalidEvent;
-  std::uint32_t scheduled_class_ = kNone;  ///< heap minimum the event was set for
+  Handle scheduled_ = kNone;  ///< heap minimum the event was set for
   double scheduled_key_ = 0.0;
   std::int64_t delivered_bits_ = 0;  ///< completed sizes + aborted flows' served bits
   bool tracing_ = false;
@@ -338,6 +292,7 @@ class FlowSession {
     double bits;
   };
   std::vector<StallEvent> stall_events_;
+  std::vector<double> audit_load_;  ///< audit_allocation scratch, LinkId-indexed
 
   /// Auditor state: the eager shadow (remaining bits per Handle, settled at
   /// every event like the pre-lazy session) and the conservation ledger in

@@ -96,8 +96,8 @@ struct QueryEngine::BaseState {
       : scenario(std::move(s)),
         hash(h),
         mat(fuzz::materialize(scenario)),
-        solver(mat.cluster.topo, flowsim::Aggregation::kPerFlow),
-        scratch(mat.cluster.topo, flowsim::Aggregation::kPerFlow) {
+        solver(mat.cluster.topo),
+        scratch(mat.cluster.topo) {
     topo::Topology& topo = mat.cluster.topo;
     // Permanent faults (down_for == 0) are *planning* state: steady-state
     // allocations answer "after every unrepaired failure has landed".
@@ -246,8 +246,7 @@ QueryResult eval_run(BaseState& b) {
   QueryResult r = base_alloc(b);
   if (b.sim == nullptr) {
     b.sim = std::make_unique<sim::Simulator>();
-    b.session = std::make_unique<flowsim::FlowSession>(
-        b.mat.cluster.topo, *b.sim, flowsim::Aggregation::kPerFlow);
+    b.session = std::make_unique<flowsim::FlowSession>(b.mat.cluster.topo, *b.sim);
     b.sim_snap = b.sim->snapshot();
     b.sess_snap = b.session->snapshot();
   }

@@ -1,10 +1,8 @@
-// Macro-flow aggregation battery: the aggregated engine must allocate
-// exactly like the preserved per-flow engine (tests/support/
-// reference_incremental.h) — bit-equal in kPerFlow mode, within the
-// documented kEps contract in kMacroFlows mode — across fuzzed mutation
-// sequences, every registry fabric, and the aggregation-specific edges
-// (weighted fairness, demotion by cap/path divergence, duplicate-link
-// paths, member-weighted accounting).
+// The production engine against the preserved per-flow engine
+// (tests/support/reference_incremental.h): bit-equal rates and equal
+// re-rate counts across fuzzed mutation sequences and every registry
+// fabric, plus the edges a per-flow solver must get right (capped flows,
+// duplicate-link paths, link loads, the PathId overloads).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -28,8 +26,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// The production engine and the preserved per-flow oracle, driven through
 /// identical mutation sequences.
 struct MirroredEngines {
-  MirroredEngines(const topo::Topology& t, Aggregation mode)
-      : agg{t, mode}, ref{t} {}
+  explicit MirroredEngines(const topo::Topology& t) : agg{t}, ref{t} {}
 
   struct Pair {
     IncrementalMaxMin::Handle a;
@@ -53,25 +50,21 @@ struct MirroredEngines {
     ref.set_path(flows[i].r, path);
     flows[i].path = std::move(path);
   }
-  void set_cap(std::size_t i, double cap) {
-    agg.set_cap(flows[i].a, cap);
-    ref.set_cap(flows[i].r, cap);
+  /// A new cap: the flow leaves and comes back on the same path.
+  void recap(std::size_t i, double cap) {
+    agg.remove_flow(flows[i].a);
+    ref.remove_flow(flows[i].r);
+    flows[i].a = agg.add_flow(flows[i].path, cap);
+    flows[i].r = ref.add_flow(flows[i].path, cap);
     flows[i].cap_bps = cap;
   }
 
-  /// resolve() both and compare: member-weighted re-rate counts must agree
-  /// exactly, rates bit-equal (per-flow mode) or within kRelTol.
-  void resolve_and_compare(bool bit_equal) {
+  /// resolve() both and compare: re-rate counts must agree exactly and
+  /// rates bit for bit.
+  void resolve_and_compare() {
     EXPECT_EQ(agg.resolve(), ref.resolve());
     for (std::size_t i = 0; i < flows.size(); ++i) {
-      const double got = agg.rate(flows[i].a);
-      const double want = ref.rate(flows[i].r);
-      if (bit_equal) {
-        EXPECT_EQ(got, want) << "flow " << i << " not bit-equal";
-      } else {
-        const double tol = std::max(1e-3, kRelTol * std::abs(want));
-        EXPECT_NEAR(got, want, tol) << "flow " << i << " disagrees";
-      }
+      EXPECT_EQ(agg.rate(flows[i].a), ref.rate(flows[i].r)) << "flow " << i << " not bit-equal";
     }
   }
 
@@ -80,15 +73,15 @@ struct MirroredEngines {
   std::vector<Pair> flows;
 };
 
-void mirrored_fuzz_trial(std::uint64_t seed, Aggregation mode) {
+void mirrored_fuzz_trial(std::uint64_t seed) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   Rng rng{seed};
   ts::RandomNet net = ts::make_random_net(rng, 6, 20);
-  MirroredEngines m{net.topo, mode};
+  MirroredEngines m{net.topo};
 
   const auto add_one = [&] {
-    // Half the adds clone an existing flow's (path, cap) so real macro-flow
-    // classes form; the rest draw fresh random walks.
+    // Half the adds clone an existing flow's (path, cap), so equal flows
+    // share links; the rest draw fresh random walks.
     if (!m.flows.empty() && rng.bernoulli(0.5)) {
       const auto& donor = m.flows[rng.uniform_index(m.flows.size())];
       m.add(donor.path, donor.cap_bps);
@@ -111,15 +104,14 @@ void mirrored_fuzz_trial(std::uint64_t seed, Aggregation mode) {
       m.set_path(rng.uniform_index(m.flows.size()),
                  ts::random_walk_path(net.topo, rng));
     } else if (dice < 0.68 && m.flows.size() >= 2) {
-      // Converge one flow onto another's path: forms a class in-flight.
+      // Converge one flow onto another's path (or its own: a same-path reroute).
       const std::size_t i = rng.uniform_index(m.flows.size());
       const std::size_t j = rng.uniform_index(m.flows.size());
       m.set_path(i, m.flows[j].path);
     } else if (dice < 0.78 && !m.flows.empty()) {
-      // Cap change — splits a member out of its class (demotion path).
       const std::size_t i = rng.uniform_index(m.flows.size());
       const double cap = rng.bernoulli(0.3) ? kInf : rng.uniform_real(1e9, 450e9);
-      m.set_cap(i, cap);
+      m.recap(i, cap);
     } else {
       const LinkId l = net.links[rng.uniform_index(net.links.size())];
       net.topo.set_link_up(l, !net.topo.is_up(l));
@@ -132,7 +124,7 @@ void mirrored_fuzz_trial(std::uint64_t seed, Aggregation mode) {
       }
     }
     if (op % 3 == 0 || op == ops - 1) {
-      m.resolve_and_compare(/*bit_equal=*/mode == Aggregation::kPerFlow);
+      m.resolve_and_compare();
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -141,21 +133,14 @@ void mirrored_fuzz_trial(std::uint64_t seed, Aggregation mode) {
 }
 
 TEST(MaxMinAggregate, PerFlowModeIsBitEqualToReference) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    mirrored_fuzz_trial(seed, Aggregation::kPerFlow);
+  for (std::uint64_t seed = 1; seed <= 160; ++seed) {
+    mirrored_fuzz_trial(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(MaxMinAggregate, MacroFlowsMatchReferenceUnderFuzzedMutation) {
-  for (std::uint64_t seed = 101; seed <= 160; ++seed) {
-    mirrored_fuzz_trial(seed, Aggregation::kMacroFlows);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-// Every registry fabric: collective-shaped flow sets (many members per
-// (path, cap) class), link failures, both engines re-solved and compared.
+// Every registry fabric: collective-shaped flow sets (many flows per
+// (path, cap)), link failures, both engines re-solved and compared.
 TEST(MaxMinAggregate, MatchesReferenceOnEveryRegistryFabric) {
   fabric::FabricScale scale;
   scale.hosts_per_segment = 2;
@@ -165,10 +150,10 @@ TEST(MaxMinAggregate, MatchesReferenceOnEveryRegistryFabric) {
       SCOPED_TRACE(std::string{f->name()} + " seed=" + std::to_string(seed));
       topo::Cluster cluster = f->build(scale);
       Rng rng{seed * 7919};
-      MirroredEngines m{cluster.topo, Aggregation::kMacroFlows};
+      MirroredEngines m{cluster.topo};
 
-      // Collective-shaped load: a handful of distinct (path, cap) classes,
-      // each with many members (channels x chunks in the real ccl layer).
+      // Collective-shaped load: a handful of distinct (path, cap) pairs,
+      // each carrying several flows (channels x chunks in the real ccl layer).
       static constexpr double kCaps[] = {kInf, 200e9, 400e9};
       for (int klass = 0; klass < 24; ++klass) {
         const std::vector<LinkId> path = ts::random_walk_path(cluster.topo, rng);
@@ -177,10 +162,8 @@ TEST(MaxMinAggregate, MatchesReferenceOnEveryRegistryFabric) {
         const int members = static_cast<int>(rng.uniform_int(1, 8));
         for (int k = 0; k < members; ++k) m.add(path, cap);
       }
-      m.resolve_and_compare(/*bit_equal=*/false);
+      m.resolve_and_compare();
       if (::testing::Test::HasFatalFailure()) return;
-      EXPECT_GT(m.agg.aggregation().collapse(), 1.5)
-          << "aggregation never engaged on " << f->name();
 
       // Fail a couple of links and re-solve.
       for (int i = 0; i < 2; ++i) {
@@ -190,40 +173,17 @@ TEST(MaxMinAggregate, MatchesReferenceOnEveryRegistryFabric) {
       }
       m.agg.notify_topology_changed();
       m.ref.notify_topology_changed();
-      m.resolve_and_compare(/*bit_equal=*/false);
+      m.resolve_and_compare();
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
 
-// ---- Aggregation-specific properties --------------------------------------
+// ---- Per-flow edges --------------------------------------------------------
 
-TEST(MaxMinAggregate, IdenticalFlowsShareOneItemAndSplitExactly) {
-  topo::Topology t;
-  const NodeId a = t.add_node(topo::NodeKind::kTor, "a");
-  const NodeId b = t.add_node(topo::NodeKind::kTor, "b");
-  const LinkId l = t.add_duplex_link(a, b, topo::LinkKind::kFabric,
-                                     Bandwidth::gbps(100), Duration::micros(1))
-                       .forward;
-  IncrementalMaxMin inc{t};
-  std::vector<IncrementalMaxMin::Handle> hs;
-  for (int i = 0; i < 4; ++i) hs.push_back(inc.add_flow({l}, kInf));
-  // Member-weighted accounting: 4 flows re-rated from 1 solver item.
-  EXPECT_EQ(inc.resolve(), 4u);
-  for (const auto h : hs) EXPECT_EQ(inc.rate(h), 25e9);
-  EXPECT_EQ(inc.throughput_on(l), 100e9);
-
-  const auto snap = inc.aggregation();
-  EXPECT_EQ(snap.flows, 4u);
-  EXPECT_EQ(snap.macro_flows, 1u);
-  EXPECT_EQ(snap.multi_member, 1u);
-  EXPECT_EQ(snap.members_max, 4u);
-  EXPECT_EQ(snap.members_p50, 4u);
-  EXPECT_DOUBLE_EQ(snap.collapse(), 4.0);
-  EXPECT_EQ(inc.stats().macros_formed, 1u);
-}
-
-TEST(MaxMinAggregate, CapDivergenceDemotesOutOfTheMacroFlow) {
+TEST(MaxMinAggregate, CappedFlowLeavesItsShareToTheOthers) {
+  // Three flows on one 90G link, one capped at 10G: max-min gives 10 + 40 +
+  // 40, and the reference engine agrees bit for bit.
   topo::Topology t;
   const NodeId a = t.add_node(topo::NodeKind::kTor, "a");
   const NodeId b = t.add_node(topo::NodeKind::kTor, "b");
@@ -231,34 +191,28 @@ TEST(MaxMinAggregate, CapDivergenceDemotesOutOfTheMacroFlow) {
                                      Bandwidth::gbps(90), Duration::micros(1))
                        .forward;
   IncrementalMaxMin inc{t};
+  ReferenceIncrementalMaxMin ref{t};
   const auto h0 = inc.add_flow({l}, kInf);
   const auto h1 = inc.add_flow({l}, kInf);
-  const auto h2 = inc.add_flow({l}, kInf);
+  const auto h2 = inc.add_flow({l}, 10e9);
+  const auto r0 = ref.add_flow({l}, kInf);
+  const auto r1 = ref.add_flow({l}, kInf);
+  const auto r2 = ref.add_flow({l}, 10e9);
   EXPECT_EQ(inc.resolve(), 3u);
-  EXPECT_EQ(inc.aggregation().macro_flows, 1u);
-
-  // Cap one member below its fair share: it must leave the class and the
-  // other two absorb the slack (max-min: 10 + 40 + 40).
-  inc.set_cap(h2, 10e9);
-  EXPECT_EQ(inc.stats().demotions, 1u);
-  EXPECT_EQ(inc.resolve(), 3u);
+  EXPECT_EQ(ref.resolve(), 3u);
   EXPECT_NEAR(inc.rate(h2), 10e9, 1.0);
   EXPECT_NEAR(inc.rate(h0), 40e9, 1.0);
   EXPECT_NEAR(inc.rate(h1), 40e9, 1.0);
-  EXPECT_EQ(inc.aggregation().macro_flows, 2u);
-
-  // Restoring the exact cap re-joins the surviving class.
-  inc.set_cap(h2, kInf);
-  EXPECT_EQ(inc.resolve(), 3u);
-  EXPECT_EQ(inc.aggregation().macro_flows, 1u);
-  EXPECT_NEAR(inc.rate(h0), 30e9, 1.0);
-  EXPECT_NEAR(inc.rate(h2), 30e9, 1.0);
+  EXPECT_EQ(inc.rate(h0), ref.rate(r0));
+  EXPECT_EQ(inc.rate(h1), ref.rate(r1));
+  EXPECT_EQ(inc.rate(h2), ref.rate(r2));
+  EXPECT_EQ(inc.throughput_on(l), ref.throughput_on(l));
 }
 
 TEST(MaxMinAggregate, DuplicateLinkPathsDrainPerOccurrence) {
-  // A path that crosses the same link twice consumes two shares of it, and
-  // two such flows must aggregate into one weight-2 item with the same
-  // allocation the per-flow engine computes.
+  // A path that crosses the same link twice consumes two shares of it: two
+  // such flows on a 100G link get 100G / (2 flows x 2 occurrences) = 25G
+  // each, bit-equal to the reference engine.
   topo::Topology t;
   const NodeId a = t.add_node(topo::NodeKind::kTor, "a");
   const NodeId b = t.add_node(topo::NodeKind::kTor, "b");
@@ -268,15 +222,19 @@ TEST(MaxMinAggregate, DuplicateLinkPathsDrainPerOccurrence) {
   IncrementalMaxMin inc{t};
   ReferenceIncrementalMaxMin ref{t};
   const auto h0 = inc.add_flow({l, l}, kInf);
-  const auto h1 = inc.add_flow({l, l}, kInf);
   const auto r0 = ref.add_flow({l, l}, kInf);
+  EXPECT_EQ(inc.resolve(), 1u);
+  ref.resolve();
+  EXPECT_NEAR(inc.rate(h0), 50e9, 1.0);  // alone it gets 50
+  EXPECT_EQ(inc.rate(h0), ref.rate(r0));
+  const auto h1 = inc.add_flow({l, l}, kInf);
+  const auto r1 = ref.add_flow({l, l}, kInf);
   EXPECT_EQ(inc.resolve(), 2u);
   ref.resolve();
-  EXPECT_EQ(inc.aggregation().macro_flows, 1u);
-  // 100G / (2 flows x 2 occurrences) = 25G each.
   EXPECT_NEAR(inc.rate(h0), 25e9, 1.0);
   EXPECT_NEAR(inc.rate(h1), 25e9, 1.0);
-  EXPECT_NEAR(ref.rate(r0), 50e9, 1.0);  // oracle sanity: alone it gets 50
+  EXPECT_EQ(inc.rate(h0), ref.rate(r0));
+  EXPECT_EQ(inc.rate(h1), ref.rate(r1));
   // Link load counts every traversal: 2 flows x 25G x 2 occurrences.
   EXPECT_NEAR(inc.throughput_on(l), 100e9, 1.0);
 }
@@ -293,7 +251,7 @@ TEST(MaxMinAggregate, LinkLoadsNeverExceedCapacity) {
       flows.emplace_back(inc.add_flow(f.path, f.cap_bps), f.path);
     }
     inc.resolve();
-    // Conservation per link: sum of member rates over every occurrence.
+    // Conservation per link: sum of flow rates over every occurrence.
     std::vector<double> load(net.topo.link_count(), 0.0);
     for (const auto& [h, path] : flows) {
       for (const LinkId l : path) load[l.index()] += inc.rate(h);

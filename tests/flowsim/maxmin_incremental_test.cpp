@@ -76,10 +76,12 @@ void fuzz_trial(std::uint64_t seed) {
       inc.set_path(shadow[i].handle, path);
       shadow[i].path = std::move(path);
     } else if (dice < 0.75 && !shadow.empty()) {
+      // A new cap: the flow leaves and comes back on the same path.
       const std::size_t i = rng.uniform_index(shadow.size());
       const double cap = rng.bernoulli(0.3) ? std::numeric_limits<double>::infinity()
                                             : rng.uniform_real(1e9, 450e9);
-      inc.set_cap(shadow[i].handle, cap);
+      inc.remove_flow(shadow[i].handle);
+      shadow[i].handle = inc.add_flow(shadow[i].path, cap);
       shadow[i].cap_bps = cap;
     } else {
       // Flip a random link; announce it either precisely or as an

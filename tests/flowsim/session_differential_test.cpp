@@ -1,22 +1,31 @@
-// Differential battery: the lazily settled FlowSession (per-class service
-// clocks + completion heap) against the eager reference it replaced
-// (tests/support/reference_session.h). Random scenarios mix staggered and
-// same-instant starts, zero-size flows, equal-size cohorts that share one
-// solver class, host-local flows, aborts, reroutes, link flips that stall
-// flows and repairs that resume them, and completion callbacks that start
-// new flows. Both runs must complete the same flows in the same same-instant
-// groups with FCTs within max(1 ns, 1e-9 relative), with the
-// InvariantAuditor (including the completion-heap and lazy-settle rules)
-// clean.
+// Differential battery: the lazily settled FlowSession (per-flow service
+// clocks + completion heap) against two oracles. Random scenarios mix
+// staggered and same-instant starts, zero-size flows, equal-size cohorts on
+// one (path, cap), host-local flows, aborts, reroutes, link flips that
+// stall flows and repairs that resume them, and completion callbacks that
+// start new flows.
+//
+//  * SessionDifferential: the eager session (tests/support/
+//    reference_session.h). Both runs must complete the same flows in the
+//    same same-instant groups with FCTs within max(1 ns, 1e-9 relative),
+//    with the InvariantAuditor (including the completion-heap and
+//    lazy-settle rules) clean.
+//  * ClassSessionDifferential: the session and solver that grouped flows
+//    into (path, cap) classes (tests/support/reference_class_session.h), in
+//    its default one-class-per-flow mode. Completion nanoseconds, callback order,
+//    tracer bytes and simulator event counts must be identical.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "flowsim/session.h"
 #include "sim/simulator.h"
+#include "tests/support/reference_class_session.h"
 #include "tests/support/reference_session.h"
 #include "tests/support/session_differential.h"
 #include "topo/topology.h"
@@ -140,18 +149,22 @@ struct Outcome {
   std::string audit;                  ///< auditor report, empty when clean
   std::string throughput;             ///< throughput_on mismatches
   std::uint64_t stalls = 0;
+  std::vector<std::size_t> fired;     ///< planned flows in callback order
+  std::string trace_csv;              ///< every tracer record
+  std::uint64_t events_processed = 0;
+  std::uint64_t events_scheduled = 0;  ///< incl. cancelled ones
 };
 
 /// Runs `plan` through `Session`. With `check_throughput`, every completion
 /// callback compares throughput_on against a per-flow sum of rate_of over
 /// every link.
 template <class Session>
-Outcome run_plan(const Plan& plan, Aggregation mode, bool check_throughput) {
+Outcome run_plan(const Plan& plan, bool check_throughput) {
   Topology t = build_topology();
   sim::Simulator s;
   s.auditor().enable();
   s.tracer().enable(1 << 14);
-  Session fs{t, s, mode};
+  Session fs{t, s};
   Outcome out;
   out.done.assign(plan.flows.size(), {});
   std::vector<FlowId> ids(plan.flows.size(), FlowId{0});
@@ -184,6 +197,7 @@ Outcome run_plan(const Plan& plan, Aggregation mode, bool check_throughput) {
     ids[k] = fs.start_flow(plan.paths[p.path], DataSize::bits(p.bits),
                            Bandwidth::gbps(p.cap_gbps), [&, k](FlowId) {
                              out.done[k].done_ns = s.now().since_origin().as_nanos();
+                             out.fired.push_back(k);
                              if (check_throughput) check_links();
                              if (plan.flows[k].child >= 0) {
                                start(static_cast<std::size_t>(plan.flows[k].child));
@@ -219,12 +233,17 @@ Outcome run_plan(const Plan& plan, Aggregation mode, bool check_throughput) {
   s.run();
   if (!s.auditor().ok()) out.audit = s.auditor().report();
   out.stalls = s.tracer().events_of(metrics::TraceEventKind::kFlowStall).size();
+  std::ostringstream csv;
+  s.tracer().write_csv(csv);
+  out.trace_csv = csv.str();
+  out.events_processed = s.processed_events();
+  out.events_scheduled = s.snapshot().next_seq - 1;
   return out;
 }
 
-std::string compare(const Plan& plan, Aggregation mode) {
-  const Outcome got = run_plan<FlowSession>(plan, mode, /*check_throughput=*/false);
-  const Outcome want = run_plan<reference::FlowSession>(plan, mode, false);
+std::string compare(const Plan& plan) {
+  const Outcome got = run_plan<FlowSession>(plan, /*check_throughput=*/false);
+  const Outcome want = run_plan<reference::FlowSession>(plan, false);
   std::string diff = reference::compare_completions(got.done, want.done);
   if (got.action_ok != want.action_ok) diff += "abort/reroute results differ\n";
   if (!got.audit.empty()) diff += "auditor: " + got.audit + "\n";
@@ -233,20 +252,50 @@ std::string compare(const Plan& plan, Aggregation mode) {
 
 TEST(SessionDifferential, MatchesEagerReferenceOnRandomScenarios) {
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const std::string diff = compare(draw_plan(seed));
+    ASSERT_TRUE(diff.empty()) << "seed " << seed << ":\n" << diff;
+  }
+}
+
+TEST(ClassSessionDifferential, RandomPlansMatchTheClassSessionExactly) {
+  std::size_t mismatches = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const Plan plan = draw_plan(seed);
-    for (const Aggregation mode : {Aggregation::kMacroFlows, Aggregation::kPerFlow}) {
-      const std::string diff = compare(plan, mode);
-      ASSERT_TRUE(diff.empty()) << "seed " << seed << " mode "
-                                << (mode == Aggregation::kPerFlow ? "per-flow" : "macro")
-                                << ":\n" << diff;
+    const Outcome got = run_plan<FlowSession>(plan, /*check_throughput=*/false);
+    const Outcome want = run_plan<reference::ClassFlowSession>(plan, false);
+    std::string diff;
+    for (std::size_t k = 0; k < plan.flows.size(); ++k) {
+      if (got.done[k].done_ns != want.done[k].done_ns && diff.size() < 400) {
+        diff += "flow " + std::to_string(k) + " done at " +
+                std::to_string(got.done[k].done_ns) + " ns, the class session's " +
+                std::to_string(want.done[k].done_ns) + " ns\n";
+      }
+    }
+    if (got.fired != want.fired) diff += "completion callbacks fire in another order\n";
+    if (got.action_ok != want.action_ok) diff += "abort/reroute results differ\n";
+    if (got.trace_csv != want.trace_csv) diff += "tracer bytes differ\n";
+    if (got.events_processed != want.events_processed ||
+        got.events_scheduled != want.events_scheduled) {
+      diff += "simulator events " + std::to_string(got.events_processed) + "/" +
+              std::to_string(got.events_scheduled) + " processed/scheduled, the class session's " +
+              std::to_string(want.events_processed) + "/" +
+              std::to_string(want.events_scheduled) + "\n";
+    }
+    if (!got.audit.empty()) diff += "auditor: " + got.audit + "\n";
+    if (!diff.empty()) {
+      ++mismatches;
+      ADD_FAILURE() << "seed " << seed << ":\n" << diff;
+      if (mismatches >= 5) break;
     }
   }
+  std::cout << "[differential] 300 random plans vs the class session: " << mismatches
+            << " mismatches\n";
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(SessionDifferential, ThroughputOnMatchesPerFlowSumAtEveryCompletion) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    const Outcome out =
-        run_plan<FlowSession>(draw_plan(seed), Aggregation::kMacroFlows, /*check_throughput=*/true);
+    const Outcome out = run_plan<FlowSession>(draw_plan(seed), /*check_throughput=*/true);
     ASSERT_TRUE(out.throughput.empty()) << "seed " << seed << ":\n" << out.throughput;
     ASSERT_TRUE(out.audit.empty()) << "seed " << seed << ":\n" << out.audit;
   }
@@ -259,7 +308,7 @@ TEST(SessionDifferential, ScenariosExerciseWhatTheyClaim) {
               reroutes = 0, stalls = 0, resumed = 0, never = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const Plan plan = draw_plan(seed);
-    const Outcome out = run_plan<FlowSession>(plan, Aggregation::kMacroFlows, false);
+    const Outcome out = run_plan<FlowSession>(plan, false);
     for (std::size_t k = 0; k < plan.flows.size(); ++k) {
       const PlannedFlow& f = plan.flows[k];
       if (f.bits == 0) ++zero_size;

@@ -22,7 +22,7 @@ struct Rig {
   LinkId ab{}, bc{};
   FlowSession session;
 
-  Rig() : session(wire(topo, ab, bc), sim, Aggregation::kPerFlow) {}
+  Rig() : session(wire(topo, ab, bc), sim) {}
 
   static topo::Topology& wire(topo::Topology& t, LinkId& ab, LinkId& bc) {
     const NodeId a = t.add_node(topo::NodeKind::kNic, "a");

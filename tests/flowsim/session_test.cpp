@@ -168,8 +168,9 @@ TEST_F(SessionTest, DeliveredTotalKeepsAbortedFlowsServedBits) {
   EXPECT_EQ(fs.delivered_total().as_bits(), 400);  // 400 ns at the 1 Gbps link
 }
 
-TEST_F(SessionTest, StatsCountTheWorkOfDistinctSizedFlowsInOneClass) {
-  // Four same-(path, cap) flows form one class; each completion re-rates it.
+TEST_F(SessionTest, StatsCountTheWorkOfFlowsSharingOnePath) {
+  // Four same-(path, cap) flows with distinct sizes: each completion re-rates
+  // every survivor, so the re-rates sum to 4 + 3 + 2 + 1.
   FlowSession fs{t, s};
   for (int i = 1; i <= 4; ++i) {
     fs.start_flow({ab, bc}, DataSize::bits(i * 1'000'000), Bandwidth::gbps(10));
@@ -177,10 +178,10 @@ TEST_F(SessionTest, StatsCountTheWorkOfDistinctSizedFlowsInOneClass) {
   s.run();
   const FlowSession::Stats& st = fs.stats();
   EXPECT_EQ(st.completions, 4u);
-  EXPECT_EQ(st.recomputes, 5u);       // the start batch + one per completion
-  EXPECT_EQ(st.classes_rerated, 4u);  // the class after the starts and the first 3 drains
-  // 4 joins + 4 re-rates + 3 drains that re-key + 1 drain that frees.
-  EXPECT_EQ(st.heap_updates, 12u);
+  EXPECT_EQ(st.recomputes, 5u);        // the start batch + one per completion
+  EXPECT_EQ(st.classes_rerated, 10u);  // 4 after the starts, then 3, 2, 1
+  // 4 joins + 10 re-rates + 4 drains.
+  EXPECT_EQ(st.heap_updates, 18u);
 }
 
 TEST_F(SessionTest, RateOfUnknownFlowIsNullopt) {

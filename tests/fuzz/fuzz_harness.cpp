@@ -70,18 +70,16 @@ void down_node_links(topo::Topology& topo, NodeId node, bool up) {
 /// FlowSession phase: the workload runs *with* the fault schedule. Faults
 /// flip link state and refresh() the solver; repairs flip it back. Oracles:
 /// auditor clean, no flow beats its physical bound, and on fault-free
-/// scenarios every flow completes. `mode` selects the solver front-end
-/// (macro-flow aggregated vs per-flow), `Session` the engine (production or
-/// the eager reference), and `tag` labels any failures. `done` receives
+/// scenarios every flow completes. `Session` selects the engine (production
+/// or the eager reference), and `tag` labels any failures. `done` receives
 /// every flow's completion instant.
 template <class Session>
-void run_session_phase(const Scenario& s, flowsim::Aggregation mode,
-                       const char* tag, std::vector<double>& fct,
+void run_session_phase(const Scenario& s, const char* tag, std::vector<double>& fct,
                        std::vector<reference::Completion>& done, std::string& out) {
   Materialized m = materialize(s);
   sim::Simulator sim;
   sim.auditor().enable();
-  Session session(m.cluster.topo, sim, mode);
+  Session session(m.cluster.topo, sim);
 
   fct.assign(m.flows.size(), -1.0);
   done.assign(m.flows.size(), reference::Completion{});
@@ -140,42 +138,6 @@ void run_session_phase(const Scenario& s, flowsim::Aggregation mode,
   check_lower_bounds(m, fct, 2e-9, tag, out);
 }
 
-/// Aggregation differential phase: the session workload + fault schedule
-/// re-runs with macro-flow aggregation disabled (Aggregation::kPerFlow, the
-/// preserved per-flow engine semantics). Both runs model the same max-min
-/// allocation, so the oracles are strict: identical completion sets and
-/// per-flow FCTs within the solver's documented kEps rounding contract
-/// (plus nanosecond event quantization accumulated over reschedules).
-void run_aggregate_phase(const Scenario& s, const std::vector<double>& agg_fct,
-                         std::string& out) {
-  constexpr double kAggRelTol = 1e-6;
-  constexpr double kAggAbsSec = 1e-5;
-  std::vector<double> per_flow_fct;
-  std::vector<reference::Completion> per_flow_done;
-  run_session_phase<flowsim::FlowSession>(s, flowsim::Aggregation::kPerFlow,
-                                          "aggregate[per-flow]", per_flow_fct,
-                                          per_flow_done, out);
-  for (std::size_t i = 0; i < agg_fct.size(); ++i) {
-    const double a = agg_fct[i];
-    const double p = per_flow_fct[i];
-    if ((a < 0.0) != (p < 0.0)) {
-      std::ostringstream os;
-      os << "aggregate: flow " << i << " completion set mismatch: aggregated "
-         << (a < 0.0 ? "stalled" : "finished") << " but per-flow "
-         << (p < 0.0 ? "stalled" : "finished");
-      append_failure(out, os.str());
-      continue;
-    }
-    if (a < 0.0) continue;  // Stalled by a fault in both runs: no FCT.
-    if (std::abs(a - p) > std::max(kAggAbsSec, kAggRelTol * p)) {
-      std::ostringstream os;
-      os << "aggregate: flow " << i << " fct diverges beyond the solver "
-         << "tolerance: aggregated=" << a << " s vs per-flow=" << p << " s";
-      append_failure(out, os.str());
-    }
-  }
-}
-
 /// Reference-session differential phase (always on): the session workload
 /// + fault schedule re-runs through the eager FlowSession the lazily
 /// settled one replaced (tests/support/reference_session.h). The two must
@@ -185,8 +147,7 @@ void run_reference_phase(const Scenario& s, const std::vector<reference::Complet
                          std::string& out) {
   std::vector<double> ref_fct;
   std::vector<reference::Completion> ref_done;
-  run_session_phase<reference::FlowSession>(s, flowsim::Aggregation::kMacroFlows,
-                                            "reference", ref_fct, ref_done, out);
+  run_session_phase<reference::FlowSession>(s, "reference", ref_fct, ref_done, out);
   const std::string diff = reference::compare_completions(done, ref_done);
   if (!diff.empty()) append_failure(out, "reference: session diverges from the eager reference:\n" + diff);
 }
@@ -466,12 +427,11 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
   std::string failure;
   std::vector<double> session_fct;
   std::vector<reference::Completion> session_done;
-  run_session_phase<flowsim::FlowSession>(scenario, flowsim::Aggregation::kMacroFlows,
-                                          "session", session_fct, session_done, failure);
+  run_session_phase<flowsim::FlowSession>(scenario, "session", session_fct, session_done,
+                                          failure);
   run_reference_phase(scenario, session_done, failure);
   run_bgp_phase(scenario, options, failure);
   if (!scenario.jobs.empty()) run_jobsmix_phase(scenario, failure);
-  if (options.aggregate) run_aggregate_phase(scenario, session_fct, failure);
 
   if (scenario.faults.empty()) {
     // Cross-engine oracles need an undisturbed workload: fluid has no

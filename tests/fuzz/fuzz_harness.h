@@ -35,11 +35,6 @@ struct RunOptions {
   /// Wall for the tick/packet engines; an engine still holding active flows
   /// at the horizon is reported as a failure (stall / deadlock oracle).
   Duration horizon = Duration::seconds(8);
-  /// Aggregation differential phase: the session phase (macro-flow
-  /// aggregated solver) re-runs with Aggregation::kPerFlow — the preserved
-  /// per-flow engine semantics — and the two runs must complete the same
-  /// flow set with per-flow FCTs inside a tight tolerance band.
-  bool aggregate = false;
 };
 
 struct RunResult {
@@ -123,7 +118,7 @@ struct ReplayOutcome {
 };
 
 /// Load `path` and run the oracle battery on it. Pass the options the repro
-/// was found under (e.g. `aggregate`) so its phase actually re-runs.
+/// was found under so its phases actually re-run.
 ReplayOutcome replay_scenario_file(const std::string& path,
                                    const RunOptions& options = {});
 

@@ -3,7 +3,6 @@
 //   hpnsim_fuzz --runs 500 --jobs 4 --seed 1 --out tests/fuzz/regressions
 //   hpnsim_fuzz --replay path/to/repro.scenario [--expect-clean]
 //   hpnsim_fuzz --runs 120 --jobs 8 --csv sweep.csv
-//   hpnsim_fuzz --runs 250 --aggregate         # + macro-flow vs per-flow phase
 //
 // Scenario i draws from seed `master ^ golden*(i+1)`, so results are a
 // function of (--seed, --runs) alone. Runs execute on an exec::RunnerPool
@@ -39,7 +38,6 @@ struct Args {
   std::string csv;
   std::string replay;
   std::string topology;  ///< Force every scenario onto one topology kind.
-  bool aggregate = false;  ///< Arms the aggregated-vs-per-flow session phase.
   bool jobsmix = false;  ///< Guarantee a job mix: every scenario runs the
                          ///< cluster-scheduler phase.
   bool expect_clean = false;
@@ -72,8 +70,6 @@ Args parse_args(int argc, char** argv) {
       a.replay = value();
     } else if (flag == "--topology") {
       a.topology = value();
-    } else if (flag == "--aggregate") {
-      a.aggregate = true;
     } else if (flag == "--jobsmix") {
       a.jobsmix = true;
     } else if (flag == "--expect-clean") {
@@ -81,7 +77,7 @@ Args parse_args(int argc, char** argv) {
     } else {
       std::cerr << "unknown flag " << flag << "\n"
                 << "usage: hpnsim_fuzz [--runs N] [--jobs N] [--seed S] "
-                   "[--topology KIND] [--aggregate] [--jobsmix] "
+                   "[--topology KIND] [--jobsmix] "
                    "[--out DIR] [--csv FILE] [--replay FILE [--expect-clean]]\n";
       a.ok = false;
     }
@@ -119,7 +115,6 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   if (!args.ok) return 2;
   hpn::fuzz::RunOptions run;
-  run.aggregate = args.aggregate;
   if (!args.replay.empty()) return replay_file(args.replay, args.expect_clean, run);
 
   hpn::fuzz::SweepOptions opts;

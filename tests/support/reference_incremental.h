@@ -1,15 +1,13 @@
 // Test-only oracle: the pre-aggregation per-flow max-min engine (PR 1's
 // dense/heap WaterFiller + IncrementalMaxMin), kept verbatim — modulo the
 // renames and header-inlining below — when the production engine moved to
-// macro-flow aggregation over interned paths and a struct-of-arrays kernel.
+// interned paths and a struct-of-arrays kernel. One edit since: set_cap is
+// gone, with the production engine's (no test changes a live flow's cap).
 //
 // Every flow here is its own pointer-chasing SolverItem and carries its own
-// std::vector<LinkId> path copy; that is exactly the point: the aggregated
-// engine must reproduce these allocations rate for rate (bit-equal in
-// per-flow mode, within the documented kEps contract for macro-flows), and
-// the flow-count scaling bench measures its speedup against *this* engine,
-// not a strawman. Deliberately unoptimized further; do not use outside
-// tests/benches.
+// std::vector<LinkId> path copy; that is exactly the point: the production
+// engine must reproduce these allocations bit for bit. Deliberately
+// unoptimized further; do not use outside tests/benches.
 #pragma once
 
 #include <algorithm>
@@ -291,17 +289,6 @@ class ReferenceIncrementalMaxMin {
     attach(h);
     for (const LinkId l : f.path) mark_dirty(l);
     if (f.path.empty()) f.rate_bps = std::isfinite(f.cap_bps) ? f.cap_bps : 0.0;
-  }
-
-  void set_cap(Handle h, double cap_bps) {
-    Flow& f = flows_[h];
-    HPN_CHECK_MSG(f.alive, "set_cap on dead handle");
-    f.cap_bps = cap_bps;
-    if (f.path.empty()) {
-      f.rate_bps = std::isfinite(cap_bps) ? cap_bps : 0.0;
-      return;
-    }
-    for (const LinkId l : f.path) mark_dirty(l);
   }
 
   /// A specific link flipped up/down.

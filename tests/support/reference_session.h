@@ -6,7 +6,9 @@
 // unordered_map bucket order. The production session must match it on
 // completion sets per instant and on FCTs within max(1 ns, 1e-9 relative);
 // bench_e2e_session measures its speedup against this engine. Deliberately
-// unoptimized; do not use outside tests/benches.
+// unoptimized; do not use outside tests/benches. One edit since: the
+// solver's aggregation mode is gone, so the constructor's `aggregation`
+// parameter and the solver_aggregation() accessor went with it.
 #pragma once
 
 #include <algorithm>
@@ -26,7 +28,6 @@
 
 namespace hpn::reference {
 
-using flowsim::Aggregation;
 using flowsim::FlowRecord;
 using flowsim::IncrementalMaxMin;
 using flowsim::PathTable;
@@ -35,8 +36,7 @@ class FlowSession {
  public:
   using CompletionFn = std::function<void(FlowId)>;
 
-  FlowSession(const topo::Topology& topology, sim::Simulator& simulator,
-              Aggregation aggregation = Aggregation::kMacroFlows);
+  FlowSession(const topo::Topology& topology, sim::Simulator& simulator);
 
   /// Starts a flow of `size` over `path`, source-capped at `cap`.
   /// `on_complete` fires when the last bit is delivered (it may start new
@@ -83,11 +83,6 @@ class FlowSession {
   /// Incremental-solver counters (how much re-solving each change cost).
   [[nodiscard]] const IncrementalMaxMin::Stats& solver_stats() const {
     return solver_.stats();
-  }
-
-  /// Point-in-time macro-flow aggregation shape of the active flow set.
-  [[nodiscard]] IncrementalMaxMin::AggregationSnapshot solver_aggregation() const {
-    return solver_.aggregation();
   }
 
   /// The solver's path interner (intern once, start many flows by PathId).
@@ -148,7 +143,6 @@ class FlowSession {
 
   const topo::Topology* topo_;
   sim::Simulator* sim_;
-  Aggregation aggregation_;  ///< kept so restore() can rebuild the solver
   IncrementalMaxMin solver_;
   std::unordered_map<FlowId, ActiveFlow> flows_;
   FlowId::underlying next_id_ = 1;
@@ -172,12 +166,10 @@ namespace ref_session {
 constexpr double kBitEps = 1.0;  // flows within one bit of done are done
 }  // namespace ref_session
 
-inline FlowSession::FlowSession(const topo::Topology& topology, sim::Simulator& simulator,
-                         Aggregation aggregation)
+inline FlowSession::FlowSession(const topo::Topology& topology, sim::Simulator& simulator)
     : topo_{&topology},
       sim_{&simulator},
-      aggregation_{aggregation},
-      solver_{topology, aggregation},
+      solver_{topology},
       last_settle_{simulator.now()} {}
 
 inline FlowSession::Snapshot FlowSession::snapshot() const {
@@ -211,7 +203,7 @@ inline void FlowSession::restore(const Snapshot& snap) {
   // only interned paths and counters, and rebuilding is the one way its
   // next run re-derives identical PathIds/handles/stats from identical
   // inputs (see the PathId invalidation note on Snapshot).
-  solver_ = IncrementalMaxMin{*topo_, aggregation_};
+  solver_ = IncrementalMaxMin{*topo_};
 }
 
 inline FlowId FlowSession::start_flow(const std::vector<LinkId>& path, DataSize size,
