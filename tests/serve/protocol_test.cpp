@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -134,6 +135,83 @@ TEST(ServeProtocol, MidStreamDisconnectIsReportedNotHung) {
 TEST(ServeProtocol, EofIsAnImplicitGo) {
   const std::string transcript = run_serve("query run\n" + tiny_scenario_text());
   EXPECT_NE(transcript.find("reply 0 ok run cold"), std::string::npos) << transcript;
+}
+
+TEST(ServeProtocol, VerbArgumentsParseLikeTheStreamExtractors) {
+  // Query-line arguments follow `istream >>` rules: uint32 fields take a
+  // sign ('-' wraps modulo 2^32) and fail past 2^32 - 1, doubles take no
+  // inf/nan spelling, and tabs separate like spaces. Accepted spellings
+  // must parse to exactly the arguments of their canonical spelling: the
+  // result-cache key holds the parsed arguments, so the second query hits.
+  struct Accepted {
+    const char* line;
+    const char* canonical;
+  };
+  const Accepted accepted[] = {
+      {"kill-link +3", "kill-link 3"},
+      {"kill-link -1", "kill-link 4294967295"},
+      {"kill-link -4294967295", "kill-link 1"},
+      {"kill-link 2\t", "kill-link 2"},
+      {"kill-link\t2", "kill-link 2"},
+      {"add-job 4 1e3", "add-job 4 1000"},
+      {"add-job +4 25", "add-job 4 25"},
+      {"add-job -4 25", "add-job 4294967292 25"},
+      {"add-job 4 .5", "add-job 4 0.5"},
+      {"add-job\t3\t25", "add-job 3 25"},
+      {"resize 07", "resize 7"},
+      {"\tresize\t3\t", "resize 3"},
+  };
+  for (const Accepted& row : accepted) {
+    const std::string verb{std::string_view{row.canonical}.substr(
+        0, std::string_view{row.canonical}.find(' '))};
+    const std::string transcript =
+        run_serve(std::string{"query "} + row.canonical + "\n" + tiny_scenario_text() +
+                  "go\nquery " + row.line + "\n" + tiny_scenario_text() + "go\nquit\n");
+    EXPECT_NE(transcript.find("reply 0 ok " + verb + " hit base=a9eb3a60d4937e38\n"),
+              std::string::npos)
+        << "'" << row.line << "' must parse like '" << row.canonical << "'\n"
+        << transcript;
+  }
+
+  struct Rejected {
+    const char* line;
+    const char* error;
+  };
+  const Rejected rejected[] = {
+      {"kill-link 4294967296", "kill-link takes one cable index"},
+      {"kill-link -4294967296", "kill-link takes one cable index"},
+      {"kill-link 99999999999999999999", "kill-link takes one cable index"},
+      {"kill-link 1x", "kill-link takes one cable index"},
+      {"kill-link 3.0", "kill-link takes one cable index"},
+      {"kill-link +-3", "kill-link takes one cable index"},
+      {"kill-link 0x10", "kill-link takes one cable index"},
+      {"kill-link", "kill-link takes one cable index"},
+      {"add-job 4 inf", "add-job takes <hosts> <gbps>"},
+      {"add-job 4 nan", "add-job takes <hosts> <gbps>"},
+      {"add-job 4 1e400", "add-job takes <hosts> <gbps>"},
+      {"add-job 4 1e", "add-job takes <hosts> <gbps>"},
+      {"add-job 4 25x", "add-job takes <hosts> <gbps>"},
+      {"add-job 4", "add-job takes <hosts> <gbps>"},
+      {"add-job 1 5", "add-job needs >= 2 hosts"},
+      {"add-job 4 0", "add-job gbps out of range (0, 10000]"},
+      {"add-job 4 -5", "add-job gbps out of range (0, 10000]"},
+      {"add-job 4 1e-400", "add-job gbps out of range (0, 10000]"},
+      {"add-job 4 10000.5", "add-job gbps out of range (0, 10000]"},
+      {"resize 0", "resize size must be >= 1"},
+      {"resize -0", "resize size must be >= 1"},
+      {"resize 3 4", "resize takes one size knob"},
+      {"run extra", "run takes no arguments"},
+      {"", "query needs a verb (run | kill-link | add-job | resize)"},
+      {" \t ", "query needs a verb (run | kill-link | add-job | resize)"},
+  };
+  for (const Rejected& row : rejected) {
+    const std::string transcript = run_serve(std::string{"query "} + row.line + "\n" +
+                                             tiny_scenario_text() + "go\nquit\n");
+    EXPECT_NE(transcript.find(std::string{"\nreply 0 error "} + row.error + "\n"),
+              std::string::npos)
+        << "'" << row.line << "'\n"
+        << transcript;
+  }
 }
 
 TEST(ServeProtocol, UnknownCommandIsAProtocolError) {
