@@ -8,8 +8,8 @@
 //   * warm   — one engine, distinct kill-link cables: every query runs on
 //              the roll-back-synced scratch copy of the cached base solver
 //              and re-solves only the affected component.
-//   * cached — the same queries again: content-addressed hits that decode
-//              the stored wire bytes without touching a solver.
+//   * cached — the same queries again: content-addressed hits that copy
+//              the stored result without touching a solver.
 //   * protocol — the warm queries again on a fresh daemon, through
 //              serve::serve_loop in process over string streams: framing,
 //              scenario parse, canonical hash, engine, reply text. A
@@ -20,10 +20,10 @@
 // Acceptance, exact (both modes): every cold build routes its flows with
 // one distance field per (segment, rail) attachment set; the warm and
 // cached phases build no base and no field, and cached answers evaluate
-// nothing; every warm/cached answer is byte-identical (wire encoding) to
-// the cold answer for the same query, at --jobs 1 and at the requested
-// --jobs; every protocol reply is byte-identical to the engine's answer
-// for the same query printed by serve::append_reply. Full mode also keeps
+// nothing; every warm/cached answer prints the same reply lines
+// (serve::append_reply) as the cold answer for the same query, at --jobs 1
+// and at the requested --jobs; every protocol reply is byte-identical to
+// the engine's answer for the same query printed by serve::append_reply. Full mode also keeps
 // same-run wall-ratio bounds well clear of the measured ratios (warm >= 10x
 // and cached >= 25x faster than the cold median; protocol p50 <= 12x the
 // engine p50, measured 6-7x, 30-36x with the iostream text path); --smoke
@@ -39,7 +39,6 @@
 #include "bench_common.h"
 #include "scenario/scenario.h"
 #include "serve/serve.h"
-#include "serve/wire.h"
 
 namespace {
 
@@ -49,6 +48,14 @@ using Clock = std::chrono::steady_clock;
 
 double us_since(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
+}
+
+/// serve::append_reply's bytes for `a` after its header line (which names
+/// the answer's source: cold, warm or hit).
+std::string reply_body(const serve::Answer& a) {
+  std::string reply;
+  serve::append_reply(reply, 0, "kill-link", a);
+  return reply.substr(reply.find('\n') + 1);
 }
 
 double median(std::vector<double> v) {
@@ -188,7 +195,7 @@ int main(int argc, char** argv) {
 
   // ---- cold: fresh engine per sample, full base build per query ----------
   Phase cold{"cold", {}};
-  std::vector<std::string> cold_bytes;  // wire encoding per cable index
+  std::vector<std::string> cold_bytes;  // reply body per cable index
   for (int i = 0; i < cold_samples; ++i) {
     serve::QueryEngine engine;
     const auto start = Clock::now();
@@ -199,7 +206,7 @@ int main(int argc, char** argv) {
       std::cout << "FAIL: cold sample " << i << " did not evaluate cold\n";
       return 1;
     }
-    cold_bytes.push_back(serve::encode_result(answers[0].result));
+    cold_bytes.push_back(reply_body(answers[0]));
     if (engine.stats().bases_built != 1 || engine.stats().fields_built != fields_per_base) {
       std::cout << "FAIL: cold sample " << i << " built " << engine.stats().bases_built
                 << " bases and " << engine.stats().fields_built << " distance fields; want 1 and "
@@ -234,8 +241,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (i < cold_samples &&
-        serve::encode_result(answers[0].result) !=
-            cold_bytes[static_cast<std::size_t>(i)]) {
+        reply_body(answers[0]) != cold_bytes[static_cast<std::size_t>(i)]) {
       std::cout << "FAIL: warm answer for cable " << i
                 << " diverged from the cold answer\n";
       return 1;
@@ -257,8 +263,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (i < cold_samples &&
-        serve::encode_result(answers[0].result) !=
-            cold_bytes[static_cast<std::size_t>(i)]) {
+        reply_body(answers[0]) != cold_bytes[static_cast<std::size_t>(i)]) {
       std::cout << "FAIL: cached answer for cable " << i
                 << " diverged from the cold answer\n";
       return 1;
@@ -329,12 +334,13 @@ int main(int argc, char** argv) {
   for (const int jobs : {1, args.jobs}) {
     serve::QueryEngine fresh{{.jobs = jobs}};
     std::string all;
-    for (const serve::Answer& a : fresh.answer(batch)) {
-      if (!a.ok) {
-        std::cout << "FAIL: batch query errored: " << a.error << "\n";
+    const std::vector<serve::Answer> answers = fresh.answer(batch);
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+      if (!answers[i].ok) {
+        std::cout << "FAIL: batch query errored: " << answers[i].error << "\n";
         return 1;
       }
-      all += serve::encode_result(a.result);
+      serve::append_reply(all, i, "query", answers[i]);
     }
     ladder_bytes.push_back(std::move(all));
   }

@@ -200,16 +200,27 @@ void BgpFabric::audit_fib(sim::InvariantAuditor& auditor) const {
   if (!auditor.enabled()) return;
   const TimePoint now = sim_->now();
 
+  // speakers_ iterates in hash-bucket order; walk it by ascending NodeId
+  // so the violations, and the one a failfast auditor throws, come out in
+  // a fixed order.
+  std::vector<const Speaker*> ordered;
+  ordered.reserve(speakers_.size());
+  for (const auto& kv : speakers_) ordered.push_back(&kv.second);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const Speaker* a, const Speaker* b) { return a->node < b->node; });
+
   std::set<Prefix> prefixes;
-  for (const auto& [node, sp] : speakers_) {
-    for (const auto& [prefix, routes] : sp.fib) prefixes.insert(prefix);
+  for (const Speaker* sp : ordered) {
+    for (const auto& [prefix, routes] : sp->fib) prefixes.insert(prefix);
   }
 
   for (const Prefix prefix : prefixes) {
     // Per-prefix next-hop digraph over the speakers (self-originated routes
     // terminate at the attached NIC, so they add no edge).
     std::map<NodeId, std::vector<NodeId>> edges;
-    for (const auto& [node, sp] : speakers_) {
+    for (const Speaker* speaker : ordered) {
+      const Speaker& sp = *speaker;
+      const NodeId node = sp.node;
       const auto fit = sp.fib.find(prefix);
       if (fit == sp.fib.end()) continue;
       for (const BgpRoute& r : fit->second) {

@@ -5,8 +5,8 @@
 // same path, so the same path is registered thousands of times. Interning
 // makes "same path" an O(1) id compare (what FlowSession::reroute_flow and
 // IncrementalMaxMin::set_path check), stores each distinct link sequence
-// exactly once, and spares the per-flow vector copies that used to ride
-// along through FlowSession / FlowRecord / the solver.
+// exactly once, and spares the per-flow vector copies that would otherwise
+// ride along through FlowSession and the solver.
 //
 // The table is append-only: distinct paths are bounded by the topology's
 // path diversity (ECMP fan-out x node pairs), not by flow count, so entries

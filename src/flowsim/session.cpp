@@ -49,7 +49,6 @@ void FlowSession::restore(const Snapshot& snap) {
   audit_injected_bits_ = snap.audit_injected_bits;
   audit_delivered_bits_ = snap.audit_delivered_bits;
   audit_aborted_bits_ = snap.audit_aborted_bits;
-  trace_.clear();
   // A fresh solver, not a rollback: with zero active flows the old one holds
   // only interned paths and counters, and rebuilding is the one way its
   // next run re-derives identical PathIds/handles/stats from identical
@@ -101,36 +100,12 @@ FlowId FlowSession::start_flow(PathId path, DataSize size, Bandwidth cap,
   return id;
 }
 
-void FlowSession::record_trace(Handle h, bool aborted) {
-  if (!tracing_) return;
-  const Slot& s = slots_[h];
-  FlowRecord rec;
-  rec.id = s.id;
-  rec.started = s.started;
-  rec.finished = sim_->now();
-  rec.size = s.size;
-  rec.path = solver_.path_id(h);
-  rec.hops = static_cast<std::uint32_t>(solver_.paths().hops(rec.path));
-  rec.aborted = aborted;
-  trace_.push_back(rec);
-}
-
-void FlowSession::write_trace_csv(std::ostream& os) const {
-  os << "id,start_s,finish_s,fct_s,bytes,hops,aborted\n";
-  for (const FlowRecord& r : trace_) {
-    os << r.id.value() << ',' << r.started.as_seconds() << ',' << r.finished.as_seconds()
-       << ',' << r.fct().as_seconds() << ',' << static_cast<std::int64_t>(r.size.as_bytes())
-       << ',' << r.hops << ',' << (r.aborted ? 1 : 0) << "\n";
-  }
-}
-
 bool FlowSession::abort_flow(FlowId id) {
   settle_to_now();
   const Handle h = handle_of_.find(id);
   if (h == kNone) return false;
   Slot& s = slots_[h];
   const double rem = remaining(h);
-  record_trace(h, /*aborted=*/true);
   sim_->trace(metrics::TraceEventKind::kFlowAbort, static_cast<std::uint32_t>(id.value()),
               metrics::kTraceNoId, rem);
   if (sim_->auditor().enabled()) audit_aborted_bits_ += audit_shadow_[h];
@@ -410,7 +385,6 @@ void FlowSession::recompute_and_reschedule() {
     Slot& s = slots_[h];
     // Sub-bit residue counts as delivered so the ledger closes exactly.
     if (audit) audit_delivered_bits_ += audit_shadow_[h];
-    record_trace(h, /*aborted=*/false);
     sim_->trace(metrics::TraceEventKind::kFlowFinish,
                 static_cast<std::uint32_t>(s.id.value()), metrics::kTraceNoId,
                 (now - s.started).as_seconds());

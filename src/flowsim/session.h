@@ -31,7 +31,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <ostream>
 #include <optional>
 #include <vector>
 
@@ -39,21 +38,6 @@
 #include "sim/simulator.h"
 
 namespace hpn::flowsim {
-
-/// One completed (or aborted) flow, for offline analysis/replay. The path
-/// is interned — resolve the link sequence via FlowSession::paths().
-struct FlowRecord {
-  FlowId id;
-  TimePoint started;
-  TimePoint finished;
-  DataSize size;
-  PathId path = PathId{0};
-  std::uint32_t hops = 0;
-  bool aborted = false;
-
-  [[nodiscard]] Duration fct() const { return finished - started; }
-  [[nodiscard]] Bandwidth average_rate() const { return size / fct(); }
-};
 
 class FlowSession {
  public:
@@ -156,13 +140,6 @@ class FlowSession {
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snap);
 
-  /// Record every flow's start/finish/path for offline analysis. Off by
-  /// default (collectives create millions of flows in long runs).
-  void enable_tracing(bool on) { tracing_ = on; }
-  [[nodiscard]] const std::vector<FlowRecord>& trace() const { return trace_; }
-  /// Write the trace as CSV (id,start_s,finish_s,fct_s,bytes,hops,aborted).
-  void write_trace_csv(std::ostream& os) const;
-
  private:
   using Handle = IncrementalMaxMin::Handle;
   static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
@@ -251,8 +228,6 @@ class FlowSession {
   void heap_sift_up(std::uint32_t i);
   void heap_sift_down(std::uint32_t i);
 
-  void record_trace(Handle h, bool aborted);
-
   /// Rate/capacity/down-link/conservation checks plus the completion-heap
   /// and lazy-settle rules after a recompute. Only called when the
   /// simulator's InvariantAuditor is enabled; the audit state is valid if
@@ -280,8 +255,6 @@ class FlowSession {
   Handle scheduled_ = kNone;  ///< heap minimum the event was set for
   double scheduled_key_ = 0.0;
   std::int64_t delivered_bits_ = 0;  ///< completed sizes + aborted flows' served bits
-  bool tracing_ = false;
-  std::vector<FlowRecord> trace_;
   Stats stats_;
 
   // Recompute scratch.

@@ -1,5 +1,6 @@
 #include "routing/load_analyzer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -35,6 +36,9 @@ std::vector<LinkLoad> LoadAnalyzer::loads_on(topo::LinkKind link_kind,
     const topo::Link& l = t.link(lid);
     if (l.kind == link_kind && t.node(l.src).kind == src_kind) out.push_back(ll);
   }
+  // loads_ iterates in hash-bucket order; the callers' float sums must not.
+  std::sort(out.begin(), out.end(),
+            [](const LinkLoad& a, const LinkLoad& b) { return a.link < b.link; });
   return out;
 }
 

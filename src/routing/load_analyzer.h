@@ -39,7 +39,8 @@ class LoadAnalyzer {
   [[nodiscard]] int unroutable() const { return unroutable_; }
 
   /// Loads restricted to links of one kind whose source node is one kind
-  /// (e.g. fabric links leaving ToRs = the uplinks ECMP spreads over).
+  /// (e.g. fabric links leaving ToRs = the uplinks ECMP spreads over), in
+  /// ascending LinkId order.
   [[nodiscard]] std::vector<LinkLoad> loads_on(topo::LinkKind link_kind,
                                                topo::NodeKind src_kind) const;
 

@@ -7,7 +7,6 @@
 #include <list>
 #include <memory>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -317,10 +316,19 @@ QueryResult eval_run(BaseState& b) {
   return r;
 }
 
+/// What an entry counts against EngineOptions::cache_bytes: its key plus
+/// the bytes of a compact binary record of the result (a 6-byte header,
+/// three u32 counts, 9 bytes per flow or FCT, a u32 and two f64 of
+/// summary), which keeps `stats` cache_bytes and the eviction order
+/// independent of std::vector capacities and struct padding.
+std::size_t entry_cost(const std::string& key, const QueryResult& r) {
+  return key.size() + 38 + 9 * (r.base_flows.size() + r.job_flows.size() + r.fcts.size());
+}
+
 }  // namespace
 
 struct QueryEngine::CacheEntry {
-  std::string bytes;
+  QueryResult result;
   std::list<std::string>::iterator lru;
 };
 
@@ -388,18 +396,18 @@ void QueryEngine::adopt_base(std::unique_ptr<BaseState> base) {
   stats_.bases = impl_->bases.size();
 }
 
-void QueryEngine::cache_insert(const std::string& key, std::string bytes) {
+void QueryEngine::cache_insert(const std::string& key, const QueryResult& result) {
   if (impl_->cache.count(key) != 0) return;
-  const std::size_t cost = key.size() + bytes.size();
+  const std::size_t cost = entry_cost(key, result);
   if (cost > options_.cache_bytes) return;  // larger than the whole cache
   impl_->cache_lru.push_front(key);
-  impl_->cache.emplace(key, CacheEntry{std::move(bytes), impl_->cache_lru.begin()});
+  impl_->cache.emplace(key, CacheEntry{result, impl_->cache_lru.begin()});
   stats_.cache_bytes += cost;
   while (stats_.cache_bytes > options_.cache_bytes && impl_->cache.size() > 1) {
     const std::string victim = impl_->cache_lru.back();
     impl_->cache_lru.pop_back();
     const auto it = impl_->cache.find(victim);
-    stats_.cache_bytes -= victim.size() + it->second.bytes.size();
+    stats_.cache_bytes -= entry_cost(victim, it->second.result);
     impl_->cache.erase(it);
     ++stats_.evictions;
   }
@@ -410,7 +418,7 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
   std::vector<Answer> answers(batch.size());
 
   // Phase 1 (serial): canonicalize, hash, probe the result cache, dedupe.
-  // The content address is the *binary* canonical form (wire encoding of
+  // The content address is the *binary* canonical form (encode_scenario of
   // the parsed scenario): same collision property as hashing to_text() —
   // parsing already erased every formatting difference — without paying
   // ostream double-formatting on every query.
@@ -425,17 +433,12 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
     answers[i].base_hash = hashes[i];
     const auto it = impl_->cache.find(keys[i]);
     if (it != impl_->cache.end()) {
-      std::string decode_error;
-      if (auto r = decode_result(it->second.bytes, &decode_error)) {
-        impl_->cache_lru.splice(impl_->cache_lru.begin(), impl_->cache_lru,
-                                it->second.lru);
-        answers[i].ok = true;
-        answers[i].result = std::move(*r);
-        answers[i].source = Answer::Source::kHit;
-        ++stats_.cache_hits;
-        continue;
-      }
-      HPN_CHECK_MSG(false, "result cache held undecodable bytes: " << decode_error);
+      impl_->cache_lru.splice(impl_->cache_lru.begin(), impl_->cache_lru, it->second.lru);
+      answers[i].ok = true;
+      answers[i].result = it->second.result;
+      answers[i].source = Answer::Source::kHit;
+      ++stats_.cache_hits;
+      continue;
     }
     ++stats_.cache_misses;
     const auto [fit, inserted] = first_for_key.emplace(keys[i], i);
@@ -552,7 +555,7 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
       const std::size_t idx = g.items[k];
       answers[idx] = std::move(g.answers[k]);
       if (answers[idx].ok) {
-        cache_insert(keys[idx], encode_result(answers[idx].result));
+        cache_insert(keys[idx], answers[idx].result);
       }
     }
   }
@@ -646,26 +649,36 @@ void strip_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
+/// What `istream >> std::uint32_t` reads: an optional sign and decimal
+/// digits, where a '-' negates modulo 2^32 and a magnitude above
+/// 2^32 - 1 fails.
+bool read_u32(text::Cursor& c, std::uint32_t& v) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  std::int64_t wide = 0;
+  if (!c.read(wide) || wide > kMax || wide < -kMax) return false;
+  v = static_cast<std::uint32_t>(wide);
+  return true;
+}
+
 /// Parse "<verb> [args]" into `p.req`, or poison `p` with a pinned message.
-void parse_verb(std::istringstream& ls, PendingQuery& p) {
-  std::string verb;
-  if (!(ls >> verb)) {
+void parse_verb(text::Cursor& c, PendingQuery& p) {
+  const std::string_view verb = c.token();
+  if (verb.empty()) {
     p.error = "query needs a verb (run | kill-link | add-job | resize)";
     return;
   }
   p.verb_name = verb;
-  std::string junk;
   if (verb == "run") {
     p.req.verb = QueryRequest::Verb::kRun;
-    if (ls >> junk) p.error = "run takes no arguments";
+    if (!c.done()) p.error = "run takes no arguments";
   } else if (verb == "kill-link") {
     p.req.verb = QueryRequest::Verb::kKillLink;
-    if (!(ls >> p.req.arg0) || (ls >> junk)) {
+    if (!read_u32(c, p.req.arg0) || !c.done()) {
       p.error = "kill-link takes one cable index";
     }
   } else if (verb == "add-job") {
     p.req.verb = QueryRequest::Verb::kAddJob;
-    if (!(ls >> p.req.arg0 >> p.req.arg1) || (ls >> junk)) {
+    if (!read_u32(c, p.req.arg0) || !c.read(p.req.arg1) || !c.done()) {
       p.error = "add-job takes <hosts> <gbps>";
     } else if (p.req.arg0 < 2) {
       p.error = "add-job needs >= 2 hosts";
@@ -674,13 +687,13 @@ void parse_verb(std::istringstream& ls, PendingQuery& p) {
     }
   } else if (verb == "resize") {
     p.req.verb = QueryRequest::Verb::kResize;
-    if (!(ls >> p.req.arg0) || (ls >> junk)) {
+    if (!read_u32(c, p.req.arg0) || !c.done()) {
       p.error = "resize takes one size knob";
     } else if (p.req.arg0 == 0) {
       p.error = "resize size must be >= 1";
     }
   } else {
-    p.error = "unknown verb '" + verb + "'";
+    p.error = "unknown verb '" + std::string{verb} + "'";
   }
 }
 
@@ -734,8 +747,7 @@ int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options)
     if (cmd[0] == '#') continue;      // full-line comment
     if (cmd == "query") {
       PendingQuery p;
-      std::istringstream ls{std::string{lc.rest()}};
-      parse_verb(ls, p);
+      parse_verb(lc, p);
       // The inline scenario follows immediately, terminated by its own
       // `end` line (first token "end"). It is consumed even when the verb
       // was bad, so one bad query cannot desynchronize the framing of

@@ -9,9 +9,9 @@
 //  1. A content-addressed result cache keyed on the *canonically
 //     re-serialized* scenario bytes plus the normalized query, so any
 //     textual variant of the same scenario (whitespace, comments, CRLF,
-//     section interleaving) hits the same entry. Entries store the
-//     versioned binary wire encoding (serve/wire.h); hits decode before
-//     replying, which keeps hit and miss replies byte-identical.
+//     section interleaving) hits the same entry. An entry holds the
+//     QueryResult itself and a hit copies it, so hit and miss replies
+//     print the same doubles.
 //
 //  2. A warm-start base cache: the first query against a scenario builds a
 //     BaseState — materialized cluster, a resolved per-flow
@@ -80,11 +80,13 @@ struct Answer {
   std::string error;        ///< set when !ok
   QueryResult result;       ///< valid when ok
   Source source = Source::kCold;
-  std::uint64_t base_hash = 0;  ///< fnv1a64 of the canonical (wire) scenario bytes
+  /// FNV-1a over 8-byte words of encode_scenario(scenario): the `base=`
+  /// field of the reply.
+  std::uint64_t base_hash = 0;
 };
 
 struct EngineOptions {
-  std::size_t cache_bytes = 64u << 20;  ///< result-cache memory cap
+  std::size_t cache_bytes = 64u << 20;  ///< result-cache cap (see EngineStats)
   std::size_t max_bases = 8;            ///< warm BaseStates kept (LRU)
   int jobs = 1;                         ///< RunnerPool width per batch
 };
@@ -99,7 +101,9 @@ struct EngineStats {
   std::uint64_t bases_built = 0;
   std::uint64_t fields_built = 0; ///< routing distance fields (materialize + add-job probes)
   std::uint64_t evictions = 0;    ///< result-cache LRU evictions
-  std::size_t cache_bytes = 0;    ///< current result-cache footprint
+  /// Result-cache footprint: per entry, its key plus 38 + 9 bytes per
+  /// flow and FCT (a compact binary record of the result).
+  std::size_t cache_bytes = 0;
   std::size_t bases = 0;          ///< current warm bases held
 };
 
@@ -126,7 +130,7 @@ class QueryEngine {
   std::string cache_key(std::uint64_t base_hash, const QueryRequest& q) const;
   BaseState* find_base(std::uint64_t hash);
   void adopt_base(std::unique_ptr<BaseState> base);
-  void cache_insert(const std::string& key, std::string bytes);
+  void cache_insert(const std::string& key, const QueryResult& result);
 
   EngineOptions options_;
   EngineStats stats_;

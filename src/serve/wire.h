@@ -1,17 +1,16 @@
-// Versioned binary wire format for the serve daemon: scenarios and query
-// results as little-endian byte strings with a 4-byte magic and a u16
-// format version. The result codec is load-bearing, not decorative — the
-// serve result cache stores *encoded* results and every cache hit decodes
-// before rendering its reply, so hit and miss replies are byte-identical
-// only because encode/decode round-trips doubles exactly (bit_cast, never
-// text). The scenario codec is the compact interchange form of the same
-// struct the text format carries.
+// Binary forms for the serve daemon: the canonical scenario encoding and
+// the evaluated-query record.
+//
+// encode_scenario writes a parsed scenario as little-endian bytes behind a
+// 4-byte magic and a u16 format version; doubles go in as their bit
+// patterns (bit_cast, never text). Parsing has already erased every
+// formatting difference, so equal scenarios encode to equal bytes, and the
+// serve caches key on a hash of these bytes (the `base=` field of every
+// reply). Nothing decodes them: the result cache holds QueryResult values.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "scenario/scenario.h"
@@ -44,42 +43,8 @@ struct QueryResult {
   bool operator==(const QueryResult&) const = default;
 };
 
-namespace wire {
-
-inline constexpr std::uint16_t kVersion = 1;
-inline constexpr std::string_view kScenarioMagic = "HPNS";
-inline constexpr std::string_view kResultMagic = "HPNR";
-
-// Little-endian primitive writers (append to `out`).
-void put_u8(std::string& out, std::uint8_t v);
-void put_u16(std::string& out, std::uint16_t v);
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-void put_i64(std::string& out, std::int64_t v);
-/// Exact bit-pattern round-trip (bit_cast to u64) — no text, no rounding.
-void put_f64(std::string& out, double v);
-/// u32 length prefix + raw bytes.
-void put_string(std::string& out, std::string_view v);
-
-/// Cursor-based readers: false on truncation (cursor unspecified after).
-bool get_u8(std::string_view in, std::size_t& pos, std::uint8_t& v);
-bool get_u16(std::string_view in, std::size_t& pos, std::uint16_t& v);
-bool get_u32(std::string_view in, std::size_t& pos, std::uint32_t& v);
-bool get_u64(std::string_view in, std::size_t& pos, std::uint64_t& v);
-bool get_i64(std::string_view in, std::size_t& pos, std::int64_t& v);
-bool get_f64(std::string_view in, std::size_t& pos, double& v);
-bool get_string(std::string_view in, std::size_t& pos, std::string& v);
-
-}  // namespace wire
-
+/// The canonical bytes of `s`: "HPNS", u16 version 1, then every field in
+/// declaration order (flows, faults and jobs each behind a u32 count).
 std::string encode_scenario(const fuzz::Scenario& s);
-/// nullopt on bad magic, unsupported version, truncation, or out-of-range
-/// enum values; `*error` explains which.
-std::optional<fuzz::Scenario> decode_scenario(std::string_view bytes,
-                                              std::string* error = nullptr);
-
-std::string encode_result(const QueryResult& r);
-std::optional<QueryResult> decode_result(std::string_view bytes,
-                                         std::string* error = nullptr);
 
 }  // namespace hpn::serve

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "topo/builders.h"
 
 namespace hpn::ctrl {
@@ -205,6 +211,33 @@ TEST(Bgp, NonSpeakersHoldNoRoutes) {
 // --- Additional fabrics and adjacency robustness ------------------------------
 namespace hpn::ctrl {
 namespace {
+
+TEST(Bgp, AuditFibReportsViolationsInPrefixThenSpeakerOrder) {
+  // Silently cut every link of one Agg (no BGP event): every speaker that
+  // routes through it, and the Agg itself, now egresses over down links.
+  // The audit lists those violations by prefix, then by ascending speaker
+  // id, whatever the speaker map's bucket order.
+  Rig rig = tiny_rig();
+  const auto agg = std::find_if(rig.c.topo.nodes().begin(), rig.c.topo.nodes().end(),
+                                [](const topo::Node& n) { return n.kind == topo::NodeKind::kAgg; });
+  ASSERT_NE(agg, rig.c.topo.nodes().end());
+  for (const LinkId l : rig.c.topo.out_links(agg->id)) rig.c.topo.set_duplex_up(l, false);
+  rig.s.auditor().enable();
+  rig.bgp.audit_fib(rig.s.auditor());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> order;  // (prefix, speaker)
+  std::set<std::uint64_t> speakers;
+  for (const sim::AuditViolation& v : rig.s.auditor().violations()) {
+    unsigned long long speaker = 0, prefix = 0;
+    ASSERT_EQ(std::sscanf(v.detail.c_str(), "speaker %llu routes prefix %llu", &speaker, &prefix),
+              2)
+        << v.detail;
+    order.emplace_back(prefix, speaker);
+    speakers.insert(speaker);
+  }
+  ASSERT_EQ(order.size(), sim::InvariantAuditor::kMaxRetained);
+  EXPECT_GT(speakers.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+}
 
 TEST(BgpExtra, ParallelLinkAdjacencySurvivesSingleCut) {
   // DCN+ ToR-Agg pairs have 8 parallel links; cutting one must not tear the

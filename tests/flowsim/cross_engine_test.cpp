@@ -12,6 +12,7 @@
 
 #include "flowsim/fluid.h"
 #include "flowsim/packet.h"
+#include "flowsim/session.h"
 #include "metrics/trace.h"
 #include "topo/topology.h"
 
@@ -182,7 +183,9 @@ TEST(CrossEngineIncast, ThroughputAndQueuesAgreeAcrossEngines) {
 TEST(CrossEngineIncast, TracerSeesFlowLifecyclesInBothEngines) {
   // Both engines must emit matching flow-lifecycle events: one kFlowStart
   // per start_flow, and (for the packet engine's finite flows) kFlowFinish
-  // on delivery, with the engine name in the label.
+  // on delivery, with the engine name in the label. FlowSession, on the
+  // same fabric, must put the FCT in kFlowFinish and the undelivered bits
+  // in kFlowAbort.
   IncastTopo topo;
   {
     sim::Simulator s;
@@ -214,6 +217,35 @@ TEST(CrossEngineIncast, TracerSeesFlowLifecyclesInBothEngines) {
     ASSERT_EQ(starts.size(), 1u);
     ASSERT_EQ(finishes.size(), 1u);
     EXPECT_STREQ(starts[0].label, "packet");
+  }
+  {
+    sim::Simulator s;
+    s.auditor().enable();
+    s.tracer().enable();
+    FlowSession fs{topo.t, s};
+    // Two flows split the 100G bottleneck 50/50 until the second is
+    // aborted at 10 us with 32 Mbit - 0.5 Mbit left; the first then has
+    // 7.5 Mbit left at 100G and drains at 85 us. Completion events fire
+    // one nanosecond past the ceiling of the drain instant.
+    const FlowId kept = fs.start_flow({topo.up[0], topo.bottleneck},
+                                      DataSize::bits(8'000'000), Bandwidth::gbps(100));
+    const FlowId aborted = fs.start_flow({topo.up[1], topo.bottleneck},
+                                         DataSize::bits(32'000'000), Bandwidth::gbps(100));
+    s.run_until(TimePoint::at_nanos(10'000));
+    ASSERT_TRUE(fs.abort_flow(aborted));
+    s.run();
+    EXPECT_TRUE(s.auditor().ok()) << s.auditor().report();
+    EXPECT_EQ(s.tracer().events_of(metrics::TraceEventKind::kFlowStart).size(), 2u);
+    const auto finishes = s.tracer().events_of(metrics::TraceEventKind::kFlowFinish);
+    ASSERT_EQ(finishes.size(), 1u);
+    EXPECT_EQ(finishes[0].a, kept.value());
+    EXPECT_EQ(finishes[0].at, TimePoint::at_nanos(85'001));
+    EXPECT_DOUBLE_EQ(finishes[0].value, 85'001e-9);
+    const auto aborts = s.tracer().events_of(metrics::TraceEventKind::kFlowAbort);
+    ASSERT_EQ(aborts.size(), 1u);
+    EXPECT_EQ(aborts[0].a, aborted.value());
+    EXPECT_EQ(aborts[0].at, TimePoint::at_nanos(10'000));
+    EXPECT_DOUBLE_EQ(aborts[0].value, 31'500'000.0);
   }
 }
 

@@ -59,6 +59,24 @@ TEST(LoadAnalyzer, CountsUnroutable) {
   EXPECT_TRUE(la.loads().empty());
 }
 
+TEST(LoadAnalyzer, LoadsOnListsLinksInAscendingIdOrder) {
+  // loads() is a hash map; loads_on must not hand its bucket order to the
+  // float sums in imbalance() and effective_entropy().
+  topo::DcnPlusConfig cfg;
+  cfg.pods = 2;
+  const Cluster c = topo::build_dcn_plus(cfg);
+  Router r{c.topo};
+  LoadAnalyzer la{r};
+  la.run(cross_pod_flows(c, 512, 4 * 16 * 8));
+  for (const NodeKind kind : {NodeKind::kTor, NodeKind::kAgg}) {
+    const std::vector<LinkLoad> loads = la.loads_on(LinkKind::kFabric, kind);
+    ASSERT_GT(loads.size(), 1u);
+    for (std::size_t i = 1; i < loads.size(); ++i) {
+      EXPECT_LT(loads[i - 1].link, loads[i].link);
+    }
+  }
+}
+
 TEST(LoadAnalyzer, ImbalanceMetric) {
   std::vector<LinkLoad> loads{{LinkId{0}, 3.0, 3}, {LinkId{1}, 1.0, 1}};
   // 4 candidates, mean over candidates = 1.0, peak 3.0.

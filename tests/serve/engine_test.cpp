@@ -15,6 +15,14 @@ namespace {
 using fuzz::Scenario;
 using fuzz::TopologyKind;
 
+/// append_reply's bytes for `a` after its header line (which names the
+/// answer's source: cold, warm or hit).
+std::string reply_body(const Answer& a) {
+  std::string reply;
+  append_reply(reply, 0, "query", a);
+  return reply.substr(reply.find('\n') + 1);
+}
+
 /// A small but non-trivial scenario on the given fabric: cross-section
 /// flows plus one permanent planning fault and one flap.
 Scenario make_scenario(TopologyKind kind, std::uint32_t size, std::uint32_t wiring) {
@@ -79,8 +87,8 @@ TEST(QueryEngine, WarmAnswersBitEqualColdAcrossAllFabrics) {
       // Bit-equal: QueryResult::operator== compares every double exactly.
       EXPECT_EQ(cold.result, warm.result)
           << to_string(kind) << " verb " << static_cast<int>(q.verb);
-      // And byte-equal on the wire (what the daemon actually replies with).
-      EXPECT_EQ(encode_result(cold.result), encode_result(warm.result));
+      // And byte-equal in the reply (what the daemon actually sends).
+      EXPECT_EQ(reply_body(cold), reply_body(warm));
     }
     EXPECT_GT(warm_engine.stats().warm_evals, 0u) << to_string(kind);
   }
@@ -134,12 +142,13 @@ TEST(QueryEngine, BatchAnswersAreIdenticalAtAnyJobs) {
     options.jobs = jobs;
     QueryEngine engine{options};
     const std::vector<Answer> answers = engine.answer(batch);
-    std::vector<std::string> wire;
-    for (const Answer& ans : answers) {
-      ASSERT_TRUE(ans.ok) << ans.error;
-      wire.push_back(encode_result(ans.result));
+    std::vector<std::string> replies;
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+      ASSERT_TRUE(answers[i].ok) << answers[i].error;
+      replies.emplace_back();
+      append_reply(replies.back(), i, "query", answers[i]);
     }
-    transcripts.push_back(std::move(wire));
+    transcripts.push_back(std::move(replies));
   }
   EXPECT_EQ(transcripts[0], transcripts[1]);
   EXPECT_EQ(transcripts[0], transcripts[2]);

@@ -3,8 +3,10 @@
 // into (path, cap) classes and the session kept one service clock per
 // class. Kept verbatim, header-inlined and renamed into namespace
 // hpn::reference (ClassFlowSession, ClassIncrementalMaxMin,
-// class_detail::WaterFiller), with one edit: both constructors default to
-// Aggregation::kPerFlow (they defaulted to kMacroFlows). Per-flow, every
+// class_detail::WaterFiller), with two edits: both constructors default to
+// Aggregation::kPerFlow (they defaulted to kMacroFlows), and FlowRecord,
+// which the production session no longer has, is declared inside
+// ClassFlowSession. Per-flow, every
 // class has one member; ClassSessionDifferential requires the production
 // session to reproduce this engine's completion nanoseconds, fire order,
 // tracer bytes and simulator event counts exactly. Deliberately unoptimized
@@ -34,7 +36,6 @@
 
 namespace hpn::reference {
 
-using flowsim::FlowRecord;
 using flowsim::PathTable;
 
 /// How ClassIncrementalMaxMin maps flows onto water-filling items.
@@ -831,6 +832,21 @@ inline void ClassIncrementalMaxMin::visit_link(LinkId link) {
 class ClassFlowSession {
  public:
   using CompletionFn = std::function<void(FlowId)>;
+
+  /// One completed (or aborted) flow, for offline analysis/replay. The path
+  /// is interned — resolve the link sequence via paths().
+  struct FlowRecord {
+    FlowId id;
+    TimePoint started;
+    TimePoint finished;
+    DataSize size;
+    PathId path = PathId{0};
+    std::uint32_t hops = 0;
+    bool aborted = false;
+
+    [[nodiscard]] Duration fct() const { return finished - started; }
+    [[nodiscard]] Bandwidth average_rate() const { return size / fct(); }
+  };
 
   ClassFlowSession(const topo::Topology& topology, sim::Simulator& simulator,
               Aggregation aggregation = Aggregation::kPerFlow);

@@ -6,9 +6,11 @@
 // unordered_map bucket order. The production session must match it on
 // completion sets per instant and on FCTs within max(1 ns, 1e-9 relative);
 // bench_e2e_session measures its speedup against this engine. Deliberately
-// unoptimized; do not use outside tests/benches. One edit since: the
+// unoptimized; do not use outside tests/benches. Two edits since: the
 // solver's aggregation mode is gone, so the constructor's `aggregation`
-// parameter and the solver_aggregation() accessor went with it.
+// parameter and the solver_aggregation() accessor went with it; and
+// FlowRecord, which the production session no longer has, is declared
+// inside the class.
 #pragma once
 
 #include <algorithm>
@@ -28,13 +30,27 @@
 
 namespace hpn::reference {
 
-using flowsim::FlowRecord;
 using flowsim::IncrementalMaxMin;
 using flowsim::PathTable;
 
 class FlowSession {
  public:
   using CompletionFn = std::function<void(FlowId)>;
+
+  /// One completed (or aborted) flow, for offline analysis/replay. The path
+  /// is interned — resolve the link sequence via paths().
+  struct FlowRecord {
+    FlowId id;
+    TimePoint started;
+    TimePoint finished;
+    DataSize size;
+    PathId path = PathId{0};
+    std::uint32_t hops = 0;
+    bool aborted = false;
+
+    [[nodiscard]] Duration fct() const { return finished - started; }
+    [[nodiscard]] Bandwidth average_rate() const { return size / fct(); }
+  };
 
   FlowSession(const topo::Topology& topology, sim::Simulator& simulator);
 
