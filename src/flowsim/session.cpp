@@ -23,51 +23,6 @@ std::int64_t served_bits(DataSize size, double remaining) {
 FlowSession::FlowSession(const topo::Topology& topology, sim::Simulator& simulator)
     : topo_{&topology}, sim_{&simulator}, solver_{topology}, last_settle_{simulator.now()} {}
 
-FlowSession::Snapshot FlowSession::snapshot() const {
-  HPN_CHECK_MSG(handle_of_.empty(), "session snapshot requires no active flows");
-  HPN_CHECK_MSG(pending_recompute_ == sim::kInvalidEvent &&
-                    pending_completion_ == sim::kInvalidEvent,
-                "session snapshot requires no pending events");
-  Snapshot s;
-  s.next_id = next_id_;
-  s.last_settle = last_settle_;
-  s.delivered = DataSize::bits(delivered_bits_);
-  s.audit_injected_bits = audit_injected_bits_;
-  s.audit_delivered_bits = audit_delivered_bits_;
-  s.audit_aborted_bits = audit_aborted_bits_;
-  return s;
-}
-
-void FlowSession::restore(const Snapshot& snap) {
-  HPN_CHECK_MSG(handle_of_.empty(), "session restore requires no active flows");
-  HPN_CHECK_MSG(pending_recompute_ == sim::kInvalidEvent &&
-                    pending_completion_ == sim::kInvalidEvent,
-                "session restore requires no pending events");
-  next_id_ = snap.next_id;
-  last_settle_ = snap.last_settle;
-  delivered_bits_ = snap.delivered.as_bits();
-  audit_injected_bits_ = snap.audit_injected_bits;
-  audit_delivered_bits_ = snap.audit_delivered_bits;
-  audit_aborted_bits_ = snap.audit_aborted_bits;
-  // A fresh solver, not a rollback: with zero active flows the old one holds
-  // only interned paths and counters, and rebuilding is the one way its
-  // next run re-derives identical PathIds/handles/stats from identical
-  // inputs (see the PathId invalidation note on Snapshot). The session's
-  // own tables hold only free entries now; they restart with it, and give
-  // their memory back, so a quiescent session kept for re-runs (serve's
-  // cached bases) does not pin its peak-sized tables.
-  solver_ = IncrementalMaxMin{*topo_};
-  slots_ = {};
-  handle_of_ = {};
-  heap_ = {};
-  touched_local_ = {};
-  done_ = {};
-  audit_shadow_ = {};
-  audit_load_ = {};
-  scheduled_ = kNone;
-  stats_ = Stats{};
-}
-
 FlowId FlowSession::start_flow(const std::vector<LinkId>& path, DataSize size,
                                Bandwidth cap, CompletionFn on_complete) {
   return start_flow(solver_.paths().intern(path), size, cap, std::move(on_complete));

@@ -91,7 +91,7 @@ class FlowSession {
   [[nodiscard]] DataSize delivered_total() const;
 
   /// Work the session did: what each event cost, independent of host speed.
-  /// restore() zeroes it along with the solver's counters.
+  /// Counts from construction.
   struct Stats {
     std::uint64_t recomputes = 0;       ///< batched drain + re-rate passes
     std::uint64_t classes_rerated = 0;  ///< flows a recompute moved to a new rate
@@ -120,26 +120,6 @@ class FlowSession {
   [[nodiscard]] PathTable& paths() { return solver_.paths(); }
   [[nodiscard]] const PathTable& paths() const { return solver_.paths(); }
 
-  /// Session counters captured at quiescence: no active flows and no
-  /// pending recompute/completion events (abort or drain first). Restoring
-  /// resets the session to that point — including rebuilding the solver and
-  /// its path interner from scratch, which INVALIDATES every PathId handed
-  /// out so far (re-intern after restore). Together with
-  /// sim::Simulator::restore this makes repeated what-if re-runs on one
-  /// session byte-identical: flow ids, event sequence numbers, and solver
-  /// state all rewind to the snapshot.
-  struct Snapshot {
-    FlowId::underlying next_id = 1;
-    TimePoint last_settle;
-    DataSize delivered = DataSize::zero();
-    double audit_injected_bits = 0.0;
-    double audit_delivered_bits = 0.0;
-    double audit_aborted_bits = 0.0;
-  };
-
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
-
  private:
   using Handle = IncrementalMaxMin::Handle;
   static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
@@ -159,9 +139,9 @@ class FlowSession {
   };
 
   /// Slots grow in fixed 1024-entry chunks: growth never copies or frees a
-  /// large block, and the chunks a restored session releases are the size
-  /// the next session asks for, so long-lived processes that rebuild
-  /// sessions (serve) do not fragment the heap.
+  /// large block, and the chunks a destroyed session releases are the size
+  /// the next session asks for, so long-lived processes that build a
+  /// session per query (serve's `run`) do not fragment the heap.
   template <class T>
   class Chunked {
    public:

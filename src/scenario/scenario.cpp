@@ -8,6 +8,7 @@
 #include "common/text.h"
 #include "fabric/fabric.h"
 #include "routing/router.h"
+#include "sim/simulator.h"
 #include "topo/builders.h"
 
 namespace hpn::fuzz {
@@ -660,6 +661,25 @@ routing::Router::Stats route_flows(const topo::Topology& topo,
   routing::Router router{topo};
   for (Materialized::Flow& f : flows) f.path = router.first_path(f.src, f.dst).links;
   return router.stats();
+}
+
+void schedule_faults(sim::Simulator& sim, topo::Topology& topo,
+                     const std::vector<Materialized::Fault>& faults,
+                     const std::function<void()>& on_change) {
+  const auto set_links = [&](const Materialized::Fault& f, bool up) {
+    return [&topo, on_change, f, up] {
+      if (f.kind == ScenarioFault::Kind::kTorCrash) {
+        for (const LinkId l : topo.out_links(f.tor)) topo.set_duplex_up(l, up);
+      } else {
+        topo.set_duplex_up(f.cable, up);
+      }
+      on_change();
+    };
+  };
+  for (const Materialized::Fault& f : faults) {
+    sim.schedule_at(f.at, set_links(f, false));
+    if (f.down_for > Duration::zero()) sim.schedule_at(f.at + f.down_for, set_links(f, true));
+  }
 }
 
 std::uint64_t scenario_weight(const Scenario& scenario) {

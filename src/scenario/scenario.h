@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -43,6 +44,10 @@
 #include "common/rng.h"
 #include "routing/router.h"
 #include "topo/cluster.h"
+
+namespace hpn::sim {
+class Simulator;
+}  // namespace hpn::sim
 
 namespace hpn::fuzz {
 
@@ -193,6 +198,16 @@ Materialized materialize(const Scenario& scenario);
 /// flows with it, exactly like base flows. Returns the Router's work.
 routing::Router::Stats route_flows(const topo::Topology& topo,
                                    std::vector<Materialized::Flow>& flows);
+
+/// Replay `faults` on `sim` against `topo`: per fault, in order, one event
+/// at `at` that takes its cable (or every out-link of its ToR) down, then,
+/// unless permanent, one at `at + down_for` that brings it back up. Each
+/// event calls `on_change` after flipping the links, where an engine
+/// re-reads link state (FlowSession::refresh). The simulator keeps a copy
+/// of `on_change` per event, and `topo` must outlive the run.
+void schedule_faults(sim::Simulator& sim, topo::Topology& topo,
+                     const std::vector<Materialized::Fault>& faults,
+                     const std::function<void()>& on_change);
 
 /// Greedy shrink candidates, most aggressive first: drop flow/fault
 /// subsets, halve sizes, shrink the topology, and cross-kind simplification

@@ -48,7 +48,7 @@ void finalize_summary(QueryResult& r) {
   const auto account = [&](const std::vector<QueryResult::Flow>& flows) {
     for (const QueryResult::Flow& f : flows) {
       r.total_gbps += f.gbps;
-      if (f.stalled) {
+      if (f.stalled()) {
         ++r.stalled;
       } else {
         min_live = std::min(min_live, f.gbps);
@@ -65,10 +65,9 @@ void finalize_summary(QueryResult& r) {
 
 /// One warm-cached base scenario: the materialized cluster (which owns the
 /// topology every solver below points into), the resolved per-flow base
-/// solver, a reusable scratch solver that deltas are copy-assigned onto,
-/// and — lazily, first `run` query — a Simulator/FlowSession pair whose
-/// quiescent snapshots let time-domain re-runs rewind to t=0 with
-/// byte-identical event ordering.
+/// solver and a reusable scratch solver that deltas are copy-assigned onto.
+/// Time-domain `run` queries build their own Simulator/FlowSession over
+/// this topology and drop them on return.
 ///
 /// Invariant between evaluations: the topology is in *planning* state
 /// (every link up except `planning_dead`). Evaluations may flip links but
@@ -85,10 +84,6 @@ struct QueryEngine::BaseState {
   /// rolled-back delta pending re-rate — see sync_scratch below).
   bool scratch_synced = false;
   std::vector<flowsim::IncrementalMaxMin::Handle> handles;
-  std::unique_ptr<sim::Simulator> sim;
-  std::unique_ptr<flowsim::FlowSession> session;
-  sim::Simulator::Snapshot sim_snap;
-  flowsim::FlowSession::Snapshot sess_snap;
   std::uint64_t fields_built = 0;  ///< routing fields built for this base so far
 
   BaseState(fuzz::Scenario s, std::uint64_t h)
@@ -152,7 +147,7 @@ QueryResult base_alloc(const BaseState& b) {
   r.base_flows.reserve(b.handles.size());
   for (const auto h : b.handles) {
     const double bps = b.solver.rate(h);
-    r.base_flows.push_back({bps / 1e9, bps <= 0.0});
+    r.base_flows.push_back({bps / 1e9});
   }
   finalize_summary(r);
   return r;
@@ -178,7 +173,7 @@ QueryResult eval_kill_link(BaseState& b, std::uint32_t cable_idx) {
   r.base_flows.reserve(b.handles.size());
   for (const auto h : b.handles) {
     const double bps = b.scratch.rate(h);
-    r.base_flows.push_back({bps / 1e9, bps <= 0.0});
+    r.base_flows.push_back({bps / 1e9});
   }
   // Roll the delta back instead of re-copying the base solver next query:
   // restore the planning topology and mark the cable dirty again. Nothing
@@ -223,15 +218,15 @@ QueryResult eval_add_job(BaseState& b, std::uint32_t hosts, double gbps) {
   r.base_flows.reserve(b.handles.size());
   for (const auto h : b.handles) {
     const double bps = b.scratch.rate(h);
-    r.base_flows.push_back({bps / 1e9, bps <= 0.0});
+    r.base_flows.push_back({bps / 1e9});
   }
   r.job_flows.reserve(n);
   for (const auto h : job_handles) {
     if (h == flowsim::IncrementalMaxMin::kInvalidHandle) {
-      r.job_flows.push_back({0.0, true});  // unroutable probe
+      r.job_flows.push_back({0.0});  // unroutable probe: stalled
     } else {
       const double bps = b.scratch.rate(h);
-      r.job_flows.push_back({bps / 1e9, bps <= 0.0});
+      r.job_flows.push_back({bps / 1e9});
     }
   }
   // Removing the probes would churn handle/class free lists relative to a
@@ -243,71 +238,29 @@ QueryResult eval_add_job(BaseState& b, std::uint32_t hosts, double gbps) {
 
 QueryResult eval_run(BaseState& b) {
   QueryResult r = base_alloc(b);
-  if (b.sim == nullptr) {
-    b.sim = std::make_unique<sim::Simulator>();
-    b.session = std::make_unique<flowsim::FlowSession>(b.mat.cluster.topo, *b.sim);
-    b.sim_snap = b.sim->snapshot();
-    b.sess_snap = b.session->snapshot();
-  }
   topo::Topology& topo = b.mat.cluster.topo;
-  sim::Simulator& sim = *b.sim;
-  flowsim::FlowSession& session = *b.session;
   // The time-domain run starts all-up: the fault schedule itself replays
   // every failure (including the permanent ones planning mode pre-applies).
   for (const LinkId l : b.planning_dead) topo.set_duplex_up(l, true);
 
+  // A fresh pair per query starts at t=0 with event seq 1 and FlowId 1, so
+  // repeated runs fire byte-identical schedules. Flows that permanent
+  // faults stall never complete; the session drops them with its slots.
   std::vector<double> fct(b.mat.flows.size(), -1.0);
-  std::vector<FlowId> started;
-  started.reserve(b.mat.flows.size());
-  sim::Simulator* simp = &sim;
-  std::vector<double>* fcts = &fct;
+  sim::Simulator sim;
+  flowsim::FlowSession session{topo, sim};
   for (std::size_t i = 0; i < b.mat.flows.size(); ++i) {
     const fuzz::Materialized::Flow& f = b.mat.flows[i];
-    started.push_back(session.start_flow(f.path, f.size, f.cap, [simp, fcts, i](
-                                                                    FlowId) {
-      (*fcts)[i] = simp->now().since_origin().as_seconds();
-    }));
+    session.start_flow(f.path, f.size, f.cap, [&sim, &fct, i](FlowId) {
+      fct[i] = sim.now().since_origin().as_seconds();
+    });
   }
-  topo::Topology* topop = &topo;
-  flowsim::FlowSession* sess = &session;
-  for (const fuzz::Materialized::Fault& fault : b.mat.faults) {
-    if (fault.kind == fuzz::ScenarioFault::Kind::kTorCrash) {
-      const NodeId tor = fault.tor;
-      sim.schedule_at(fault.at, [topop, sess, tor] {
-        for (const LinkId l : topop->out_links(tor)) topop->set_duplex_up(l, false);
-        sess->refresh();
-      });
-      if (fault.down_for > Duration::zero()) {
-        sim.schedule_at(fault.at + fault.down_for, [topop, sess, tor] {
-          for (const LinkId l : topop->out_links(tor)) topop->set_duplex_up(l, true);
-          sess->refresh();
-        });
-      }
-    } else {
-      const LinkId cable = fault.cable;
-      sim.schedule_at(fault.at, [topop, sess, cable] {
-        topop->set_duplex_up(cable, false);
-        sess->refresh();
-      });
-      if (fault.down_for > Duration::zero()) {
-        sim.schedule_at(fault.at + fault.down_for, [topop, sess, cable] {
-          topop->set_duplex_up(cable, true);
-          sess->refresh();
-        });
-      }
-    }
-  }
-  sim.run();
-  // Flows stalled by permanent faults never complete; abort them so the
-  // session can rewind (aborts batch one recompute event — drain it too).
-  for (const FlowId id : started) session.abort_flow(id);
+  fuzz::schedule_faults(sim, topo, b.mat.faults, [&session] { session.refresh(); });
   sim.run();
   // Restore the planning-state invariant exactly: the schedule may have
   // left any subset of cables down.
   for (const LinkId c : b.mat.cables) topo.set_duplex_up(c, true);
   for (const LinkId l : b.planning_dead) topo.set_duplex_up(l, false);
-  session.restore(b.sess_snap);
-  sim.restore(b.sim_snap);
 
   r.fcts.reserve(fct.size());
   for (const double s : fct) {
@@ -607,14 +560,14 @@ void append_reply(std::string& out, std::size_t index, std::string_view verb,
     out += state;
   };
   for (std::size_t j = 0; j < r.base_flows.size(); ++j) {
-    append_line("f ", j, r.base_flows[j].gbps, r.base_flows[j].stalled ? " stalled\n" : " ok\n");
+    append_line("f ", j, r.base_flows[j].gbps, r.base_flows[j].stalled() ? " stalled\n" : " ok\n");
   }
   if (!r.job_flows.empty()) {
     out += "job ";
     text::append_uint(out, r.job_flows.size());
     out += '\n';
     for (std::size_t j = 0; j < r.job_flows.size(); ++j) {
-      append_line("j ", j, r.job_flows[j].gbps, r.job_flows[j].stalled ? " stalled\n" : " ok\n");
+      append_line("j ", j, r.job_flows[j].gbps, r.job_flows[j].stalled() ? " stalled\n" : " ok\n");
     }
   }
   if (!r.fcts.empty()) {
@@ -649,13 +602,12 @@ void strip_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
-/// What `istream >> std::uint32_t` reads: an optional sign and decimal
-/// digits, where a '-' negates modulo 2^32 and a magnitude above
-/// 2^32 - 1 fails.
+/// An optional sign and decimal digits with a value in [0, 2^32 - 1]; a
+/// negative value fails and "-0" reads as 0.
 bool read_u32(text::Cursor& c, std::uint32_t& v) {
   constexpr std::int64_t kMax = std::numeric_limits<std::uint32_t>::max();
   std::int64_t wide = 0;
-  if (!c.read(wide) || wide > kMax || wide < -kMax) return false;
+  if (!c.read(wide) || wide > kMax || wide < 0) return false;
   v = static_cast<std::uint32_t>(wide);
   return true;
 }

@@ -14,15 +14,16 @@
 //     print the same doubles.
 //
 //  2. A warm-start base cache: the first query against a scenario builds a
-//     BaseState — materialized cluster, a resolved per-flow
-//     IncrementalMaxMin over the base workload, and (lazily) a
-//     Simulator/FlowSession pair with quiescent snapshots for time-domain
-//     re-runs. Single-mutation queries run against a scratch engine that
-//     is copy-assigned from the base solver once and then kept in sync by
-//     rolling each delta back (kill-link) or re-copying (add-job); every
-//     delta goes through the incremental path (notify_link_changed /
-//     add_flow), re-solving only the affected flow components instead of
-//     re-simulating.
+//     BaseState — materialized cluster and a resolved per-flow
+//     IncrementalMaxMin over the base workload. Single-mutation queries
+//     run against a scratch engine that is copy-assigned from the base
+//     solver once and then kept in sync by rolling each delta back
+//     (kill-link) or re-copying (add-job); every delta goes through the
+//     incremental path (notify_link_changed / add_flow), re-solving only
+//     the affected flow components instead of re-simulating. A `run`
+//     query reuses the base's cluster and paths but builds a fresh
+//     Simulator/FlowSession for its time-domain replay, so every re-run
+//     starts from t=0 with the same event order.
 //
 // Warm answers are byte-identical to cold ones *by construction*: the
 // scratch solver holds the exact base-solver bits (a memberwise copy, or

@@ -20,12 +20,13 @@ namespace hpn::serve {
 /// One evaluated query: per-flow steady-state rates (base flows in
 /// materialization order, then any add-job probe flows), optional
 /// time-domain FCTs (the `run` verb), and the summary the reply footer
-/// prints. Stalled = allocated zero rate (a down link on the flow's path);
-/// an incomplete FCT entry is a flow still unfinished at drain time.
+/// prints. Stalled = allocated zero rate (a down link on the flow's path,
+/// or an unroutable probe); an incomplete FCT entry is a flow still
+/// unfinished at drain time.
 struct QueryResult {
   struct Flow {
     double gbps = 0.0;
-    bool stalled = false;
+    [[nodiscard]] bool stalled() const { return gbps <= 0.0; }
     bool operator==(const Flow&) const = default;
   };
   struct Fct {

@@ -270,27 +270,6 @@ void Simulator::run_until(TimePoint t) {
   now_ = t;
 }
 
-Simulator::Snapshot Simulator::snapshot() const {
-  HPN_CHECK_MSG(live_ == 0, "snapshot requires a quiescent simulator ("
-                                << live_ << " events pending)");
-  return Snapshot{now_, next_seq_, processed_};
-}
-
-void Simulator::restore(const Snapshot& snap) {
-  HPN_CHECK_MSG(live_ == 0, "restore requires a quiescent simulator ("
-                                << live_ << " events pending)");
-  // With zero live events peek() reclaims every tombstone still parked in
-  // the wheel/overflow structures and leaves the whole queue empty, so the
-  // cursor can be rewound without stranding entries behind it.
-  const HeapEntry* head = peek();
-  HPN_CHECK(head == nullptr);
-  HPN_CHECK(tombstones_ == 0);
-  now_ = snap.now;
-  next_seq_ = snap.next_seq;
-  processed_ = snap.processed;
-  cur_bucket_ = bucket_no(now_);
-}
-
 TimePoint Simulator::next_event_time() const {
   // The queue head can be a tombstone; reclaiming it mutates only
   // bookkeeping (never observable event order), same as the seed engine's

@@ -84,26 +84,8 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const { return live_; }
   [[nodiscard]] std::uint64_t processed_events() const { return processed_; }
 
-  /// Clock/ordering state captured at quiescence (pending_events() == 0).
-  /// Restoring rewinds the clock AND the scheduling sequence counter, so a
-  /// re-run from the same snapshot assigns events the same (time, seq) keys
-  /// and fires them in byte-identical order — the contract the serve warm
-  /// path's cold-equals-warm answers rest on.
-  struct Snapshot {
-    TimePoint now = TimePoint::origin();
-    std::uint64_t next_seq = 1;
-    std::uint64_t processed = 0;
-  };
-
-  /// Capture the current state. Requires pending_events() == 0 (drain with
-  /// run() or cancel everything first).
-  [[nodiscard]] Snapshot snapshot() const;
-
-  /// Rewind to a prior snapshot (possibly backwards in time). Requires
-  /// pending_events() == 0; tombstones of cancelled events are reclaimed
-  /// here. The slab pool and queue capacities are kept — only the clock,
-  /// sequence counter, and processed count rewind.
-  void restore(const Snapshot& snap);
+  /// Events ever scheduled on this simulator: fired, cancelled or pending.
+  [[nodiscard]] std::uint64_t scheduled_events() const { return next_seq_ - 1; }
 
   /// Time of the next pending event, or TimePoint::far_future() if none.
   [[nodiscard]] TimePoint next_event_time() const;

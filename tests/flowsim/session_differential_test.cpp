@@ -237,7 +237,7 @@ Outcome run_plan(const Plan& plan, bool check_throughput) {
   s.tracer().write_csv(csv);
   out.trace_csv = csv.str();
   out.events_processed = s.processed_events();
-  out.events_scheduled = s.snapshot().next_seq - 1;
+  out.events_scheduled = s.scheduled_events();
   return out;
 }
 

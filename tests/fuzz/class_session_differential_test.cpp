@@ -31,14 +31,6 @@ struct Outcome {
   std::string audit;
 };
 
-void set_links(topo::Topology& topo, const Materialized::Fault& fault, bool up) {
-  if (fault.kind == ScenarioFault::Kind::kTorCrash) {
-    for (const LinkId l : topo.out_links(fault.tor)) topo.set_duplex_up(l, up);
-  } else {
-    topo.set_duplex_up(fault.cable, up);
-  }
-}
-
 template <class Session>
 Outcome run(const Scenario& scenario) {
   Materialized m = materialize(scenario);
@@ -55,25 +47,13 @@ Outcome run(const Scenario& scenario) {
       out.fired.push_back(i);
     });
   }
-  topo::Topology& topo = m.cluster.topo;
-  for (const Materialized::Fault& fault : m.faults) {
-    sim.schedule_at(fault.at, [&topo, &session, fault] {
-      set_links(topo, fault, false);
-      session.refresh();
-    });
-    if (fault.down_for > Duration::zero()) {
-      sim.schedule_at(fault.at + fault.down_for, [&topo, &session, fault] {
-        set_links(topo, fault, true);
-        session.refresh();
-      });
-    }
-  }
+  schedule_faults(sim, m.cluster.topo, m.faults, [&session] { session.refresh(); });
   sim.run();
   std::ostringstream csv;
   sim.tracer().write_csv(csv);
   out.trace_csv = csv.str();
   out.events_processed = sim.processed_events();
-  out.events_scheduled = sim.snapshot().next_seq - 1;
+  out.events_scheduled = sim.scheduled_events();
   if (!sim.auditor().ok()) out.audit = sim.auditor().report();
   return out;
 }

@@ -94,35 +94,7 @@ void run_session_phase(const Scenario& s, const char* tag, std::vector<double>& 
     });
   }
 
-  topo::Topology* topo = &m.cluster.topo;
-  Session* sess = &session;
-  for (const Materialized::Fault& fault : m.faults) {
-    if (fault.kind == ScenarioFault::Kind::kTorCrash) {
-      const NodeId tor = fault.tor;
-      sim.schedule_at(fault.at, [topo, sess, tor] {
-        down_node_links(*topo, tor, false);
-        sess->refresh();
-      });
-      if (fault.down_for > Duration::zero()) {
-        sim.schedule_at(fault.at + fault.down_for, [topo, sess, tor] {
-          down_node_links(*topo, tor, true);
-          sess->refresh();
-        });
-      }
-    } else {
-      const LinkId cable = fault.cable;
-      sim.schedule_at(fault.at, [topo, sess, cable] {
-        topo->set_duplex_up(cable, false);
-        sess->refresh();
-      });
-      if (fault.down_for > Duration::zero()) {
-        sim.schedule_at(fault.at + fault.down_for, [topo, sess, cable] {
-          topo->set_duplex_up(cable, true);
-          sess->refresh();
-        });
-      }
-    }
-  }
+  schedule_faults(sim, m.cluster.topo, m.faults, [&session] { session.refresh(); });
 
   sim.run();
 

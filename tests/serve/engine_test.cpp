@@ -223,18 +223,51 @@ TEST(QueryEngine, RunVerbReportsFctsAndRewindsCleanly) {
   bool any_completed = false;
   for (const QueryResult::Fct& f : first.result.fcts) any_completed |= f.completed;
   EXPECT_TRUE(any_completed) << "some flows must finish in the time-domain run";
-  // Warm re-run on the snapshot-restored simulator must be bit-identical
-  // (this is what the Simulator/FlowSession snapshot machinery pins). Evict
-  // the result cache entry by asking through a fresh engine sharing nothing.
+  // A warm re-run on the same base builds a fresh Simulator/FlowSession
+  // and must be bit-identical to the first run (the base's topology is
+  // back in planning state in between). Bypass the result cache through a
+  // fresh engine that caches nothing.
   EngineOptions no_cache;
   no_cache.cache_bytes = 1;  // effectively disables result caching
   QueryEngine engine2{no_cache};
   const Answer cold1 = engine2.answer({q})[0];
-  const Answer cold2 = engine2.answer({q})[0];  // same base, re-run via restore
+  const Answer cold2 = engine2.answer({q})[0];  // same base, fresh run
   ASSERT_TRUE(cold1.ok);
   ASSERT_TRUE(cold2.ok);
   EXPECT_EQ(cold2.source, Answer::Source::kWarm);
   EXPECT_EQ(cold1.result, cold2.result);
+}
+
+TEST(QueryEngine, RunVerbLeavesFlowsStalledAtDrain) {
+  // Every cable fails for good at 1 ms: the 1 MiB flows finish before it,
+  // the 1 GiB ones stall and are still active in the run's FlowSession
+  // when the query returns and drops it (leak-checked under ASan).
+  Scenario s = make_scenario(TopologyKind::kTinyClos, 2, 2);
+  for (std::size_t i = 0; i < s.flows.size(); i += 2) s.flows[i].size_bytes = 1 << 30;
+  s.faults.clear();
+  for (std::uint32_t cable = 0; cable < 32; ++cable) {
+    s.faults.push_back({fuzz::ScenarioFault::Kind::kLinkFail, 1'000'000, cable, 0});
+  }
+  EngineOptions no_cache;
+  no_cache.cache_bytes = 1;
+  QueryEngine engine{no_cache};
+  const QueryRequest q = make_query(s, QueryRequest::Verb::kRun);
+  const Answer first = engine.answer({q})[0];
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_EQ(first.result.fcts.size(), s.flows.size());
+  for (std::size_t i = 0; i < s.flows.size(); ++i) {
+    const QueryResult::Fct& f = first.result.fcts[i];
+    EXPECT_EQ(f.completed, i % 2 == 1) << "flow " << i;
+    if (!f.completed) {
+      EXPECT_EQ(f.seconds, 0.0) << "flow " << i;
+    }
+  }
+  // Steady state answers over the planning topology: every cable is down.
+  EXPECT_EQ(first.result.stalled, s.flows.size());
+  const Answer again = engine.answer({q})[0];
+  ASSERT_TRUE(again.ok);
+  EXPECT_EQ(again.source, Answer::Source::kWarm);
+  EXPECT_EQ(again.result, first.result);
 }
 
 TEST(QueryEngine, ErrorsAreReportedPerQueryNotFatal) {

@@ -183,6 +183,21 @@ TEST(Simulator, NextEventTime) {
   EXPECT_EQ(s.next_event_time(), TimePoint::far_future());
 }
 
+TEST(Simulator, ScheduledEventsCountsFiredCancelledAndPending) {
+  Simulator s;
+  EXPECT_EQ(s.scheduled_events(), 0u);
+  s.schedule_at(TimePoint::at_nanos(10), [&s] { s.schedule_now([] {}); });
+  const auto cancelled = s.schedule_at(TimePoint::at_nanos(20), [] {});
+  s.schedule_at(TimePoint::at_nanos(30), [] {});
+  ASSERT_TRUE(s.cancel(cancelled));
+  s.run_until(TimePoint::at_nanos(15));
+  EXPECT_EQ(s.scheduled_events(), 4u);  // 2 fired, 1 cancelled, 1 pending
+  EXPECT_EQ(s.processed_events(), 2u);
+  s.run();
+  EXPECT_EQ(s.scheduled_events(), 4u);
+  EXPECT_EQ(s.processed_events(), 3u);
+}
+
 TEST(PeriodicTimer, TicksAtPeriod) {
   Simulator s;
   std::vector<std::int64_t> ticks;

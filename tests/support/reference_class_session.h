@@ -3,10 +3,11 @@
 // into (path, cap) classes and the session kept one service clock per
 // class. Kept verbatim, header-inlined and renamed into namespace
 // hpn::reference (ClassFlowSession, ClassIncrementalMaxMin,
-// class_detail::WaterFiller), with two edits: both constructors default to
-// Aggregation::kPerFlow (they defaulted to kMacroFlows), and FlowRecord,
+// class_detail::WaterFiller), with three edits: both constructors default
+// to Aggregation::kPerFlow (they defaulted to kMacroFlows); FlowRecord,
 // which the production session no longer has, is declared inside
-// ClassFlowSession. Per-flow, every
+// ClassFlowSession; and snapshot()/restore() went with the production
+// session's. Per-flow, every
 // class has one member; ClassSessionDifferential requires the production
 // session to reproduce this engine's completion nanoseconds, fire order,
 // tracer bytes and simulator event counts exactly. Deliberately unoptimized
@@ -897,7 +898,6 @@ class ClassFlowSession {
   [[nodiscard]] DataSize delivered_total() const;
 
   /// Work the session did: what each event cost, independent of host speed.
-  /// restore() zeroes it along with the solver's counters.
   struct Stats {
     std::uint64_t recomputes = 0;       ///< batched drain + re-rate passes
     std::uint64_t classes_rerated = 0;  ///< classes a resolve moved to a new rate
@@ -919,26 +919,6 @@ class ClassFlowSession {
   /// The solver's path interner (intern once, start many flows by PathId).
   [[nodiscard]] PathTable& paths() { return solver_.paths(); }
   [[nodiscard]] const PathTable& paths() const { return solver_.paths(); }
-
-  /// Session counters captured at quiescence: no active flows and no
-  /// pending recompute/completion events (abort or drain first). Restoring
-  /// resets the session to that point — including rebuilding the solver and
-  /// its path interner from scratch, which INVALIDATES every PathId handed
-  /// out so far (re-intern after restore). Together with
-  /// sim::Simulator::restore this makes repeated what-if re-runs on one
-  /// session byte-identical: flow ids, event sequence numbers, and solver
-  /// state all rewind to the snapshot.
-  struct Snapshot {
-    FlowId::underlying next_id = 1;
-    TimePoint last_settle;
-    DataSize delivered = DataSize::zero();
-    double audit_injected_bits = 0.0;
-    double audit_delivered_bits = 0.0;
-    double audit_aborted_bits = 0.0;
-  };
-
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
 
   /// Record every flow's start/finish/path for offline analysis. Off by
   /// default (collectives create millions of flows in long runs).
@@ -964,9 +944,9 @@ class ClassFlowSession {
   };
 
   /// Slots and classes grow in fixed 1024-entry chunks: growth never
-  /// copies or frees a large block, and the chunks a restored session
+  /// copies or frees a large block, and the chunks a destroyed session
   /// releases are the size the next session asks for, so long-lived
-  /// processes that rebuild sessions (serve) do not fragment the heap.
+  /// processes that rebuild sessions do not fragment the heap.
   template <class T>
   class Chunked {
    public:
@@ -1097,7 +1077,6 @@ class ClassFlowSession {
 
   const topo::Topology* topo_;
   sim::Simulator* sim_;
-  Aggregation aggregation_;  ///< kept so restore() can rebuild the solver
   ClassIncrementalMaxMin solver_;
   Chunked<Slot> slots_;
   IdIndex handle_of_;
@@ -1153,57 +1132,8 @@ inline ClassFlowSession::ClassFlowSession(const topo::Topology& topology, sim::S
                          Aggregation aggregation)
     : topo_{&topology},
       sim_{&simulator},
-      aggregation_{aggregation},
       solver_{topology, aggregation},
       last_settle_{simulator.now()} {}
-
-inline ClassFlowSession::Snapshot ClassFlowSession::snapshot() const {
-  HPN_CHECK_MSG(handle_of_.empty(), "session snapshot requires no active flows");
-  HPN_CHECK_MSG(pending_recompute_ == sim::kInvalidEvent &&
-                    pending_completion_ == sim::kInvalidEvent,
-                "session snapshot requires no pending events");
-  Snapshot s;
-  s.next_id = next_id_;
-  s.last_settle = last_settle_;
-  s.delivered = DataSize::bits(delivered_bits_);
-  s.audit_injected_bits = audit_injected_bits_;
-  s.audit_delivered_bits = audit_delivered_bits_;
-  s.audit_aborted_bits = audit_aborted_bits_;
-  return s;
-}
-
-inline void ClassFlowSession::restore(const Snapshot& snap) {
-  HPN_CHECK_MSG(handle_of_.empty(), "session restore requires no active flows");
-  HPN_CHECK_MSG(pending_recompute_ == sim::kInvalidEvent &&
-                    pending_completion_ == sim::kInvalidEvent,
-                "session restore requires no pending events");
-  next_id_ = snap.next_id;
-  last_settle_ = snap.last_settle;
-  delivered_bits_ = snap.delivered.as_bits();
-  audit_injected_bits_ = snap.audit_injected_bits;
-  audit_delivered_bits_ = snap.audit_delivered_bits;
-  audit_aborted_bits_ = snap.audit_aborted_bits;
-  trace_.clear();
-  // A fresh solver, not a rollback: with zero active flows the old one holds
-  // only interned paths and counters, and rebuilding is the one way its
-  // next run re-derives identical PathIds/handles/stats from identical
-  // inputs (see the PathId invalidation note on Snapshot). The session's
-  // own tables hold only free entries now; they restart with it, and give
-  // their memory back, so a quiescent session kept for re-runs (serve's
-  // cached bases) does not pin its peak-sized tables.
-  solver_ = ClassIncrementalMaxMin{*topo_, aggregation_};
-  slots_ = {};
-  handle_of_ = {};
-  classes_ = {};
-  free_classes_ = {};
-  class_of_group_ = {};
-  heap_ = {};
-  touched_local_ = {};
-  done_ = {};
-  audit_shadow_ = {};
-  scheduled_class_ = kNone;
-  stats_ = Stats{};
-}
 
 inline FlowId ClassFlowSession::start_flow(const std::vector<LinkId>& path, DataSize size,
                                Bandwidth cap, CompletionFn on_complete) {

@@ -8,9 +8,10 @@
 // bench_e2e_session measures its speedup against this engine. Deliberately
 // unoptimized; do not use outside tests/benches. Two edits since: the
 // solver's aggregation mode is gone, so the constructor's `aggregation`
-// parameter and the solver_aggregation() accessor went with it; and
+// parameter and the solver_aggregation() accessor went with it;
 // FlowRecord, which the production session no longer has, is declared
-// inside the class.
+// inside the class; and snapshot()/restore() went with the production
+// session's.
 #pragma once
 
 #include <algorithm>
@@ -105,26 +106,6 @@ class FlowSession {
   [[nodiscard]] PathTable& paths() { return solver_.paths(); }
   [[nodiscard]] const PathTable& paths() const { return solver_.paths(); }
 
-  /// Session counters captured at quiescence: no active flows and no
-  /// pending recompute/completion events (abort or drain first). Restoring
-  /// resets the session to that point — including rebuilding the solver and
-  /// its path interner from scratch, which INVALIDATES every PathId handed
-  /// out so far (re-intern after restore). Together with
-  /// sim::Simulator::restore this makes repeated what-if re-runs on one
-  /// session byte-identical: flow ids, event sequence numbers, and solver
-  /// state all rewind to the snapshot.
-  struct Snapshot {
-    FlowId::underlying next_id = 1;
-    TimePoint last_settle;
-    DataSize delivered = DataSize::zero();
-    double audit_injected_bits = 0.0;
-    double audit_delivered_bits = 0.0;
-    double audit_aborted_bits = 0.0;
-  };
-
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
-
   /// Record every flow's start/finish/path for offline analysis. Off by
   /// default (collectives create millions of flows in long runs).
   void enable_tracing(bool on) { tracing_ = on; }
@@ -187,40 +168,6 @@ inline FlowSession::FlowSession(const topo::Topology& topology, sim::Simulator& 
       sim_{&simulator},
       solver_{topology},
       last_settle_{simulator.now()} {}
-
-inline FlowSession::Snapshot FlowSession::snapshot() const {
-  HPN_CHECK_MSG(flows_.empty(), "session snapshot requires no active flows");
-  HPN_CHECK_MSG(pending_recompute_ == sim::kInvalidEvent &&
-                    pending_completion_ == sim::kInvalidEvent,
-                "session snapshot requires no pending events");
-  Snapshot s;
-  s.next_id = next_id_;
-  s.last_settle = last_settle_;
-  s.delivered = delivered_;
-  s.audit_injected_bits = audit_injected_bits_;
-  s.audit_delivered_bits = audit_delivered_bits_;
-  s.audit_aborted_bits = audit_aborted_bits_;
-  return s;
-}
-
-inline void FlowSession::restore(const Snapshot& snap) {
-  HPN_CHECK_MSG(flows_.empty(), "session restore requires no active flows");
-  HPN_CHECK_MSG(pending_recompute_ == sim::kInvalidEvent &&
-                    pending_completion_ == sim::kInvalidEvent,
-                "session restore requires no pending events");
-  next_id_ = snap.next_id;
-  last_settle_ = snap.last_settle;
-  delivered_ = snap.delivered;
-  audit_injected_bits_ = snap.audit_injected_bits;
-  audit_delivered_bits_ = snap.audit_delivered_bits;
-  audit_aborted_bits_ = snap.audit_aborted_bits;
-  trace_.clear();
-  // A fresh solver, not a rollback: with zero active flows the old one holds
-  // only interned paths and counters, and rebuilding is the one way its
-  // next run re-derives identical PathIds/handles/stats from identical
-  // inputs (see the PathId invalidation note on Snapshot).
-  solver_ = IncrementalMaxMin{*topo_};
-}
 
 inline FlowId FlowSession::start_flow(const std::vector<LinkId>& path, DataSize size,
                                Bandwidth cap, CompletionFn on_complete) {
