@@ -148,8 +148,7 @@ BENCHMARK(BM_DisjointPathPlanning);
 
 }  // namespace
 
-// --- appended: packet-engine and BGP micro-benchmarks -------------------------
-#include "ctrl/bgp.h"
+// --- appended: packet-engine micro-benchmark ----------------------------------
 #include "flowsim/packet.h"
 
 namespace {
@@ -179,18 +178,6 @@ void BM_PacketEngineIncast(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);  // ~256 packets per run
 }
 BENCHMARK(BM_PacketEngineIncast);
-
-void BM_BgpInitialConvergence(benchmark::State& state) {
-  for (auto _ : state) {
-    const topo::Cluster c = topo::build_hpn(topo::HpnConfig::tiny());
-    sim::Simulator s;
-    ctrl::BgpFabric bgp{c, s};
-    bgp.originate_all_host_routes();
-    s.run();
-    benchmark::DoNotOptimize(bgp.messages_sent());
-  }
-}
-BENCHMARK(BM_BgpInitialConvergence);
 
 }  // namespace
 

@@ -18,7 +18,7 @@ class HpnFabric final : public Fabric {
     return "dual-ToR dual-plane rail-optimized 2-tier (the paper)";
   }
   [[nodiscard]] topo::Cluster build(const FabricScale& scale) const override {
-    topo::HpnConfig cfg = scale.paper_radix ? topo::HpnConfig{} : topo::HpnConfig::tiny();
+    topo::HpnConfig cfg = topo::HpnConfig::tiny();
     cfg.pods = scale.pods;
     cfg.segments_per_pod = scale.segments_per_pod;
     cfg.hosts_per_segment = scale.hosts_per_segment;

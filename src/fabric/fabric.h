@@ -33,9 +33,6 @@ struct FabricScale {
   int segments_per_pod = 2;
   int hosts_per_segment = 4;
   int gpus_per_host = 8;
-  /// Use the paper-scale radix (ToR uplinks, Agg counts) instead of the
-  /// test-sized radix. Only meaningful for HPN.
-  bool paper_radix = false;
 };
 
 /// How a reconfigurable fabric rotates its circuit tier. The epoch count is

@@ -24,9 +24,6 @@ std::string_view to_string(TraceEventKind kind) {
     case TraceEventKind::kPfcPause: return "pfc_pause";
     case TraceEventKind::kPfcResume: return "pfc_resume";
     case TraceEventKind::kPacketDrop: return "packet_drop";
-    case TraceEventKind::kBgpWithdraw: return "bgp_withdraw";
-    case TraceEventKind::kBgpUpdate: return "bgp_update";
-    case TraceEventKind::kFibUpdate: return "fib_update";
     case TraceEventKind::kCollectiveBegin: return "collective_begin";
     case TraceEventKind::kCollectiveEnd: return "collective_end";
     case TraceEventKind::kIterationBegin: return "iteration_begin";

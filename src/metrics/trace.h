@@ -54,10 +54,6 @@ enum class TraceEventKind : std::uint8_t {
   kPfcPause,
   kPfcResume,
   kPacketDrop,
-  // BGP-lite control plane. a = speaker NodeId, b = prefix (NIC NodeId).
-  kBgpWithdraw,
-  kBgpUpdate,
-  kFibUpdate,
   // Collective spans (ccl). a = span id, b = world size; label = op name.
   kCollectiveBegin,  ///< value = per-GPU payload bytes
   kCollectiveEnd,

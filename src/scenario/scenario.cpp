@@ -515,7 +515,7 @@ Materialized materialize(const Scenario& scenario) {
     case TopologyKind::kHpnSegment: {
       topo::HpnConfig cfg;
       cfg.pods = 1;
-      cfg.segments_per_pod = 2;  // >1 so tier2 exists and BGP has transit
+      cfg.segments_per_pod = 2;  // >1 so tier2 exists
       cfg.hosts_per_segment =
           static_cast<int>(std::clamp<std::uint32_t>(scenario.size_knob, 1, 3));
       cfg.gpus_per_host = 2;

@@ -52,8 +52,8 @@ class Simulator;
 namespace hpn::fuzz {
 
 /// What to build. kTinyClos is the shrinker's terminal: a hand-built
-/// dual-ToR Clos (hosts as bare NICs, 2 ToRs, 1-2 Aggs) that keeps BGP
-/// origination and dual-ToR failover meaningful at 4-8 nodes.
+/// dual-ToR Clos (hosts as bare NICs, 2 ToRs, 1-2 Aggs) that keeps
+/// dual-ToR failover meaningful at 4-8 nodes.
 enum class TopologyKind : std::uint8_t {
   kTinyClos,
   kHpnSegment,  ///< build_hpn: dual-ToR dual-plane segment with tier2.

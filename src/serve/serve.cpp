@@ -246,13 +246,13 @@ QueryResult eval_run(BaseState& b) {
   // A fresh pair per query starts at t=0 with event seq 1 and FlowId 1, so
   // repeated runs fire byte-identical schedules. Flows that permanent
   // faults stall never complete; the session drops them with its slots.
-  std::vector<double> fct(b.mat.flows.size(), -1.0);
+  r.fcts.assign(b.mat.flows.size(), QueryResult::Fct{});
   sim::Simulator sim;
   flowsim::FlowSession session{topo, sim};
   for (std::size_t i = 0; i < b.mat.flows.size(); ++i) {
     const fuzz::Materialized::Flow& f = b.mat.flows[i];
-    session.start_flow(f.path, f.size, f.cap, [&sim, &fct, i](FlowId) {
-      fct[i] = sim.now().since_origin().as_seconds();
+    session.start_flow(f.path, f.size, f.cap, [&sim, &r, i](FlowId) {
+      r.fcts[i].seconds = sim.now().since_origin().as_seconds();
     });
   }
   fuzz::schedule_faults(sim, topo, b.mat.faults, [&session] { session.refresh(); });
@@ -261,11 +261,6 @@ QueryResult eval_run(BaseState& b) {
   // left any subset of cables down.
   for (const LinkId c : b.mat.cables) topo.set_duplex_up(c, true);
   for (const LinkId l : b.planning_dead) topo.set_duplex_up(l, false);
-
-  r.fcts.reserve(fct.size());
-  for (const double s : fct) {
-    r.fcts.push_back(s >= 0.0 ? QueryResult::Fct{s, true} : QueryResult::Fct{0.0, false});
-  }
   return r;
 }
 
@@ -575,7 +570,9 @@ void append_reply(std::string& out, std::size_t index, std::string_view verb,
     text::append_uint(out, r.fcts.size());
     out += '\n';
     for (std::size_t j = 0; j < r.fcts.size(); ++j) {
-      append_line("t ", j, r.fcts[j].seconds, r.fcts[j].completed ? " done\n" : " aborted\n");
+      // The protocol prints an unfinished flow's FCT as 0.
+      const bool done = r.fcts[j].completed();
+      append_line("t ", j, done ? r.fcts[j].seconds : 0.0, done ? " done\n" : " aborted\n");
     }
   }
   out += "summary flows=";

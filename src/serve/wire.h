@@ -30,8 +30,8 @@ struct QueryResult {
     bool operator==(const Flow&) const = default;
   };
   struct Fct {
-    double seconds = 0.0;
-    bool completed = false;
+    double seconds = -1.0;  ///< Negative = still unfinished at drain time.
+    [[nodiscard]] bool completed() const { return seconds >= 0.0; }
     bool operator==(const Fct&) const = default;
   };
   std::vector<Flow> base_flows;

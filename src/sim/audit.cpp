@@ -12,9 +12,6 @@ std::string_view to_string(AuditRule rule) {
     case AuditRule::kFifoOrder: return "fifo_order";
     case AuditRule::kConservation: return "conservation";
     case AuditRule::kDownLinkForwarding: return "down_link_forwarding";
-    case AuditRule::kFibLoop: return "fib_loop";
-    case AuditRule::kFibBlackhole: return "fib_blackhole";
-    case AuditRule::kFibDownLink: return "fib_down_link";
     case AuditRule::kStuckQueue: return "stuck_queue";
     case AuditRule::kCompletionHeap: return "completion_heap";
     case AuditRule::kLazySettle: return "lazy_settle";

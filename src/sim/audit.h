@@ -6,10 +6,10 @@
 // that turns "the run finished" into "the run was physically plausible":
 // bytes injected = delivered + dropped + in-flight, no negative queues,
 // per-link rate <= capacity, FIFO order within a port, event-time
-// monotonicity, loop-free FIBs after BGP convergence, and no flow
-// forwarded over a down link. Every rule guards a dense hot path (the
-// pooled event core, the flat-array packet engine, the incremental
-// max-min solver), where an indexing bug corrupts numbers silently.
+// monotonicity, and no flow forwarded over a down link. Every rule guards
+// a dense hot path (the pooled event core, the flat-array packet engine,
+// the incremental max-min solver), where an indexing bug corrupts numbers
+// silently.
 //
 // Disabled (the default) every probe is a single predictable branch on
 // `enabled_` — the same contract as metrics::Tracer, so the auditor can
@@ -39,9 +39,6 @@ enum class AuditRule : std::uint8_t {
   kFifoOrder,           ///< A port dequeued packets out of enqueue order.
   kConservation,        ///< injected != delivered + dropped + in-flight.
   kDownLinkForwarding,  ///< A flow carried traffic over a down link.
-  kFibLoop,             ///< BGP FIBs form a forwarding loop at quiescence.
-  kFibBlackhole,        ///< A FIB route's next hop has no route at quiescence.
-  kFibDownLink,         ///< A FIB route resolves over a down link.
   kStuckQueue,          ///< Bytes left queued after the simulation drained.
   kCompletionHeap,      ///< A session's next-completion heap disagrees with a full scan.
   kLazySettle,          ///< Lazily settled remaining bits disagree with eager settling.

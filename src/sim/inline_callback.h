@@ -23,9 +23,9 @@ class InlineCallback {
  public:
   /// Inline capture budget. 40 bytes covers the engines' largest hot-path
   /// capture (packet propagation: this + LinkId + a 24-byte Packet).
-  /// Control-plane lambdas (BGP messages, fault events, training-step
-  /// closures) exceed it and take the heap path — they fire per protocol
-  /// round or per iteration, not per packet.
+  /// Control-plane lambdas (fault events, training-step closures) exceed
+  /// it and take the heap path — they fire per fault or per iteration,
+  /// not per packet.
   static constexpr std::size_t kInlineBytes = 40;
   /// Callables needing stricter alignment than a pointer/double spill to
   /// the heap; keeping the buffer 8-aligned is what makes the 48-byte

@@ -102,7 +102,7 @@ TEST_F(FabricControllerHpnTest, HostBlackholeQuery) {
   EXPECT_FALSE(fc.host_in_blackhole(1));
 }
 
-TEST(FabricControllerDcn, TypicalClosConvergesViaBgpFabric) {
+TEST(FabricControllerDcn, TypicalClosConvergesInBgpWindow) {
   // DCN+ has an in-fabric detour (Agg reaches both ToRs of the pair), so
   // ingress convergence is BGP-paced, faster than the host push here.
   Cluster c = topo::build_dcn_plus(topo::DcnPlusConfig::paper_pod());

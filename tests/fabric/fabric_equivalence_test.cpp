@@ -183,22 +183,17 @@ TEST(FabricEquivalence, FatTreeMatchesPreRefactorBuilder) {
 }
 
 TEST(FabricEquivalence, PaperRadixExportIsByteIdentical) {
-  // paper_radix must map to HpnConfig{} defaults (60 ToR uplinks, 60 aggs
-  // per plane) rather than the tiny test radix. Kept to a 2-segment slice so
-  // the byte comparison stays cheap.
+  // The strategies above build at the tiny test radix; the paper-scale
+  // radix (HpnConfig{} defaults: 60 ToR uplinks, 60 aggs per plane) must
+  // match the pre-refactor builder too. Kept to a 2-segment slice so the
+  // byte comparison stays cheap.
   topo::HpnConfig cfg;  // Default = paper radix.
   cfg.pods = 1;
   cfg.segments_per_pod = 2;
   cfg.hosts_per_segment = 8;
   cfg.gpus_per_host = 8;
   const topo::Cluster ref = reference::reference_build_hpn(cfg);
-  FabricScale scale;
-  scale.paper_radix = true;
-  scale.pods = 1;
-  scale.segments_per_pod = 2;
-  scale.hosts_per_segment = 8;
-  scale.gpus_per_host = 8;
-  const topo::Cluster got = fabric_or_throw("hpn").build(scale);
+  const topo::Cluster got = topo::build_hpn(cfg);
   EXPECT_EQ(topo::to_json(ref), topo::to_json(got));
   EXPECT_EQ(topo::to_dot(ref), topo::to_dot(got));
 }

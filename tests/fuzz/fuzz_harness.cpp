@@ -11,7 +11,6 @@
 #include "cluster/cluster_sim.h"
 #include "common/check.h"
 #include "exec/runner_pool.h"
-#include "ctrl/bgp.h"
 #include "flowsim/fluid.h"
 #include "flowsim/packet.h"
 #include "flowsim/session.h"
@@ -61,10 +60,6 @@ void check_lower_bounds(const Materialized& m, const std::vector<double>& fct,
       append_failure(out, os.str());
     }
   }
-}
-
-void down_node_links(topo::Topology& topo, NodeId node, bool up) {
-  for (const LinkId l : topo.out_links(node)) topo.set_duplex_up(l, up);
 }
 
 /// FlowSession phase: the workload runs *with* the fault schedule. Faults
@@ -122,91 +117,6 @@ void run_reference_phase(const Scenario& s, const std::vector<reference::Complet
   run_session_phase<reference::FlowSession>(s, "reference", ref_fct, ref_done, out);
   const std::string diff = reference::compare_completions(done, ref_done);
   if (!diff.empty()) append_failure(out, "reference: session diverges from the eager reference:\n" + diff);
-}
-
-/// BGP phase: originate host routes, replay the fault schedule as
-/// control-plane events, require quiescence, and audit the FIBs for loops,
-/// blackholes, and routes over down links.
-void run_bgp_phase(const Scenario& s, const RunOptions& opts, std::string& out) {
-  Materialized m = materialize(s);
-  if (m.cluster.hosts.empty()) return;  // kRandom builds no BGP speakers.
-
-  sim::Simulator sim;
-  sim.auditor().enable();
-  ctrl::BgpFabric bgp(m.cluster, sim);
-  bgp.set_drop_withdrawals(opts.drop_withdrawals);
-  bgp.originate_all_host_routes();
-  sim.run();
-
-  topo::Topology* topo = &m.cluster.topo;
-  ctrl::BgpFabric* bgpp = &bgp;
-  const auto notify_node_links = [topo, bgpp](NodeId node, bool up) {
-    for (const LinkId l : topo->out_links(node)) {
-      const topo::Link& lk = topo->link(l);
-      if (lk.kind == topo::LinkKind::kAccess) {
-        // on_access_* expects the NIC -> ToR direction.
-        if (up) {
-          bgpp->on_access_up(lk.reverse);
-        } else {
-          bgpp->on_access_down(lk.reverse);
-        }
-      } else if (lk.kind == topo::LinkKind::kFabric) {
-        if (up) {
-          bgpp->on_fabric_up(l);
-        } else {
-          bgpp->on_fabric_down(l);
-        }
-      }
-    }
-  };
-
-  // Origination convergence has already advanced the clock, so fault times
-  // are applied as offsets from the converged instant.
-  const TimePoint base = sim.now();
-  for (const Materialized::Fault& fault : m.faults) {
-    const TimePoint at = base + fault.at.since_origin();
-    sim.run_until(at);
-    if (fault.kind == ScenarioFault::Kind::kTorCrash) {
-      const NodeId tor = fault.tor;
-      down_node_links(*topo, tor, false);
-      notify_node_links(tor, false);
-      if (fault.down_for > Duration::zero()) {
-        sim.schedule_at(at + fault.down_for, [topo, tor, notify_node_links] {
-          down_node_links(*topo, tor, true);
-          notify_node_links(tor, true);
-        });
-      }
-    } else {
-      const LinkId cable = fault.cable;
-      const topo::Link& lk = topo->link(cable);
-      topo->set_duplex_up(cable, false);
-      if (lk.kind == topo::LinkKind::kAccess) {
-        bgp.on_access_down(cable);
-      } else {
-        bgp.on_fabric_down(cable);
-      }
-      if (fault.down_for > Duration::zero()) {
-        const bool access = lk.kind == topo::LinkKind::kAccess;
-        sim.schedule_at(at + fault.down_for, [topo, bgpp, cable, access] {
-          topo->set_duplex_up(cable, true);
-          if (access) {
-            bgpp->on_access_up(cable);
-          } else {
-            bgpp->on_fabric_up(cable);
-          }
-        });
-      }
-    }
-  }
-
-  sim.run();
-  if (!bgp.quiescent()) {
-    append_failure(out, "bgp: not quiescent after the event queue drained");
-  }
-  bgp.audit_fib(sim.auditor());
-  if (!sim.auditor().ok()) {
-    append_failure(out, "bgp: " + sim.auditor().report());
-  }
 }
 
 /// Fluid phase (fault-free scenarios only): same flows, tick engine.
@@ -402,7 +312,6 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
   run_session_phase<flowsim::FlowSession>(scenario, "session", session_fct, session_done,
                                           failure);
   run_reference_phase(scenario, session_done, failure);
-  run_bgp_phase(scenario, options, failure);
   if (!scenario.jobs.empty()) run_jobsmix_phase(scenario, failure);
 
   if (scenario.faults.empty()) {

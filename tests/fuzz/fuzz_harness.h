@@ -9,9 +9,6 @@
 //     re-runs the same workload and schedule; both must complete the same
 //     flows in the same same-instant groups, FCTs within max(1 ns, 1e-9
 //     relative).
-//   - BgpFabric originates host routes, replays the fault schedule as
-//     control-plane events, and is audited for FIB loops/blackholes/down
-//     links at quiescence.
 //   - On fault-free scenarios the fluid and packet engines run the same
 //     flows and per-flow completion times are compared across engines
 //     (physical lower bound for every engine; generous agreement band on
@@ -29,9 +26,6 @@
 namespace hpn::fuzz {
 
 struct RunOptions {
-  /// BGP sabotage knob (auditor validation): silently drop WITHDRAWs so
-  /// stale routes survive and audit_fib must catch the resulting loops.
-  bool drop_withdrawals = false;
   /// Wall for the tick/packet engines; an engine still holding active flows
   /// at the horizon is reported as a failure (stall / deadlock oracle).
   Duration horizon = Duration::seconds(8);

@@ -1,6 +1,6 @@
 // Scenario-fuzzing suite: format round-trip properties, shrinker soundness,
-// a time-boxed randomized fuzz batch through all engines, and the auditor
-// validation test (sabotaged BGP withdrawals must be caught and shrunk to a
+// a time-boxed randomized fuzz batch through all engines, and the shrinker's
+// acceptance test (a stuck flow among decoys must be caught and shrunk to a
 // handful of nodes).
 #include <cstdlib>
 #include <filesystem>
@@ -144,45 +144,43 @@ TEST(FuzzSmoke, RandomScenariosUpholdInvariants) {
   }
 }
 
-/// The acceptance fault: disable FIB withdrawal propagation and prove the
-/// audit layer catches the stale routes, then shrink the repro to a
-/// <= 8-node scenario and round-trip it through a .scenario file.
-TEST(FuzzAudit, DroppedWithdrawalsAreCaughtAndShrunk) {
-  // Tiny Clos, 4 hosts x 2 ToRs x 2 Aggs. Cables are ordered fabric first
-  // (2 per Agg), then 2 access cables per host, so targets 4 and 5 are both
-  // access links of host 0. Killing both revokes the prefix everywhere;
-  // with WITHDRAWs dropped, the Aggs keep stale routes toward ToRs that no
-  // longer have one.
+/// The shrinker's acceptance case: a fault-free flow far too large to finish
+/// inside the engines' 8 s horizon (the shape the replay test round-trips)
+/// hides among decoy flows on a fat tree. The stall oracle must catch it,
+/// and the shrinker must cut the repro to a <= 8-node tiny Clos carrying
+/// just that flow, which round-trips through a .scenario file.
+TEST(FuzzAudit, StuckFlowIsCaughtAndShrunk) {
   Scenario s;
   s.seed = 77;
-  s.topology = TopologyKind::kTinyClos;
-  s.size_knob = 4;  // hosts
-  s.wiring = 2;     // aggs
-  s.flows = {{0, 1, 65'536, 100.0}, {2, 3, 262'144, 100.0}, {1, 2, 2'048, 50.0}};
-  s.faults = {
-      {ScenarioFault::Kind::kLinkFail, 1'000'000, 4, 0},
-      {ScenarioFault::Kind::kLinkFail, 1'000'000, 5, 0},
-      // Decoy the shrinker should discard.
-      {ScenarioFault::Kind::kLinkFlap, 500'000, 0, 100'000},
-  };
+  s.topology = TopologyKind::kFatTree;  // k = 4: 36 nodes
+  // The knobs do not shape the fat tree; they size the tiny Clos the
+  // shrinker crosses to, which needs two hosts to keep the flow.
+  s.size_knob = 4;
+  s.wiring = 2;
+  // Flow 2 needs ~25 s at its 0.5 Gbps floor; the others finish in
+  // microseconds.
+  s.flows = {{0, 1, 65'536, 100.0},
+             {2, 3, 262'144, 100.0},
+             {1, 2, 1'536'000'000, 0.01},
+             {3, 0, 2'048, 50.0}};
 
-  // Honest withdrawals: the same scenario is clean.
-  const RunResult honest = run_scenario(s);
-  ASSERT_TRUE(honest.ok) << honest.failure;
+  // Without the stuck flow the same scenario is clean.
+  Scenario decoys = s;
+  decoys.flows.erase(decoys.flows.begin() + 2);
+  const RunResult clean = run_scenario(decoys);
+  ASSERT_TRUE(clean.ok) << clean.failure;
 
-  RunOptions sabotage;
-  sabotage.drop_withdrawals = true;
-  const RunResult broken = run_scenario(s, sabotage);
+  const RunResult broken = run_scenario(s);
   ASSERT_FALSE(broken.ok);
-  EXPECT_NE(broken.failure.find("fib"), std::string::npos) << broken.failure;
+  EXPECT_NE(broken.failure.find("still active"), std::string::npos) << broken.failure;
 
-  const Scenario shrunk = shrink(
-      s, [&sabotage](const Scenario& c) { return !run_scenario(c, sabotage).ok; });
-  EXPECT_LE(scenario_weight(shrunk), scenario_weight(s));
+  const Scenario shrunk =
+      shrink(s, [](const Scenario& c) { return !run_scenario(c).ok; });
+  EXPECT_LT(scenario_weight(shrunk), scenario_weight(s));
   const Materialized m = materialize(shrunk);
   EXPECT_LE(m.cluster.topo.node_count(), 8u) << shrunk.to_text();
-  // The decoy flap is gone but the double access failure must survive.
-  EXPECT_EQ(shrunk.faults.size(), 2u) << shrunk.to_text();
+  // The decoys are gone; only the stuck flow survives.
+  EXPECT_EQ(shrunk.flows.size(), 1u) << shrunk.to_text();
 
   // The shrunk repro replays from its .scenario file.
   const std::string dir =
@@ -194,7 +192,7 @@ TEST(FuzzAudit, DroppedWithdrawalsAreCaughtAndShrunk) {
   const auto reparsed = Scenario::from_text(buf.str());
   ASSERT_TRUE(reparsed.has_value());
   EXPECT_EQ(*reparsed, shrunk);
-  EXPECT_FALSE(run_scenario(*reparsed, sabotage).ok);
+  EXPECT_FALSE(run_scenario(*reparsed).ok);
   std::filesystem::remove_all(dir);
 }
 

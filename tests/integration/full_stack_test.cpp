@@ -5,7 +5,6 @@
 
 #include <numeric>
 
-#include "ctrl/bgp.h"
 #include "ctrl/fabric_controller.h"
 #include "fault/failure_injector.h"
 #include "train/training_job.h"
@@ -80,35 +79,6 @@ TEST(FullStack, TrainCheckpointFailRecover) {
   while (!ckpt_done && st.sim.step()) {
   }
   EXPECT_TRUE(ckpt_done);
-}
-
-TEST(FullStack, BgpAndRouterAgreeOnReachability) {
-  // The event-driven BGP fabric and the Router's BFS oracle must agree on
-  // reachability for every (ToR, NIC) pair, before and after a failure.
-  Stack st;
-  ctrl::BgpFabric bgp{st.cluster, st.sim};
-  bgp.originate_all_host_routes();
-  st.sim.run();
-
-  auto check_agreement = [&] {
-    for (const NodeId tor : st.cluster.tors) {
-      for (int rank = 0; rank < st.cluster.gpu_count(); rank += 17) {
-        const NodeId nic = st.cluster.nic_of(rank).nic;
-        const bool bgp_says = bgp.reachable(tor, nic);
-        const bool bfs_says = st.router.distance(tor, nic) >= 0;
-        EXPECT_EQ(bgp_says, bfs_says)
-            << st.cluster.topo.node(tor).name << " -> rank " << rank;
-      }
-    }
-  };
-  check_agreement();
-
-  const auto& att = st.cluster.nic_of(3 * 8);
-  st.cluster.topo.set_duplex_up(att.access[0], false);
-  st.router.invalidate();
-  bgp.on_access_down(att.access[0]);
-  st.sim.run();
-  check_agreement();
 }
 
 TEST(FullStack, RandomFailureStormNeverCrashesDualTorJob) {

@@ -221,7 +221,7 @@ TEST(QueryEngine, RunVerbReportsFctsAndRewindsCleanly) {
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_EQ(first.result.fcts.size(), first.result.base_flows.size());
   bool any_completed = false;
-  for (const QueryResult::Fct& f : first.result.fcts) any_completed |= f.completed;
+  for (const QueryResult::Fct& f : first.result.fcts) any_completed |= f.completed();
   EXPECT_TRUE(any_completed) << "some flows must finish in the time-domain run";
   // A warm re-run on the same base builds a fresh Simulator/FlowSession
   // and must be bit-identical to the first run (the base's topology is
@@ -257,9 +257,9 @@ TEST(QueryEngine, RunVerbLeavesFlowsStalledAtDrain) {
   ASSERT_EQ(first.result.fcts.size(), s.flows.size());
   for (std::size_t i = 0; i < s.flows.size(); ++i) {
     const QueryResult::Fct& f = first.result.fcts[i];
-    EXPECT_EQ(f.completed, i % 2 == 1) << "flow " << i;
-    if (!f.completed) {
-      EXPECT_EQ(f.seconds, 0.0) << "flow " << i;
+    EXPECT_EQ(f.completed(), i % 2 == 1) << "flow " << i;
+    if (!f.completed()) {
+      EXPECT_EQ(f.seconds, -1.0) << "flow " << i;
     }
   }
   // Steady state answers over the planning topology: every cable is down.
