@@ -36,7 +36,7 @@ Outcome run(bool storage_on_backend) {
   model.compute_per_iteration = Duration::millis(400);
   const auto plan = workload::ParallelismPlanner{c}.plan(8, 1, 16);
   train::TrainingJob job{c, s, fs, cm, plan, model};
-  workload::StorageTraffic st{c, s, fs, r};
+  workload::StorageTraffic st{c, fs, r};
 
   Outcome out;
   job.run_iterations(5);

@@ -13,6 +13,8 @@
 //
 // Metrics: load imbalance (max/mean over candidate uplinks) and the
 // fraction of bytes exposed to reordering.
+#include <set>
+
 #include "bench_common.h"
 #include "routing/load_analyzer.h"
 #include "routing/repac.h"

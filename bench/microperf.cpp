@@ -19,7 +19,7 @@ void BM_HashTuple(benchmark::State& state) {
   std::uint32_t seed = 0;
   for (auto _ : state) {
     ft.src_port = static_cast<std::uint16_t>(++seed);
-    benchmark::DoNotOptimize(routing::hash_tuple(ft, seed));
+    benchmark::DoNotOptimize(routing::mix_seed(routing::tuple_crc(ft), seed));
   }
 }
 BENCHMARK(BM_HashTuple);
@@ -65,10 +65,9 @@ void BM_MaxMinSolve(benchmark::State& state) {
     if (!p.valid()) continue;
     flows.push_back({.path = p.links, .cap_bps = 200e9});
   }
-  flowsim::MaxMinSolver solver{c.topo};
   for (auto _ : state) {
     auto copy = flows;
-    solver.solve(copy);
+    flowsim::cold_solve(c.topo, copy);
     benchmark::DoNotOptimize(copy);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(flows.size()));

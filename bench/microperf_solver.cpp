@@ -1,7 +1,7 @@
 // Solver performance harness: paper-Pod incremental re-solve. Cold
-// water-filling (seed reference vs the dense/heap engine) and incremental
-// re-solve after a single access link flip, over >= 100K structural flows
-// on the 15,360-GPU topology. Acceptance (full mode): a rail-access flip
+// water-filling (the seed reference vs the production engine's first
+// resolve()) and incremental re-solve after a single access link flip, over
+// >= 100K structural flows on the 15,360-GPU topology. Acceptance (full mode): a rail-access flip
 // must re-solve >= 10x faster than a cold seed-solver solve.
 //
 // Flags: --smoke (a 4-segment, 16-host slice with the same traffic shapes;
@@ -188,15 +188,6 @@ int run_pod_section(bool smoke) {
     ref_solve_ms = std::min(ref_solve_ms, ms_since(t0));
   }
 
-  flowsim::MaxMinSolver dense{c.topo};
-  double dense_ms = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < 5; ++i) {
-    auto copy = traffic.flows;
-    const auto t0 = Clock::now();
-    dense.solve(copy);
-    dense_ms = std::min(dense_ms, ms_since(t0));
-  }
-
   // Incremental engine: build once, then flip single access cables.
   topo::Topology& topo = const_cast<topo::Cluster&>(c).topo;
   flowsim::IncrementalMaxMin inc{topo};
@@ -222,7 +213,6 @@ int run_pod_section(bool smoke) {
                metrics::Table::num(ref_solve_ms / ms, 1)});
   };
   row("reference_cold_solve", n, ref_solve_ms);
-  row("dense_cold_solve", n, dense_ms);
   row("incremental_first_resolve", n, inc_cold_ms);
   row("incremental_rail_access_flip", rail.affected, rail.best_ms);
   row("incremental_plane_access_flip", plane.affected, plane.best_ms);

@@ -39,7 +39,7 @@ LatencyReport run(bool training, bool checkpoint_storm, bool smoke) {
     plan = workload::ParallelismPlanner{c}.plan(8, 1, 16);
     job = std::make_unique<train::TrainingJob>(c, s, fs, cm, plan, model);
   }
-  workload::StorageTraffic st{c, s, fs, r};
+  workload::StorageTraffic st{c, fs, r};
 
   workload::InferenceConfig icfg;
   icfg.requests_per_sec = 800.0;

@@ -5,7 +5,6 @@
 // single-attached fabric; dual-ToR converts essentially all of those into
 // transient degradations ("no single-point failure in 8 months", §9.3).
 #include "bench_common.h"
-#include "ctrl/fabric_controller.h"
 #include "fault/checkpoint.h"
 #include "fault/failure_injector.h"
 #include "topo/builders.h"
@@ -31,10 +30,7 @@ SoakResult soak(bool dual_tor, std::uint64_t seed) {
   cfg.dual_tor = dual_tor;
   topo::Cluster c = topo::build_hpn(cfg);
 
-  sim::Simulator s;
-  routing::Router r{c.topo};
-  ctrl::FabricController fabric{c, s, r};
-  fault::FailureInjector injector{c, s, fabric, seed};
+  fault::FailureInjector injector{c, seed};
 
   const Duration horizon = Duration::hours(24.0 * 365);
   const Duration repair_after = Duration::minutes(30.0);  // field replacement
@@ -88,7 +84,7 @@ int main(int argc, char** argv) {
                 "in 8 months of production)");
 
   // Both designs draw the same injection plan (same seed) against their own
-  // cluster + Simulator, so the sweep runs them on --jobs workers.
+  // cluster, so the sweep runs them on --jobs workers.
   const std::vector<bool> designs{false, true};
   const std::vector<SoakResult> results = bench::sweep(
       designs, args.jobs, [](bool dual_tor) { return soak(dual_tor, 20240804); });

@@ -434,34 +434,6 @@ void Communicator::all_reduce_tree(DataSize per_gpu, DoneFn done) {
   launch(phases, chunks, std::move(done));
 }
 
-void Communicator::broadcast(DataSize payload, DoneFn done) {
-  done = traced("broadcast", payload, std::move(done));
-  const int chunks = chunks_for(payload);
-  const DataSize chunk = payload / static_cast<double>(chunks);
-  std::vector<Phase> phases;
-  add_tree_wave(phases, /*up=*/false, chunk / static_cast<double>(rails_));
-  // Rails each carried 1/8 of the payload; hosts re-assemble over NVLink.
-  phases.push_back({Phase::kIntraDown, intra_share(chunk, false)});
-  launch(phases, chunks, std::move(done));
-}
-
-void Communicator::reduce(DataSize payload, DoneFn done) {
-  done = traced("reduce", payload, std::move(done));
-  const int chunks = chunks_for(payload);
-  const DataSize chunk = payload / static_cast<double>(chunks);
-  std::vector<Phase> phases{{Phase::kIntraUp, intra_share(chunk, true)}};
-  add_tree_wave(phases, /*up=*/true, chunk / static_cast<double>(rails_));
-  launch(phases, chunks, std::move(done));
-}
-
-void Communicator::barrier(DoneFn done) {
-  // Minimal reduce + broadcast: one cache line's worth per edge. An op's
-  // `done` only fires while the communicator is alive.
-  reduce(DataSize::bytes(64), [this, done = std::move(done)]() mutable {
-    broadcast(DataSize::bytes(64), std::move(done));
-  });
-}
-
 void Communicator::all_reduce(DataSize per_gpu, DoneFn done) {
   done = traced("all_reduce", per_gpu, std::move(done));
   if (use_tree(per_gpu)) {
@@ -517,11 +489,6 @@ int Communicator::all_to_all(DataSize per_gpu, bool allow_host_relay, DoneFn don
   return launch({{Phase::kAllToAll, per_gpu, allow_host_relay ? 1 : 0}}, 1, std::move(done));
 }
 
-void Communicator::send_recv(int src_index, int dst_index, DataSize size, DoneFn done) {
-  point_to_point(ranks_.at(static_cast<std::size_t>(src_index)),
-                 ranks_.at(static_cast<std::size_t>(dst_index)), size, std::move(done));
-}
-
 void Communicator::point_to_point(int src_rank, int dst_rank, DataSize size, DoneFn done) {
   launch({{Phase::kMessage, size, src_rank, dst_rank}}, 1, std::move(done));
 }
@@ -562,22 +529,6 @@ Duration Communicator::run_multi_all_reduce(DataSize per_gpu) {
   return run_blocking(*sim_, [&](std::function<void()> done) {
     multi_all_reduce(per_gpu, std::move(done));
   });
-}
-
-Duration Communicator::run_all_to_all(DataSize per_gpu, bool allow_host_relay) {
-  return run_blocking(*sim_, [&](std::function<void()> done) {
-    all_to_all(per_gpu, allow_host_relay, std::move(done));
-  });
-}
-
-Duration Communicator::run_broadcast(DataSize payload) {
-  return run_blocking(*sim_, [&](std::function<void()> done) {
-    broadcast(payload, std::move(done));
-  });
-}
-
-Duration Communicator::run_barrier() {
-  return run_blocking(*sim_, [&](std::function<void()> done) { barrier(std::move(done)); });
 }
 
 double Communicator::bus_bw_all_reduce(int n, DataSize per_gpu, Duration t) {

@@ -5,17 +5,20 @@
 // contends inside the FlowSession, so hash collisions, dual-plane pinning
 // and failures shape the results instead of being assumed.
 //
-// Algorithm shapes (Megatron/NCCL-style on 8-GPU NVLink hosts):
+// Algorithm shapes (Megatron/NCCL-style on 8-GPU NVLink hosts), the
+// collectives HPN's evaluation runs:
 //  * AllReduce      — hierarchical: intra-host reduce-scatter (NVLS-
 //                     accelerated), 8 parallel rail rings across hosts
 //                     (2(H-1) steps), intra-host all-gather; phases overlap
-//                     through a chunked pipeline.
+//                     through a chunked pipeline. The tree algorithm runs a
+//                     reduce wave to the root and a broadcast wave back.
 //  * ReduceScatter  — intra RS + rail rings with (H-1) steps.
 //  * AllGather      — rail rings (H-1 steps) + intra all-gather; NVLS does
 //                     not apply (§9.2), so it is NVSwitch-bound.
 //  * Multi-AllReduce— Fig 17c: per-rail flat rings over the *full* per-GPU
 //                     payload, all data inter-host, no NVLink phases.
-//  * send/recv      — PP point-to-point.
+//  * AllToAll       — MoE expert exchange (§10), optionally PXN-relayed.
+//  * point-to-point — PP send/recv between two global ranks.
 //
 // Every operation is data: it computes its byte sizes and hands `launch` a
 // list of phases (intra up/down, rail rings, one tree level, an all-to-all
@@ -112,19 +115,8 @@ class Communicator {
   /// non-zero means the collective cannot actually complete on this fabric.
   int all_to_all(DataSize per_gpu, bool allow_host_relay, DoneFn done);
 
-  /// Broadcast from member-host 0 along the binary tree (dataset/weights
-  /// distribution); `payload` is what every GPU ends up holding.
-  void broadcast(DataSize payload, DoneFn done);
-  /// Reduce to member-host 0 along the binary tree.
-  void reduce(DataSize payload, DoneFn done);
-  /// Synchronization barrier: a minimal tree reduce + broadcast.
-  void barrier(DoneFn done);
-
-  /// Point-to-point between two member ranks (local indexes into `ranks`).
-  void send_recv(int src_index, int dst_index, DataSize size, DoneFn done);
-
-  /// Point-to-point between two *global* GPU ranks (need not be members) —
-  /// PP stage boundaries use this directly.
+  /// Point-to-point (send/recv) between two *global* GPU ranks (need not
+  /// be members) — PP stage boundaries.
   void point_to_point(int src_rank, int dst_rank, DataSize size, DoneFn done);
 
   // ---- Blocking helpers (drive the simulator until the op completes) ------
@@ -132,9 +124,6 @@ class Communicator {
   Duration run_reduce_scatter(DataSize per_gpu);
   Duration run_all_gather(DataSize gathered);
   Duration run_multi_all_reduce(DataSize per_gpu);
-  Duration run_all_to_all(DataSize per_gpu, bool allow_host_relay = true);
-  Duration run_broadcast(DataSize payload);
-  Duration run_barrier();
 
   /// Re-steer in-flight inter-host messages after a fabric change (port
   /// failover via shared QP contexts, §4), in ascending FlowId order.

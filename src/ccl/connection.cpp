@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 
 #include "common/check.h"
 
@@ -233,16 +232,6 @@ const routing::Path& ConnectionManager::path_of(ConnId id) {
     c.path_epoch = router_->epoch();
   }
   return c.path;
-}
-
-std::size_t ConnectionManager::distinct_fabric_links(const std::vector<ConnId>& conns) const {
-  std::set<LinkId> links;
-  for (const ConnId id : conns) {
-    for (const LinkId l : conns_.at(id.index()).path.links) {
-      if (is_fabric(l)) links.insert(l);
-    }
-  }
-  return links.size();
 }
 
 }  // namespace hpn::ccl

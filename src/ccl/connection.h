@@ -86,10 +86,6 @@ class ConnectionManager {
   /// Current path of the connection, re-traced if the fabric changed.
   const routing::Path& path_of(ConnId id);
 
-  /// Number of distinct fabric links across a pair's connections — the
-  /// observable for disjointness tests.
-  [[nodiscard]] std::size_t distinct_fabric_links(const std::vector<ConnId>& conns) const;
-
   /// Connections planned across fabric link `l` so far (the occupancy
   /// Algorithm 1 scores candidates by).
   [[nodiscard]] int fabric_usage(LinkId l) const {

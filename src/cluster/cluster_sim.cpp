@@ -417,12 +417,6 @@ std::string ClusterReport::jct_csv() const {
   return out;
 }
 
-std::string ClusterReport::summary_csv_header() {
-  return "policy,seed,jobs,utilization,mean_fragmentation,crashes,crash_cost_dollars,"
-         "train_mean_jct_s,train_p50_jct_s,train_p99_jct_s,train_mean_segments,"
-         "infer_mean_jct_s,makespan_s\n";
-}
-
 std::string ClusterReport::summary_csv_row() const {
   std::string out{to_string(policy)};
   out += ',';

@@ -121,7 +121,6 @@ struct ClusterReport {
   [[nodiscard]] std::string jct_csv() const;
   /// One-line run summary, same stability contract.
   [[nodiscard]] std::string summary_csv_row() const;
-  static std::string summary_csv_header();
 };
 
 /// Build the fabric, replay the trace, return the report. Pure function of

@@ -7,11 +7,6 @@ void StackedDualTorPair::fail_data_plane(TorRole which) {
   reconcile();
 }
 
-void StackedDualTorPair::fail_control_plane(TorRole which) {
-  (which == TorRole::kPrimary ? primary_ : secondary_).control_plane_up = false;
-  reconcile();
-}
-
 void StackedDualTorPair::fail_sync_link() {
   sync_link_up_ = false;
   reconcile();
@@ -56,19 +51,15 @@ void StackedDualTorPair::reconcile() {
     return;
   }
   // Sync broken. The secondary cannot verify the primary's forwarding state
-  // any more. If the primary's *control plane* still answers on the
-  // out-of-band network, the primary insists it is healthy and keeps the
-  // primary role — so the secondary shuts itself down to avoid inconsistent
-  // forwarding (§4.1). That is precisely the trap: if the primary's data
-  // plane is silently dead, the rack is now fully offline.
-  if (primary_.control_plane_up && !secondary_.self_shutdown) {
+  // any more. The primary's control plane still answers on the out-of-band
+  // network, so the primary insists it is healthy and keeps the primary role
+  // — and the secondary shuts itself down to avoid inconsistent forwarding
+  // (§4.1). That is precisely the trap: if the primary's data plane is
+  // silently dead, the rack is now fully offline.
+  if (!secondary_.self_shutdown) {
     secondary_.self_shutdown = true;
     last_transition_ =
         "sync lost while primary control plane is up: secondary self-shutdown";
-  } else if (!primary_.control_plane_up) {
-    // Primary is visibly dead on the OOB network: secondary takes over.
-    secondary_.self_shutdown = false;
-    last_transition_ = "primary control plane down: secondary takes over";
   }
 }
 
@@ -78,10 +69,6 @@ bool StackedDualTorPair::rack_online() const {
 
 void NonStackedDualTorPair::fail_data_plane(TorRole which) {
   (which == TorRole::kPrimary ? a_ : b_).data_plane_up = false;
-}
-
-void NonStackedDualTorPair::fail_control_plane(TorRole which) {
-  (which == TorRole::kPrimary ? a_ : b_).control_plane_up = false;
 }
 
 void NonStackedDualTorPair::upgrade(TorRole which, int new_version) {

@@ -23,12 +23,11 @@ enum class TorRole : std::uint8_t { kPrimary, kSecondary };
 
 struct TorState {
   bool data_plane_up = true;
-  bool control_plane_up = true;
   int firmware_version = 1;
   bool self_shutdown = false;  ///< Secondary's defensive shutdown (stacked).
 
   [[nodiscard]] bool forwarding() const {
-    return data_plane_up && control_plane_up && !self_shutdown;
+    return data_plane_up && !self_shutdown;
   }
 };
 
@@ -42,7 +41,6 @@ class StackedDualTorPair {
   void set_issu_tolerance(int versions) { issu_tolerance_ = versions; }
 
   void fail_data_plane(TorRole which);
-  void fail_control_plane(TorRole which);
   void fail_sync_link();
   void upgrade(TorRole which, int new_version);
   void repair(TorRole which);
@@ -74,7 +72,6 @@ class StackedDualTorPair {
 class NonStackedDualTorPair {
  public:
   void fail_data_plane(TorRole which);
-  void fail_control_plane(TorRole which);
   void upgrade(TorRole which, int new_version);
   void repair(TorRole which);
 

@@ -4,13 +4,6 @@
 
 namespace hpn::ctrl {
 
-MacAddress MacAddress::chassis(std::uint32_t serial) {
-  // Locally-administered unicast OUI, serialized per switch.
-  return MacAddress{{0x02, 0x1A, 0x2B, static_cast<std::uint8_t>(serial >> 16),
-                     static_cast<std::uint8_t>(serial >> 8),
-                     static_cast<std::uint8_t>(serial)}};
-}
-
 std::string MacAddress::to_string() const {
   char buf[18];
   std::snprintf(buf, sizeof buf, "%02X:%02X:%02X:%02X:%02X:%02X", bytes[0], bytes[1],

@@ -28,8 +28,6 @@ struct MacAddress {
   static constexpr MacAddress reserved_virtual_router() {
     return MacAddress{{0x00, 0x00, 0x5E, 0x00, 0x01, 0x01}};
   }
-  /// A vendor chassis MAC (what stock LACP would use) — unique per switch.
-  static MacAddress chassis(std::uint32_t serial);
 
   [[nodiscard]] std::string to_string() const;
   friend bool operator==(const MacAddress&, const MacAddress&) = default;

@@ -1,13 +1,14 @@
 #include "fault/failure_injector.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace hpn::fault {
 
-FailureInjector::FailureInjector(topo::Cluster& cluster, sim::Simulator& simulator,
-                                 ctrl::FabricController& fabric, std::uint64_t seed,
+FailureInjector::FailureInjector(const topo::Cluster& cluster, std::uint64_t seed,
                                  workload::FailureRates rates)
-    : cluster_{&cluster}, sim_{&simulator}, fabric_{&fabric}, rng_{seed}, rates_{rates} {}
+    : cluster_{&cluster}, rng_{seed}, rates_{rates} {}
 
 std::vector<InjectionPlanEntry> FailureInjector::draw_plan(Duration horizon,
                                                            Duration repair_after) {
@@ -59,38 +60,6 @@ std::vector<InjectionPlanEntry> FailureInjector::draw_plan(Duration horizon,
                     NodeId::invalid(), Duration::seconds(rng_.uniform_real(0.5, 5.0))});
   }
   return plan;
-}
-
-void FailureInjector::schedule(const std::vector<InjectionPlanEntry>& plan) {
-  for (const InjectionPlanEntry& e : plan) {
-    HPN_CHECK(e.at >= sim_->now());
-    ++injected_;
-    switch (e.kind) {
-      case InjectionPlanEntry::Kind::kLinkFail:
-        sim_->schedule_at(e.at, [this, e] {
-          fabric_->fail_access(e.host, e.rail, e.port);
-          if (e.repair_after > Duration::zero()) {
-            sim_->schedule_after(e.repair_after, [this, e] {
-              fabric_->repair_access(e.host, e.rail, e.port);
-            });
-          }
-        });
-        break;
-      case InjectionPlanEntry::Kind::kLinkFlap:
-        sim_->schedule_at(e.at, [this, e] {
-          fabric_->flap_access(e.host, e.rail, e.port, e.repair_after);
-        });
-        break;
-      case InjectionPlanEntry::Kind::kTorCrash:
-        sim_->schedule_at(e.at, [this, e] {
-          fabric_->fail_tor(e.tor);
-          if (e.repair_after > Duration::zero()) {
-            sim_->schedule_after(e.repair_after, [this, e] { fabric_->repair_tor(e.tor); });
-          }
-        });
-        break;
-    }
-  }
 }
 
 }  // namespace hpn::fault

@@ -1,13 +1,15 @@
 // Randomized failure injection driven by the production failure statistics
 // of Fig 5 (0.057% of NIC-ToR links fail per month, 0.051% of ToRs crash,
-// 5K-60K link flaps fleet-wide per day). Schedules fail/repair events on a
-// FabricController over simulated time.
+// 5K-60K link flaps fleet-wide per day). Draws a plan of fail/repair events
+// over a simulated horizon; the soak bench adjudicates each event against
+// the collective timeout.
 #pragma once
 
 #include <vector>
 
 #include "common/rng.h"
-#include "ctrl/fabric_controller.h"
+#include "common/units.h"
+#include "topo/cluster.h"
 #include "workload/traffic.h"
 
 namespace hpn::fault {
@@ -24,8 +26,7 @@ struct InjectionPlanEntry {
 
 class FailureInjector {
  public:
-  FailureInjector(topo::Cluster& cluster, sim::Simulator& simulator,
-                  ctrl::FabricController& fabric, std::uint64_t seed,
+  FailureInjector(const topo::Cluster& cluster, std::uint64_t seed,
                   workload::FailureRates rates = {});
 
   /// Draw a random plan over `horizon`: each access link independently
@@ -33,23 +34,10 @@ class FailureInjector {
   /// fleet-wide daily rate scaled to this cluster's share of links.
   std::vector<InjectionPlanEntry> draw_plan(Duration horizon, Duration repair_after);
 
-  /// Schedule a plan's events on the simulator.
-  void schedule(const std::vector<InjectionPlanEntry>& plan);
-
-  /// Convenience: draw + schedule.
-  void inject_random(Duration horizon, Duration repair_after) {
-    schedule(draw_plan(horizon, repair_after));
-  }
-
-  [[nodiscard]] int injected_events() const { return injected_; }
-
  private:
-  topo::Cluster* cluster_;
-  sim::Simulator* sim_;
-  ctrl::FabricController* fabric_;
+  const topo::Cluster* cluster_;
   Rng rng_;
   workload::FailureRates rates_;
-  int injected_ = 0;
 };
 
 }  // namespace hpn::fault

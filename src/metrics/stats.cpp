@@ -1,7 +1,6 @@
 #include "metrics/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace hpn::metrics {
@@ -16,27 +15,7 @@ void RunningStats::add(double x) {
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::ensure_sorted() const {
   if (!sorted_) {
@@ -49,18 +28,6 @@ double SampleSet::mean() const {
   if (samples_.empty()) return 0.0;
   return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
          static_cast<double>(samples_.size());
-}
-
-double SampleSet::min() const {
-  HPN_CHECK(!samples_.empty());
-  ensure_sorted();
-  return samples_.front();
-}
-
-double SampleSet::max() const {
-  HPN_CHECK(!samples_.empty());
-  ensure_sorted();
-  return samples_.back();
 }
 
 double SampleSet::quantile(double q) const {
@@ -80,35 +47,6 @@ double SampleSet::cdf_at(double x) const {
   ensure_sorted();
   const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
   return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
-}
-
-std::vector<std::pair<double, double>> SampleSet::cdf_points() const {
-  ensure_sorted();
-  std::vector<std::pair<double, double>> out;
-  const auto n = static_cast<double>(samples_.size());
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    // Keep only the last occurrence of each distinct value.
-    if (i + 1 < samples_.size() && samples_[i + 1] == samples_[i]) continue;
-    out.emplace_back(samples_[i], static_cast<double>(i + 1) / n);
-  }
-  return out;
-}
-
-std::span<const double> SampleSet::sorted_samples() const {
-  ensure_sorted();
-  return samples_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_{lo}, width_{(hi - lo) / static_cast<double>(bins)}, counts_(bins, 0) {
-  HPN_CHECK_MSG(hi > lo && bins > 0, "invalid histogram range");
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
 }
 
 }  // namespace hpn::metrics

@@ -1,25 +1,21 @@
-// Sample statistics: running summaries, quantiles/CDFs, and histograms.
+// Sample statistics: running summaries, quantiles and CDFs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/check.h"
 
 namespace hpn::metrics {
 
-/// Streaming mean/variance/min/max (Welford). O(1) memory.
+/// Streaming mean/min/max. O(1) memory.
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return mean_ * static_cast<double>(n_); }
@@ -27,7 +23,6 @@ class RunningStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -41,43 +36,17 @@ class SampleSet {
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
   /// Exact quantile by linear interpolation, q in [0, 1].
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }
   /// Fraction of samples <= x.
   [[nodiscard]] double cdf_at(double x) const;
-  /// (value, cumulative fraction) pairs over all distinct sample points.
-  [[nodiscard]] std::vector<std::pair<double, double>> cdf_points() const;
-  [[nodiscard]] std::span<const double> sorted_samples() const;
 
  private:
   void ensure_sorted() const;
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range values clamp to the
-/// edge bins so no sample is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-  [[nodiscard]] double bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace hpn::metrics

@@ -32,32 +32,6 @@ double TimeSeries::mean_over(TimePoint from, TimePoint to) const {
   return n ? sum / static_cast<double>(n) : 0.0;
 }
 
-double TimeSeries::max_over(TimePoint from, TimePoint to) const {
-  auto it = lower(points_, from);
-  double best = 0.0;
-  bool any = false;
-  for (; it != points_.end() && it->at < to; ++it) {
-    best = any ? std::max(best, it->value) : it->value;
-    any = true;
-  }
-  return best;
-}
-
-TimeSeries TimeSeries::resample(Duration window, WindowOp op) const {
-  HPN_CHECK(window > Duration::zero());
-  TimeSeries out{name_};
-  if (points_.empty()) return out;
-  TimePoint cursor = points_.front().at;
-  const TimePoint end = points_.back().at;
-  while (cursor <= end) {
-    const TimePoint next = cursor + window;
-    const double v = op == WindowOp::kMean ? mean_over(cursor, next) : max_over(cursor, next);
-    out.record(cursor, v);
-    cursor = next;
-  }
-  return out;
-}
-
 RunningStats TimeSeries::summary() const {
   RunningStats s;
   for (const auto& p : points_) s.add(p.value);

@@ -29,12 +29,6 @@ class TimeSeries {
 
   /// Mean value over [from, to), treating points as instantaneous samples.
   [[nodiscard]] double mean_over(TimePoint from, TimePoint to) const;
-  [[nodiscard]] double max_over(TimePoint from, TimePoint to) const;
-
-  /// Downsample into fixed windows; each output point is the window's
-  /// mean (e.g. "averaged every 10s" in Fig 15b) or max (Fig 15c).
-  enum class WindowOp { kMean, kMax };
-  [[nodiscard]] TimeSeries resample(Duration window, WindowOp op) const;
 
   /// Summary over all recorded values.
   [[nodiscard]] RunningStats summary() const;

@@ -66,12 +66,6 @@ std::uint64_t Tracer::dropped() const {
   return total_ > ring_.size() ? total_ - ring_.size() : 0;
 }
 
-void Tracer::clear() {
-  total_ = 0;
-  ++generation_;
-  next_span_ = 1;
-}
-
 template <typename F>
 void Tracer::for_each_event(F&& f) const {
   const std::size_t n = size();

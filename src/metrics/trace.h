@@ -117,7 +117,6 @@ class Tracer {
   /// Events overwritten because the ring wrapped.
   [[nodiscard]] std::uint64_t dropped() const;
   [[nodiscard]] bool empty() const { return total_ == 0; }
-  void clear();
 
   /// Retained events, oldest first. Copies the whole ring.
   [[nodiscard]] std::vector<TraceEvent> events() const;
@@ -155,8 +154,8 @@ class Tracer {
   bool watch_all_ = false;
   std::vector<TraceEvent> ring_;
   std::uint64_t total_ = 0;  ///< Events ever recorded; next slot = total_ % cap.
-  /// Bumped by every change to the retained events (push, clear, enable with
-  /// a new capacity). total_ cannot stand in for it: re-enabling with a new
+  /// Bumped by every change to the retained events (push, enable with a new
+  /// capacity). total_ cannot stand in for it: re-enabling with a new
   /// capacity and recording as many events leaves total_ where it was.
   std::uint64_t generation_ = 0;
   std::uint32_t next_span_ = 1;

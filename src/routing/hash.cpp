@@ -60,19 +60,6 @@ std::uint32_t mix_seed(std::uint32_t crc, std::uint32_t seed) {
   return h;
 }
 
-std::uint32_t hash_tuple(const FiveTuple& ft, std::uint32_t seed) {
-  return mix_seed(tuple_crc(ft), seed);
-}
-
-std::string_view to_string(SeedPolicy policy) {
-  switch (policy) {
-    case SeedPolicy::kIdentical: return "identical";
-    case SeedPolicy::kVendorFamily: return "vendor-family";
-    case SeedPolicy::kPerSwitch: return "per-switch";
-  }
-  return "?";
-}
-
 std::uint32_t EcmpHasher::seed_for(NodeId node) const {
   switch (config_.seeds) {
     case SeedPolicy::kIdentical:
@@ -86,21 +73,10 @@ std::uint32_t EcmpHasher::seed_for(NodeId node) const {
   return config_.salt;
 }
 
-std::size_t EcmpHasher::select(const FiveTuple& ft, NodeId node, std::size_t n) const {
-  HPN_CHECK(n > 0);
-  if (n == 1) return 0;
-  return select_crc(tuple_crc(ft), node, n);
-}
-
 std::size_t EcmpHasher::select_crc(std::uint32_t crc, NodeId node, std::size_t n) const {
   HPN_CHECK(n > 0);
   if (n == 1) return 0;
   return mix_seed(crc, seed_for(node)) % n;
-}
-
-std::size_t EcmpHasher::select_at_core(const FiveTuple& ft, NodeId node,
-                                       std::uint16_t ingress_port, std::size_t n) const {
-  return select_at_core(ft, tuple_crc(ft), node, ingress_port, n);
 }
 
 std::size_t EcmpHasher::select_at_core(const FiveTuple& ft, std::uint32_t crc, NodeId node,

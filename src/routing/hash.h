@@ -36,13 +36,12 @@ struct FiveTuple {
 /// Table-driven CRC32 (IEEE 802.3 polynomial) — the hash family commodity
 /// switching ASICs actually use for ECMP.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
-/// CRC32 of the tuple's 13 wire bytes: the seed-free half of hash_tuple, so
-/// a path trace computes it once and mixes each hop's seed in with mix_seed.
+/// CRC32 of the tuple's 13 wire bytes: the seed-free half of a switch's
+/// hash, so a path trace computes it once and mixes each hop's seed in with
+/// mix_seed.
 std::uint32_t tuple_crc(const FiveTuple& ft);
 /// A switch's hash of a tuple whose CRC is `crc`.
 std::uint32_t mix_seed(std::uint32_t crc, std::uint32_t seed);
-/// mix_seed(tuple_crc(ft), seed).
-std::uint32_t hash_tuple(const FiveTuple& ft, std::uint32_t seed);
 
 enum class SeedPolicy : std::uint8_t {
   /// Every switch uses the same seed — worst-case polarization, the
@@ -54,8 +53,6 @@ enum class SeedPolicy : std::uint8_t {
   /// Independent per-switch seeds — the idealized no-polarization baseline.
   kPerSwitch,
 };
-
-std::string_view to_string(SeedPolicy policy);
 
 struct HashConfig {
   SeedPolicy seeds = SeedPolicy::kIdentical;
@@ -73,16 +70,13 @@ class EcmpHasher {
   /// Seed a given switch uses, per the policy.
   [[nodiscard]] std::uint32_t seed_for(NodeId node) const;
 
-  /// Pick one of `n` equal-cost candidates for `ft` at `node`.
-  [[nodiscard]] std::size_t select(const FiveTuple& ft, NodeId node, std::size_t n) const;
-  /// select() for a tuple whose tuple_crc() is `crc`.
+  /// Pick one of `n` equal-cost candidates at `node` for a tuple whose
+  /// tuple_crc() is `crc`.
   [[nodiscard]] std::size_t select_crc(std::uint32_t crc, NodeId node, std::size_t n) const;
 
-  /// Core-switch variant: when per_port_at_core is on, the choice is a pure
-  /// function of (ingress_port, dst_ip) — five-tuple irrelevant (§7).
-  [[nodiscard]] std::size_t select_at_core(const FiveTuple& ft, NodeId node,
-                                           std::uint16_t ingress_port, std::size_t n) const;
-  /// select_at_core() with the tuple's CRC precomputed (`crc` = tuple_crc(ft)).
+  /// Core-switch variant (`crc` = tuple_crc(ft)): when per_port_at_core is
+  /// on, the choice is a pure function of (ingress_port, dst_ip) — five-tuple
+  /// irrelevant (§7).
   [[nodiscard]] std::size_t select_at_core(const FiveTuple& ft, std::uint32_t crc, NodeId node,
                                            std::uint16_t ingress_port, std::size_t n) const;
 

@@ -42,19 +42,6 @@ std::vector<LinkLoad> LoadAnalyzer::loads_on(topo::LinkKind link_kind,
   return out;
 }
 
-double LoadAnalyzer::imbalance(const std::vector<LinkLoad>& loads,
-                               std::size_t candidate_links) {
-  HPN_CHECK(candidate_links > 0);
-  double total = 0.0, peak = 0.0;
-  for (const LinkLoad& ll : loads) {
-    total += ll.load;
-    peak = std::max(peak, ll.load);
-  }
-  if (total == 0.0) return 1.0;
-  const double mean = total / static_cast<double>(candidate_links);
-  return peak / mean;
-}
-
 double LoadAnalyzer::max_load(const std::vector<LinkLoad>& loads) {
   double peak = 0.0;
   for (const LinkLoad& ll : loads) peak = std::max(peak, ll.load);

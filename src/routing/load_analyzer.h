@@ -44,11 +44,6 @@ class LoadAnalyzer {
   [[nodiscard]] std::vector<LinkLoad> loads_on(topo::LinkKind link_kind,
                                                topo::NodeKind src_kind) const;
 
-  /// max/mean load over the given links (1.0 = perfectly even). Links with
-  /// zero load that belong to the candidate set still count in the mean —
-  /// unused equal-cost paths are the polarization signature.
-  static double imbalance(const std::vector<LinkLoad>& loads, std::size_t candidate_links);
-
   /// Heaviest single link (in flow-weight units) — the collision metric:
   /// 1.0 means no elephant ever shares a link with another.
   static double max_load(const std::vector<LinkLoad>& loads);

@@ -19,17 +19,4 @@ std::optional<std::uint16_t> RePaC::steer_onto(LinkId first_hop, NodeId dst, Fiv
   return std::nullopt;
 }
 
-std::optional<std::uint16_t> RePaC::steer_away(LinkId first_hop, NodeId dst, FiveTuple base,
-                                               const std::set<LinkId>& avoid, int budget) {
-  for (int i = 0; i < budget; ++i) {
-    ++probes_;
-    if (!router_->trace_via_into(first_hop, dst, base, probe_)) return std::nullopt;
-    const bool clean = std::none_of(probe_.begin(), probe_.end(),
-                                    [&](LinkId l) { return avoid.count(l) > 0; });
-    if (clean) return base.src_port;
-    ++base.src_port;
-  }
-  return std::nullopt;
-}
-
 }  // namespace hpn::routing

@@ -5,12 +5,11 @@
 // results in each switch", a host can *solve for* a source port that steers
 // a flow onto a chosen equal-cost link — no switch modification needed.
 // This utility does exactly that over our Router: predict the path of a
-// candidate tuple, or search the sport space for one that (a) traverses a
-// target link or (b) avoids a set of congested/failed links.
+// candidate tuple, or search the sport space for one that traverses a
+// target link.
 #pragma once
 
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "routing/router.h"
@@ -30,11 +29,6 @@ class RePaC {
   /// `target_link`. nullopt if the budget runs out or no path exists.
   std::optional<std::uint16_t> steer_onto(LinkId first_hop, NodeId dst, FiveTuple base,
                                           LinkId target_link, int budget = 4096);
-
-  /// Find a source port whose path avoids every link in `avoid` (e.g. links
-  /// the host-switch collaboration system reported congested or failing).
-  std::optional<std::uint16_t> steer_away(LinkId first_hop, NodeId dst, FiveTuple base,
-                                          const std::set<LinkId>& avoid, int budget = 4096);
 
   [[nodiscard]] int probes_used() const { return probes_; }
 

@@ -1,8 +1,9 @@
-// Serializable fuzz scenarios: a topology recipe, a flow workload, and a
-// fault-injector schedule, with a deterministic text round-trip so every
-// fuzz failure is a self-contained `.scenario` repro file. The same format
-// is the canonical query payload of the `hpnsim serve` daemon (src/serve),
-// which is why it lives in src/ (tests/support/scenario.h forwards here).
+// Serializable scenarios: a topology recipe, a flow workload, and a
+// fault-injector schedule, with a deterministic text round-trip. The format
+// is the canonical query payload of the `hpnsim serve` daemon (src/serve);
+// the fuzz harness (tests/fuzz) draws, shrinks and replays the same
+// scenarios, so every fuzz failure is a self-contained `.scenario` repro
+// file. The generator and the shrinker live in tests/fuzz/generator.h.
 //
 // Scenario fields are *recipes*, not materialized ids: flow endpoints,
 // fault cables, and ToR indices are mapped modulo the eligible set when
@@ -62,11 +63,11 @@ enum class TopologyKind : std::uint8_t {
   kRailOnly,    ///< fabric "rail-only": per-rail ToRs, no Agg tier.
   kRailX,       ///< fabric "railx-lite": grouped rails + circuit ring.
   kUbMesh,      ///< fabric "ubmesh-lite": 2D full-mesh switch grid.
-  kRandom,      ///< random_scenarios.h-style connected multigraph.
+  kRandom,      ///< Connected random multigraph (the solver tests' net shape).
   /// build_hpn at honest scale: size = hosts per segment (1-128), wiring =
   /// segments per pod (1-16). The serve daemon and bench_serve use this for
-  /// Pod-sized capacity-planning queries; random_scenario() never draws it,
-  /// so fuzz sweeps and the committed corpus are unchanged.
+  /// Pod-sized capacity-planning queries; the fuzz generator never draws
+  /// it, so fuzz sweeps and the committed corpus are unchanged.
   kHpnPod,
 };
 
@@ -145,14 +146,6 @@ struct Scenario {
 /// output it is the content hash the serve result cache keys on.
 std::uint64_t fnv1a64(std::string_view bytes);
 
-/// Draw a random scenario from a seed (topology kind, workload, faults).
-Scenario random_scenario(std::uint64_t seed);
-
-/// Deterministically add a job mix drawn from `scenario.seed` (no-op when
-/// jobs are already present). `hpnsim_fuzz --jobsmix` applies this to every
-/// drawn scenario so the whole sweep exercises the cluster scheduler.
-void ensure_jobs(Scenario& scenario);
-
 /// A scenario bound to a concrete cluster: resolved paths, cables, faults.
 struct Materialized {
   topo::Cluster cluster;
@@ -208,14 +201,5 @@ routing::Router::Stats route_flows(const topo::Topology& topo,
 void schedule_faults(sim::Simulator& sim, topo::Topology& topo,
                      const std::vector<Materialized::Fault>& faults,
                      const std::function<void()>& on_change);
-
-/// Greedy shrink candidates, most aggressive first: drop flow/fault
-/// subsets, halve sizes, shrink the topology, and cross-kind simplification
-/// toward kTinyClos. Every candidate is strictly "smaller" than the input,
-/// so repeated shrinking terminates.
-std::vector<Scenario> shrink_candidates(const Scenario& scenario);
-
-/// Total ordering used by the shrinker to define "smaller".
-std::uint64_t scenario_weight(const Scenario& scenario);
 
 }  // namespace hpn::fuzz

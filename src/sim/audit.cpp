@@ -65,11 +65,4 @@ std::string InvariantAuditor::report() const {
   return os.str();
 }
 
-void InvariantAuditor::clear() {
-  total_violations_ = 0;
-  violations_.clear();
-  fifo_in_.clear();
-  fifo_out_.clear();
-}
-
 }  // namespace hpn::sim

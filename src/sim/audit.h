@@ -92,7 +92,6 @@ class InvariantAuditor {
   }
   /// One line per retained violation, for harness/test failure messages.
   [[nodiscard]] std::string report() const;
-  void clear();
 
   static constexpr std::size_t kMaxRetained = 64;
 

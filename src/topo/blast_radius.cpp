@@ -78,13 +78,4 @@ BlastRadius worst_blast_radius(Cluster& cluster, NodeKind kind) {
   return worst;
 }
 
-std::vector<BlastRadius> blast_radius_report(Cluster& cluster) {
-  const TierProfile tiers = discover_tiers(cluster);
-  std::vector<BlastRadius> report;
-  report.push_back(worst_blast_radius(cluster, NodeKind::kTor));
-  if (tiers.has_agg) report.push_back(worst_blast_radius(cluster, NodeKind::kAgg));
-  if (tiers.has_core) report.push_back(worst_blast_radius(cluster, NodeKind::kCore));
-  return report;
-}
-
 }  // namespace hpn::topo

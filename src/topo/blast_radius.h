@@ -32,10 +32,4 @@ BlastRadius blast_radius_of_access(Cluster& cluster, int host, int rail, int por
 /// Worst-case radius over every node of `kind` (exhaustive sweep).
 BlastRadius worst_blast_radius(Cluster& cluster, NodeKind kind);
 
-/// Worst-case radius per switch tier actually present in the cluster
-/// (discovered from the graph, not assumed from the Arch enum): always the
-/// ToR tier, plus Agg/Core rows only when those tiers exist. Fabrics
-/// without an aggregation tier get a report with no phantom "no Agg" rows.
-std::vector<BlastRadius> blast_radius_report(Cluster& cluster);
-
 }  // namespace hpn::topo

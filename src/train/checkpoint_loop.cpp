@@ -101,7 +101,7 @@ void CheckpointLoop::write_checkpoint() {
     sim_->schedule_after(policy_.write_time, std::move(written));
   } else {
     const DataSize per_host = policy_.per_gpu * static_cast<double>(cluster_->gpus_per_host);
-    workload::StorageTraffic{*cluster_, *sim_, *session_, *router_}.checkpoint_write(
+    workload::StorageTraffic{*cluster_, *session_, *router_}.checkpoint_write(
         job_->plan().hosts, storage_, per_host, std::move(written));
   }
 }

@@ -44,22 +44,6 @@ ModelPreset llama_13b() {
   };
 }
 
-ModelPreset moe_8x7b() {
-  return ModelPreset{
-      .name = "MoE-8x7B",
-      .traffic =
-          IterationTraffic{
-              .dp_all_reduce = DataSize::megabytes(300),
-              .pp_send = DataSize::megabytes(6),
-              .tp_all_reduce = DataSize::megabytes(120),
-              .moe_all_to_all = DataSize::megabytes(256),
-          },
-      .compute_per_iteration = Duration::seconds(0.8),
-      .samples_per_iteration_per_gpu = 1,
-      .dp_rounds_per_iteration = 8,
-  };
-}
-
 std::vector<int> ParallelismPlanner::active_hosts() const {
   std::vector<int> out;
   for (const topo::Host& h : cluster_->hosts) {

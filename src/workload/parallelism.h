@@ -43,9 +43,6 @@ struct ModelPreset {
 ModelPreset gpt3_175b();
 ModelPreset llama_7b();
 ModelPreset llama_13b();
-/// Mixtral-class sparse model: light dense gradients, heavy expert
-/// all-to-all — the workload that rules out rail-only tier2 (§10).
-ModelPreset moe_8x7b();
 
 struct PlacementPlan {
   int tp = 8;

@@ -21,9 +21,9 @@ std::vector<NodeId> StorageTraffic::host_endpoints(const topo::Host& host,
   return out;
 }
 
-void StorageTraffic::transfer(const std::vector<int>& hosts,
-                              const std::vector<topo::StorageHost>& storage,
-                              DataSize per_host, bool to_storage, DoneFn done) {
+void StorageTraffic::checkpoint_write(const std::vector<int>& hosts,
+                                      const std::vector<topo::StorageHost>& storage,
+                                      DataSize per_host, DoneFn done) {
   HPN_CHECK(!hosts.empty() && !storage.empty());
   const bool backend = storage.front().on_backend;
   auto remaining = std::make_shared<int>(0);
@@ -37,10 +37,8 @@ void StorageTraffic::transfer(const std::vector<int>& hosts,
     const topo::Host& host = cluster_->hosts.at(static_cast<std::size_t>(h));
     const auto endpoints = host_endpoints(host, backend);
     const DataSize per_flow = per_host / static_cast<double>(endpoints.size());
-    for (const NodeId ep : endpoints) {
-      const topo::StorageHost& target = storage[rr++ % storage.size()];
-      const NodeId src = to_storage ? ep : target.host;
-      const NodeId dst = to_storage ? target.host : ep;
+    for (const NodeId src : endpoints) {
+      const NodeId dst = storage[rr++ % storage.size()].host;
       const routing::FiveTuple ft{.src_ip = src.value(),
                                   .dst_ip = dst.value(),
                                   .src_port = static_cast<std::uint16_t>(20'000 + rr)};
@@ -57,30 +55,6 @@ void StorageTraffic::transfer(const std::vector<int>& hosts,
     }
   }
   HPN_CHECK_MSG(*remaining > 0, "no storage flow was routable");
-}
-
-void StorageTraffic::checkpoint_write(const std::vector<int>& hosts,
-                                      const std::vector<topo::StorageHost>& storage,
-                                      DataSize per_host, DoneFn done) {
-  transfer(hosts, storage, per_host, /*to_storage=*/true, std::move(done));
-}
-
-void StorageTraffic::dataset_load(const std::vector<int>& hosts,
-                                  const std::vector<topo::StorageHost>& storage,
-                                  DataSize per_host, DoneFn done) {
-  transfer(hosts, storage, per_host, /*to_storage=*/false, std::move(done));
-}
-
-Duration StorageTraffic::run_checkpoint_write(const std::vector<int>& hosts,
-                                              const std::vector<topo::StorageHost>& storage,
-                                              DataSize per_host) {
-  const TimePoint start = sim_->now();
-  bool finished = false;
-  checkpoint_write(hosts, storage, per_host, [&finished] { finished = true; });
-  while (!finished && sim_->step()) {
-  }
-  HPN_CHECK(finished);
-  return sim_->now() - start;
 }
 
 }  // namespace hpn::workload

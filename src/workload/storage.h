@@ -1,9 +1,8 @@
 // Storage traffic over the simulated fabric (§8, §10).
 //
 // Checkpoint saves are the bandwidth-heavy storage operation: every compute
-// host flushes ~30GB x 8 GPUs to the CPFS/OSS cluster. Dataset/image loads
-// are reads in the opposite direction. Traffic can ride the frontend
-// network (the deployed design) or the backend (the §10-rejected
+// host flushes ~30GB x 8 GPUs to the CPFS/OSS cluster. Traffic can ride the
+// frontend network (the deployed design) or the backend (the §10-rejected
 // alternative), which is exactly what the storage-placement ablation
 // compares.
 #pragma once
@@ -21,9 +20,9 @@ class StorageTraffic {
  public:
   using DoneFn = std::function<void()>;
 
-  StorageTraffic(const topo::Cluster& cluster, sim::Simulator& simulator,
-                 flowsim::FlowSession& session, routing::Router& router)
-      : cluster_{&cluster}, sim_{&simulator}, session_{&session}, router_{&router} {}
+  StorageTraffic(const topo::Cluster& cluster, flowsim::FlowSession& session,
+                 routing::Router& router)
+      : cluster_{&cluster}, session_{&session}, router_{&router} {}
 
   /// Write `per_host` of checkpoint data from each listed host to the
   /// storage cluster (striped across storage hosts). Frontend-attached
@@ -33,27 +32,14 @@ class StorageTraffic {
                         const std::vector<topo::StorageHost>& storage, DataSize per_host,
                         DoneFn done);
 
-  /// Dataset/image load: storage -> hosts.
-  void dataset_load(const std::vector<int>& hosts,
-                    const std::vector<topo::StorageHost>& storage, DataSize per_host,
-                    DoneFn done);
-
-  /// Blocking helper; returns elapsed simulated time.
-  Duration run_checkpoint_write(const std::vector<int>& hosts,
-                                const std::vector<topo::StorageHost>& storage,
-                                DataSize per_host);
-
   [[nodiscard]] int unroutable() const { return unroutable_; }
 
  private:
-  void transfer(const std::vector<int>& hosts, const std::vector<topo::StorageHost>& storage,
-                DataSize per_host, bool to_storage, DoneFn done);
   /// Endpoints a host uses toward storage living on `backend`.
   [[nodiscard]] std::vector<NodeId> host_endpoints(const topo::Host& host,
                                                    bool backend_storage) const;
 
   const topo::Cluster* cluster_;
-  sim::Simulator* sim_;
   flowsim::FlowSession* session_;
   routing::Router* router_;
   int unroutable_ = 0;

@@ -137,7 +137,7 @@ std::int64_t drain(Rig& rig, const Comm& comm,
 // ---- Scripts ------------------------------------------------------------------
 
 enum class Script {
-  kEveryCollective,  ///< each collective alone at three sizes, then a barrier
+  kEveryCollective,  ///< each collective alone at three sizes
   kConcurrent,       ///< overlapping ops on one communicator and on two sharing a manager
   kPortFailover,     ///< a port down mid-flight + on_fabric_change, repaired later
   kUnreachable,      ///< both ports of a NIC down: messages ride the retry loop
@@ -166,18 +166,15 @@ void every_collective(Rig& rig, Comm& comm, std::vector<std::int64_t>& out) {
     record(comm.run_reduce_scatter(size).as_nanos());
     record(comm.run_all_gather(size).as_nanos());
     record(comm.run_multi_all_reduce(size).as_nanos());
-    record(comm.run_broadcast(size).as_nanos());
-    record(drain(rig, comm, [&](Done d) { comm.reduce(size, std::move(d)); }));
     for (const bool relay : {true, false}) {
       int unroutable = -1;
       record(drain(rig, comm,
                    [&](Done d) { unroutable = comm.all_to_all(size, relay, std::move(d)); }));
       record(unroutable);
     }
-    record(drain(rig, comm, [&](Done d) { comm.send_recv(0, last, size, std::move(d)); }));
+    record(drain(rig, comm, [&](Done d) { comm.point_to_point(0, last, size, std::move(d)); }));
     record(drain(rig, comm, [&](Done d) { comm.point_to_point(last, 0, size, std::move(d)); }));
   }
-  record(comm.run_barrier().as_nanos());
   expect_idle(comm);
 }
 
@@ -187,7 +184,7 @@ void concurrent(Rig& rig, Comm& a, std::vector<std::int64_t>& out) {
   Comm b{rig.cluster, rig.sim, rig.session, rig.conns, rig.ranks(a.host_count(), a.host_count()),
          a.config()};
   const TimePoint start = rig.sim.now();
-  std::vector<std::int64_t> done_at(9, -1);
+  std::vector<std::int64_t> done_at(6, -1);
   const auto mark = [&](std::size_t i) {
     return [&, i] { done_at[i] = (rig.sim.now() - start).as_nanos(); };
   };
@@ -195,13 +192,10 @@ void concurrent(Rig& rig, Comm& a, std::vector<std::int64_t>& out) {
   b.multi_all_reduce(DataSize::megabytes(24), mark(1));
   a.all_gather(DataSize::megabytes(16), mark(2));
   out.push_back(b.all_to_all(DataSize::megabytes(8), true, mark(3)));
-  a.send_recv(0, a.world_size() - 1, DataSize::megabytes(4), mark(4));
-  b.broadcast(DataSize::megabytes(12), mark(5));
-  a.barrier(mark(6));
-  b.reduce_scatter(DataSize::megabytes(20), mark(7));
-  a.reduce(DataSize::kilobytes(512), mark(8));
+  a.point_to_point(0, a.world_size() - 1, DataSize::megabytes(4), mark(4));
+  b.reduce_scatter(DataSize::megabytes(20), mark(5));
   if constexpr (std::is_same_v<Comm, Communicator>) {
-    EXPECT_EQ(a.ops_in_flight(), 5u);
+    EXPECT_EQ(a.ops_in_flight(), 3u);
   }
   rig.sim.run();
   out.insert(out.end(), done_at.begin(), done_at.end());
@@ -220,7 +214,7 @@ void failover(Rig& rig, Comm& comm, std::vector<std::int64_t>& out, bool both_po
   };
   comm.all_reduce(DataSize::megabytes(96), mark(0));
   comm.multi_all_reduce(DataSize::megabytes(32), mark(1));
-  comm.send_recv(0, comm.world_size() - 1, DataSize::megabytes(16), mark(2));
+  comm.point_to_point(0, comm.world_size() - 1, DataSize::megabytes(16), mark(2));
   const auto change = [&](bool up) {
     for (int port = 0; port < (both_ports ? 2 : 1); ++port) {
       if (up) {
@@ -422,7 +416,7 @@ TEST(CommunicatorDifferential, RailOnlyAllToAll) {
 // ---- A communicator destroyed mid-flight ---------------------------------------
 
 enum class Op { kAllReduce, kTreeAllReduce, kReduceScatter, kAllGather, kMultiAllReduce,
-                kAllToAll, kBroadcast, kReduce, kBarrier, kSendRecv };
+                kAllToAll, kPointToPoint };
 
 template <typename Comm>
 void start(Comm& comm, Op op, std::function<void()> done) {
@@ -434,10 +428,9 @@ void start(Comm& comm, Op op, std::function<void()> done) {
     case Op::kAllGather: comm.all_gather(size, std::move(done)); return;
     case Op::kMultiAllReduce: comm.multi_all_reduce(size, std::move(done)); return;
     case Op::kAllToAll: comm.all_to_all(size, true, std::move(done)); return;
-    case Op::kBroadcast: comm.broadcast(size, std::move(done)); return;
-    case Op::kReduce: comm.reduce(size, std::move(done)); return;
-    case Op::kBarrier: comm.barrier(std::move(done)); return;
-    case Op::kSendRecv: comm.send_recv(0, comm.world_size() - 1, size, std::move(done)); return;
+    case Op::kPointToPoint:
+      comm.point_to_point(0, comm.world_size() - 1, size, std::move(done));
+      return;
   }
 }
 
@@ -478,8 +471,7 @@ TEST(CommunicatorDifferential, DestroyedMidFlightEveryCollectivePerStepRings) {
   // times, so each destruction point leaves callbacks armed against a dead
   // communicator: the sanitizer jobs run this case for the dead path.
   for (const Op op : {Op::kAllReduce, Op::kTreeAllReduce, Op::kReduceScatter, Op::kAllGather,
-                      Op::kMultiAllReduce, Op::kAllToAll, Op::kBroadcast, Op::kReduce,
-                      Op::kBarrier, Op::kSendRecv}) {
+                      Op::kMultiAllReduce, Op::kAllToAll, Op::kPointToPoint}) {
     for (const std::uint64_t events : {0u, 3u, 40u, 400u}) {
       int late = 0;
       int oracle_late = 0;

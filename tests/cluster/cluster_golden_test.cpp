@@ -49,6 +49,12 @@ void check_golden(const std::string& name, const std::string& actual) {
   }
 }
 
+/// Column names of ClusterReport::summary_csv_row.
+constexpr const char* kSummaryCsvHeader =
+    "policy,seed,jobs,utilization,mean_fragmentation,crashes,crash_cost_dollars,"
+    "train_mean_jct_s,train_p50_jct_s,train_p99_jct_s,train_mean_segments,"
+    "infer_mean_jct_s,makespan_s\n";
+
 TEST(ClusterGolden, CanonicalHpn16Jobs) {
   ClusterConfig cfg;  // default scale: 4 segments x 32 hosts, 2:1 uplinks
   cfg.policy = Policy::kLocalityAware;
@@ -58,8 +64,7 @@ TEST(ClusterGolden, CanonicalHpn16Jobs) {
   cfg.trace.max_job_hosts = 32;
   cfg.faults = 1;
   const ClusterReport r = run_cluster(cfg);
-  check_golden("cluster_hpn_16jobs.csv", ClusterReport::summary_csv_header() +
-                                             r.summary_csv_row() + r.jct_csv());
+  check_golden("cluster_hpn_16jobs.csv", kSummaryCsvHeader + r.summary_csv_row() + r.jct_csv());
 }
 
 }  // namespace

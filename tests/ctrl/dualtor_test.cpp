@@ -18,16 +18,6 @@ TEST(StackedDualTor, PrimaryDataPlaneDeathTakesRackOffline) {
   EXPECT_FALSE(pair.rack_online()) << "stacked dual-ToR rack-level failure";
 }
 
-// If instead the primary's control plane visibly dies, the secondary takes
-// over and the rack survives — the stacked design only fails in the
-// ambiguous case.
-TEST(StackedDualTor, VisiblePrimaryDeathFailsOver) {
-  StackedDualTorPair pair;
-  pair.fail_control_plane(TorRole::kPrimary);
-  EXPECT_FALSE(pair.tor(TorRole::kSecondary).self_shutdown);
-  EXPECT_TRUE(pair.rack_online());
-}
-
 TEST(StackedDualTor, SyncLinkFailureAloneKillsRackWithHealthyPrimary) {
   StackedDualTorPair pair;
   pair.fail_sync_link();

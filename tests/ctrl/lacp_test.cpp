@@ -5,12 +5,20 @@
 namespace hpn::ctrl {
 namespace {
 
+/// A vendor chassis MAC (what stock LACP would use) — unique per switch:
+/// a locally-administered unicast OUI, serialized per switch.
+MacAddress chassis(std::uint32_t serial) {
+  return MacAddress{{0x02, 0x1A, 0x2B, static_cast<std::uint8_t>(serial >> 16),
+                     static_cast<std::uint8_t>(serial >> 8),
+                     static_cast<std::uint8_t>(serial)}};
+}
+
 TEST(MacAddress, ReservedVirtualRouterMac) {
   EXPECT_EQ(MacAddress::reserved_virtual_router().to_string(), "00:00:5E:00:01:01");
 }
 
 TEST(MacAddress, ChassisMacsAreUnique) {
-  EXPECT_NE(MacAddress::chassis(1), MacAddress::chassis(2));
+  EXPECT_NE(chassis(1), chassis(2));
 }
 
 TEST(TorLacpAgent, RespondsWithPreconfiguredSysId) {
@@ -46,8 +54,8 @@ TEST(HostBond, NonStackedPairAggregates) {
 // MAC, sysIDs differ, and the host refuses to bundle.
 TEST(HostBond, StockLacpOnIndependentTorsFailsToAggregate) {
   TorLacpConfig cfg0, cfg1;
-  cfg0.system_mac = MacAddress::chassis(1);
-  cfg1.system_mac = MacAddress::chassis(2);
+  cfg0.system_mac = chassis(1);
+  cfg1.system_mac = chassis(2);
   TorLacpAgent tor0{cfg0}, tor1{cfg1};
   const auto v = HostBond::evaluate(tor0.respond(Lacpdu{}, 17), tor1.respond(Lacpdu{}, 17));
   EXPECT_EQ(v.state, HostBond::State::kDegraded);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/fault_plan.h"
 #include "topo/builders.h"
 
 namespace hpn::fault {
@@ -19,7 +20,7 @@ struct Rig {
 
 TEST(FailureInjector, PlanDrawsScaleWithHorizon) {
   Rig rig;
-  FailureInjector inj{rig.c, rig.s, rig.fabric, 42};
+  FailureInjector inj{rig.c, 42};
   // Tiny cluster (128 access links): a month sees roughly 0.057% x 128
   // link failures — usually none; a thousand months sees plenty.
   const auto long_plan = inj.draw_plan(Duration::hours(30.0 * 24.0 * 1000), Duration::minutes(5));
@@ -34,8 +35,8 @@ TEST(FailureInjector, PlanDrawsScaleWithHorizon) {
 
 TEST(FailureInjector, DeterministicForSeed) {
   Rig a, b;
-  FailureInjector ia{a.c, a.s, a.fabric, 7};
-  FailureInjector ib{b.c, b.s, b.fabric, 7};
+  FailureInjector ia{a.c, 7};
+  FailureInjector ib{b.c, 7};
   const auto pa = ia.draw_plan(Duration::hours(24.0 * 365), Duration::minutes(1));
   const auto pb = ib.draw_plan(Duration::hours(24.0 * 365), Duration::minutes(1));
   ASSERT_EQ(pa.size(), pb.size());
@@ -47,13 +48,11 @@ TEST(FailureInjector, DeterministicForSeed) {
 
 TEST(FailureInjector, ScheduledFailureHitsFabric) {
   Rig rig;
-  FailureInjector inj{rig.c, rig.s, rig.fabric, 1};
   std::vector<InjectionPlanEntry> plan{
       {InjectionPlanEntry::Kind::kLinkFail, TimePoint::at_nanos(Duration::seconds(5).as_nanos()),
        0, 0, 0, NodeId::invalid(), Duration::seconds(10)},
   };
-  inj.schedule(plan);
-  EXPECT_EQ(inj.injected_events(), 1);
+  EXPECT_EQ(testsupport::schedule_plan(rig.s, rig.fabric, plan), 1);
   rig.s.run_until(TimePoint::at_nanos(Duration::seconds(6).as_nanos()));
   EXPECT_FALSE(rig.fabric.port_up(0, 0, 0));
   rig.s.run_until(TimePoint::at_nanos(Duration::seconds(16).as_nanos()));
@@ -62,13 +61,12 @@ TEST(FailureInjector, ScheduledFailureHitsFabric) {
 
 TEST(FailureInjector, TorCrashScheduling) {
   Rig rig;
-  FailureInjector inj{rig.c, rig.s, rig.fabric, 1};
   const NodeId tor = rig.c.hosts[0].nics[0].tor[0];
   std::vector<InjectionPlanEntry> plan{
       {InjectionPlanEntry::Kind::kTorCrash, TimePoint::at_nanos(Duration::seconds(1).as_nanos()),
        -1, -1, -1, tor, Duration::zero()},
   };
-  inj.schedule(plan);
+  testsupport::schedule_plan(rig.s, rig.fabric, plan);
   rig.s.run_until(TimePoint::at_nanos(Duration::seconds(2).as_nanos()));
   EXPECT_FALSE(rig.fabric.port_up(0, 0, 0));
   EXPECT_FALSE(rig.fabric.host_isolated(0));  // dual-ToR: plane 1 alive
@@ -76,12 +74,11 @@ TEST(FailureInjector, TorCrashScheduling) {
 
 TEST(FailureInjector, FlapAutoRepairs) {
   Rig rig;
-  FailureInjector inj{rig.c, rig.s, rig.fabric, 1};
   std::vector<InjectionPlanEntry> plan{
       {InjectionPlanEntry::Kind::kLinkFlap, TimePoint::at_nanos(Duration::seconds(1).as_nanos()),
        2, 1, 0, NodeId::invalid(), Duration::seconds(2)},
   };
-  inj.schedule(plan);
+  testsupport::schedule_plan(rig.s, rig.fabric, plan);
   rig.s.run_until(TimePoint::at_nanos(Duration::millis(1500).as_nanos()));
   EXPECT_FALSE(rig.fabric.port_up(2, 1, 0));
   rig.s.run_until(TimePoint::at_nanos(Duration::seconds(4).as_nanos()));

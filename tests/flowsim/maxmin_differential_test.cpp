@@ -1,9 +1,9 @@
-// Differential harness: the rewritten dense/heap water-filling engine must
-// be allocation-equivalent to the seed implementation (ReferenceMaxMinSolver)
-// before it is allowed to replace it under every throughput bench. Each
-// trial draws a random multigraph, a random flow set (ties, caps, host-local
-// and stalled flows included) and asserts rate-for-rate agreement within
-// 1e-6 relative.
+// Differential harness: a cold solve through the production engine (a fresh
+// IncrementalMaxMin, every flow added, one resolve()) must be
+// allocation-equivalent to the seed implementation (ReferenceMaxMinSolver).
+// Each trial draws a random multigraph, a random flow set (ties, caps,
+// host-local and stalled flows included) and asserts rate-for-rate agreement
+// within 1e-6 relative.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -33,7 +33,7 @@ void run_trial(std::uint64_t seed, bool with_failures) {
 
   std::vector<FlowDemand> expected = flows;
   ReferenceMaxMinSolver{net.topo}.solve(expected);
-  MaxMinSolver{net.topo}.solve(flows);
+  cold_solve(net.topo, flows);
   ts::expect_rates_near(ts::rates_of(flows), ts::rates_of(expected), kRelTol);
 }
 
@@ -88,7 +88,7 @@ TEST(MaxMinDifferential, AgreesOnHpnClusterWithRoutedPaths) {
 
     std::vector<FlowDemand> expected = flows;
     ReferenceMaxMinSolver{topo}.solve(expected);
-    MaxMinSolver{topo}.solve(flows);
+    cold_solve(topo, flows);
     ts::expect_rates_near(ts::rates_of(flows), ts::rates_of(expected), kRelTol);
 
     for (const LinkId l : failed) topo.set_link_up(l, true);
@@ -97,18 +97,24 @@ TEST(MaxMinDifferential, AgreesOnHpnClusterWithRoutedPaths) {
 }
 
 TEST(MaxMinDifferential, SolverScratchIsReusableAcrossSolves) {
-  // One MaxMinSolver instance re-solving different flow sets must not leak
-  // state between calls (the dense scratch is epoch-stamped, not cleared).
+  // One IncrementalMaxMin whose whole flow set is replaced between resolves
+  // must not leak state across them (the dense scratch is epoch-stamped, not
+  // cleared).
   Rng rng{4242};
   ts::RandomNet net = ts::make_random_net(rng, 8, 16);
-  MaxMinSolver solver{net.topo};
+  IncrementalMaxMin solver{net.topo};
+  std::vector<IncrementalMaxMin::Handle> handles;
   for (int round = 0; round < 50; ++round) {
     SCOPED_TRACE("round=" + std::to_string(round));
     std::vector<FlowDemand> flows =
         ts::random_flows(net, rng, static_cast<int>(rng.uniform_int(1, 60)));
     std::vector<FlowDemand> expected = flows;
     ReferenceMaxMinSolver{net.topo}.solve(expected);
-    solver.solve(flows);
+    for (const IncrementalMaxMin::Handle h : handles) solver.remove_flow(h);
+    handles.clear();
+    for (const FlowDemand& f : flows) handles.push_back(solver.add_flow(f.path, f.cap_bps));
+    solver.resolve();
+    for (std::size_t i = 0; i < flows.size(); ++i) flows[i].rate_bps = solver.rate(handles[i]);
     ts::expect_rates_near(ts::rates_of(flows), ts::rates_of(expected), kRelTol);
   }
 }

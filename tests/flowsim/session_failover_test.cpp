@@ -10,6 +10,7 @@
 #include "fault/failure_injector.h"
 #include "flowsim/session.h"
 #include "metrics/trace.h"
+#include "tests/support/fault_plan.h"
 #include "topo/builders.h"
 
 namespace hpn::flowsim {
@@ -51,10 +52,11 @@ TEST(SessionFailover, ScriptedFlapStallsReroutesAndResumes) {
                              Bandwidth::gbps(100), [&](FlowId) { done = rig.s.now(); });
 
   // Scripted flap through the injector at t=1s, auto-repair 2s later.
-  fault::FailureInjector inj{rig.c, rig.s, rig.fabric, /*seed=*/42};
-  inj.schedule({{fault::InjectionPlanEntry::Kind::kLinkFlap,
-                 TimePoint::at_nanos(Duration::seconds(1).as_nanos()), /*host=*/0,
-                 /*rail=*/0, port, NodeId::invalid(), Duration::seconds(2)}});
+  fault::testsupport::schedule_plan(
+      rig.s, rig.fabric,
+      {{fault::InjectionPlanEntry::Kind::kLinkFlap,
+        TimePoint::at_nanos(Duration::seconds(1).as_nanos()), /*host=*/0,
+        /*rail=*/0, port, NodeId::invalid(), Duration::seconds(2)}});
 
   // Mid-outage: the flow is stalled at rate zero with half its bits left.
   rig.s.run_until(TimePoint::at_nanos(Duration::millis(1'500).as_nanos()));
@@ -123,10 +125,11 @@ TEST(SessionFailover, RepairAloneResumesStalledFlow) {
   rig.session.start_flow(path.links, DataSize::bits(200'000'000'000),
                          Bandwidth::gbps(100), [&](FlowId) { done = rig.s.now(); });
 
-  fault::FailureInjector inj{rig.c, rig.s, rig.fabric, /*seed=*/42};
-  inj.schedule({{fault::InjectionPlanEntry::Kind::kLinkFlap,
-                 TimePoint::at_nanos(Duration::seconds(1).as_nanos()), /*host=*/0,
-                 /*rail=*/0, port, NodeId::invalid(), Duration::seconds(2)}});
+  fault::testsupport::schedule_plan(
+      rig.s, rig.fabric,
+      {{fault::InjectionPlanEntry::Kind::kLinkFlap,
+        TimePoint::at_nanos(Duration::seconds(1).as_nanos()), /*host=*/0,
+        /*rail=*/0, port, NodeId::invalid(), Duration::seconds(2)}});
 
   rig.s.run();
   // 1 s transferred + 2 s down + 1 s to finish the rest.

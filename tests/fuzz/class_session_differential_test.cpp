@@ -16,8 +16,8 @@
 #include "flowsim/session.h"
 #include "sim/simulator.h"
 #include "tests/fuzz/fuzz_harness.h"
+#include "tests/fuzz/generator.h"
 #include "tests/support/reference_class_session.h"
-#include "tests/support/scenario.h"
 
 namespace hpn::fuzz {
 namespace {

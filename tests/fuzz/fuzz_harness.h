@@ -21,7 +21,7 @@
 #include <functional>
 #include <string>
 
-#include "tests/support/scenario.h"
+#include "tests/fuzz/generator.h"
 
 namespace hpn::fuzz {
 

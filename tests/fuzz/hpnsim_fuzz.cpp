@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "tests/fuzz/fuzz_harness.h"
-#include "tests/support/scenario.h"
+#include "tests/fuzz/generator.h"
 
 namespace {
 

@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/scenario.h"
 #include "tests/fuzz/fuzz_harness.h"
-#include "tests/support/scenario.h"
 
 namespace hpn::fuzz {
 namespace {

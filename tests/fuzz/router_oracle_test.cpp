@@ -34,9 +34,9 @@
 
 #include "common/rng.h"
 #include "routing/router.h"
+#include "tests/fuzz/generator.h"
 #include "tests/support/reference_router.h"
 #include "tests/support/reference_shortest_path.h"
-#include "tests/support/scenario.h"
 
 namespace hpn::fuzz {
 namespace {

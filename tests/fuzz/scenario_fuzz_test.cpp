@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/fuzz/fuzz_harness.h"
-#include "tests/support/scenario.h"
+#include "tests/fuzz/generator.h"
 
 namespace hpn::fuzz {
 namespace {

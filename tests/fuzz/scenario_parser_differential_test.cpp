@@ -21,6 +21,7 @@
 #include "common/text.h"
 #include "gtest/gtest.h"
 #include "scenario/scenario.h"
+#include "tests/fuzz/generator.h"
 #include "tests/support/reference_scenario_parser.h"
 
 namespace hpn::fuzz {

@@ -7,10 +7,11 @@
 
 #include "ctrl/fabric_controller.h"
 #include "fault/failure_injector.h"
-#include "train/training_job.h"
+#include "tests/support/fault_plan.h"
 #include "topo/builders.h"
 #include "topo/frontend.h"
 #include "topo/validate.h"
+#include "train/training_job.h"
 #include "workload/storage.h"
 
 namespace hpn {
@@ -53,7 +54,7 @@ TEST(FullStack, TrainCheckpointFailRecover) {
   const double baseline = job.steady_samples_per_sec(2);
 
   // Checkpoint to frontend storage *while* training continues.
-  workload::StorageTraffic storage_traffic{st.cluster, st.sim, st.session, st.router};
+  workload::StorageTraffic storage_traffic{st.cluster, st.session, st.router};
   bool ckpt_done = false;
   storage_traffic.checkpoint_write(plan.hosts, st.storage, DataSize::gigabytes(60),
                                    [&] { ckpt_done = true; });
@@ -85,15 +86,14 @@ TEST(FullStack, RandomFailureStormNeverCrashesDualTorJob) {
   // A burst of random failures + repairs from the Fig 5 injector; the
   // dual-ToR job must survive all of it (§9.3's eight clean months).
   Stack st;
-  fault::FailureInjector injector{st.cluster, st.sim, st.fabric, 7};
+  fault::FailureInjector injector{st.cluster, 7};
   // Compress a month of failures into the next few simulated minutes.
   auto plan = injector.draw_plan(Duration::hours(24 * 300), Duration::seconds(30));
   for (auto& e : plan) {
     e.at = TimePoint::origin() +
            Duration::seconds(1.0 + static_cast<double>(e.at.as_nanos() % 100));
   }
-  injector.schedule(plan);
-  EXPECT_GT(injector.injected_events(), 3);
+  EXPECT_GT(fault::testsupport::schedule_plan(st.sim, st.fabric, plan), 3);
 
   auto model = workload::llama_7b();
   model.compute_per_iteration = Duration::millis(200);

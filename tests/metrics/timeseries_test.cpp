@@ -23,33 +23,6 @@ TEST(TimeSeries, MeanOverWindow) {
   EXPECT_DOUBLE_EQ(ts.mean_over(at_ms(100), at_ms(200)), 0.0);
 }
 
-TEST(TimeSeries, MaxOverWindow) {
-  TimeSeries ts;
-  ts.record(at_ms(0), 5);
-  ts.record(at_ms(1), 9);
-  ts.record(at_ms(2), 3);
-  EXPECT_DOUBLE_EQ(ts.max_over(at_ms(0), at_ms(3)), 9.0);
-  EXPECT_DOUBLE_EQ(ts.max_over(at_ms(2), at_ms(3)), 3.0);
-}
-
-TEST(TimeSeries, ResampleMean) {
-  TimeSeries ts;
-  for (int i = 0; i < 20; ++i) ts.record(at_ms(i), i);
-  const auto rs = ts.resample(Duration::millis(10), TimeSeries::WindowOp::kMean);
-  ASSERT_EQ(rs.size(), 2u);
-  EXPECT_DOUBLE_EQ(rs.points()[0].value, 4.5);
-  EXPECT_DOUBLE_EQ(rs.points()[1].value, 14.5);
-}
-
-TEST(TimeSeries, ResampleMax) {
-  TimeSeries ts;
-  for (int i = 0; i < 20; ++i) ts.record(at_ms(i), 20 - i);
-  const auto rs = ts.resample(Duration::millis(10), TimeSeries::WindowOp::kMax);
-  ASSERT_EQ(rs.size(), 2u);
-  EXPECT_DOUBLE_EQ(rs.points()[0].value, 20.0);
-  EXPECT_DOUBLE_EQ(rs.points()[1].value, 10.0);
-}
-
 TEST(TimeSeries, Summary) {
   TimeSeries ts;
   ts.record(at_ms(0), 1);

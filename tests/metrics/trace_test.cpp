@@ -122,16 +122,6 @@ TEST(TracerTest, SpanIdsAreMonotonic) {
   EXPECT_LT(s1, s2);
 }
 
-TEST(TracerTest, ClearResets) {
-  Tracer t;
-  t.enable(8);
-  t.record(at_us(1), TraceEventKind::kFlowStart, 1);
-  t.clear();
-  EXPECT_TRUE(t.empty());
-  EXPECT_EQ(t.dropped(), 0u);
-  EXPECT_TRUE(t.enabled());  // clear does not disable
-}
-
 TEST(TracerTest, CsvHasHeaderAndOneLinePerEvent) {
   Tracer t;
   t.enable(8);
@@ -264,8 +254,6 @@ TEST(TracerIndexTest, ReadsMatchOracleOverRandomTraces) {
       } else if (roll < 88) {
         expect_reads_match_oracle(t, "seed " + std::to_string(seed) + " op " + std::to_string(op));
         if (HasFailure()) return;
-      } else if (roll < 91) {
-        t.clear();
       } else if (roll < 95) {
         if (t.enabled()) {
           t.disable();
@@ -302,19 +290,6 @@ TEST(TracerIndexTest, ReenableWithNewCapacityRebuildsIndex) {
   EXPECT_DOUBLE_EQ(two.points().back().value, 204.0);
   expect_same_events(t.events_of(TraceEventKind::kQueueDepth, 2),
                      reference::events_of(t, TraceEventKind::kQueueDepth, 2), "after re-enable");
-}
-
-TEST(TracerIndexTest, ClearThenRecordRebuildsIndex) {
-  Tracer t;
-  t.enable(8);
-  t.record(at_us(1), TraceEventKind::kQueueDepth, 3, kTraceNoId, 1.0);
-  ASSERT_EQ(t.series(TraceEventKind::kQueueDepth, 3).size(), 1u);
-  t.clear();
-  EXPECT_EQ(t.series(TraceEventKind::kQueueDepth, 3).size(), 0u);
-  t.record(at_us(2), TraceEventKind::kQueueDepth, 3, kTraceNoId, 2.0);
-  const TimeSeries s = t.series(TraceEventKind::kQueueDepth, 3);
-  ASSERT_EQ(s.size(), 1u);
-  EXPECT_DOUBLE_EQ(s.points()[0].value, 2.0);
 }
 
 TEST(TracerConcurrencyTest, ConstReadsFromTwoThreadsAgree) {

@@ -48,11 +48,8 @@ TEST(Determinism, TrainingRunsAreBitIdentical) {
 
 TEST(Determinism, FailurePlansAreSeedStable) {
   auto draw = [](std::uint64_t seed) {
-    topo::Cluster c = topo::build_hpn(topo::HpnConfig::tiny());
-    sim::Simulator s;
-    routing::Router r{c.topo};
-    ctrl::FabricController fabric{c, s, r};
-    fault::FailureInjector inj{c, s, fabric, seed};
+    const topo::Cluster c = topo::build_hpn(topo::HpnConfig::tiny());
+    fault::FailureInjector inj{c, seed};
     // Unsigned mix: the multiply wraps by design (signed overflow is UB).
     std::uint64_t fingerprint = 0;
     for (const auto& e : inj.draw_plan(Duration::hours(24.0 * 365), Duration::minutes(5))) {
@@ -70,7 +67,8 @@ TEST(Determinism, FailurePlansAreSeedStable) {
 TEST(Determinism, HashingIsPlatformStableConstant) {
   // Anchored constants: if these move, every calibrated bench moves.
   const routing::FiveTuple ft{.src_ip = 1, .dst_ip = 2, .src_port = 3};
-  EXPECT_EQ(routing::hash_tuple(ft, 0x48504E), routing::hash_tuple(ft, 0x48504E));
+  EXPECT_EQ(routing::mix_seed(routing::tuple_crc(ft), 0x48504E),
+            routing::mix_seed(routing::tuple_crc(ft), 0x48504E));
   const std::uint8_t probe[] = {'h', 'p', 'n'};
   EXPECT_EQ(routing::crc32(probe), routing::crc32(probe));
 }

@@ -391,19 +391,6 @@ TEST(FabricZoo, TierDiscoveryMatchesArchitecture) {
   EXPECT_TRUE(mesh.tor_mesh);
 }
 
-TEST(FabricZoo, BlastRadiusReportHasNoPhantomTiers) {
-  for (const Fabric* f : all_fabrics()) {
-    SCOPED_TRACE(std::string{f->name()});
-    topo::Cluster c = f->build(FabricScale{});
-    const topo::TierProfile tiers = topo::discover_tiers(c);
-    const auto report = topo::blast_radius_report(c);
-    const std::size_t expected = 1 + (tiers.has_agg ? 1u : 0u) + (tiers.has_core ? 1u : 0u);
-    EXPECT_EQ(report.size(), expected);
-    // Row 0 is always the ToR tier, and a real victim, never the sentinel.
-    EXPECT_EQ(report[0].component.rfind("tor ", 0), 0u) << report[0].component;
-  }
-}
-
 TEST(FabricZoo, DualTorFabricsDegradeWhereSingleTorIsolates) {
   // The paper's §2.3 claim, generalized: a ToR loss isolates hosts exactly
   // on single-homed fabrics.

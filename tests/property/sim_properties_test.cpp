@@ -64,7 +64,7 @@ TEST_P(HashQuality, UniformityOverSourcePorts) {
   for (int i = 0; i < samples; ++i) {
     const routing::FiveTuple ft{.src_ip = 77, .dst_ip = 99,
                                 .src_port = static_cast<std::uint16_t>(i)};
-    counts[h.select(ft, NodeId{42}, static_cast<std::size_t>(n))] += 1;
+    counts[h.select_crc(routing::tuple_crc(ft), NodeId{42}, static_cast<std::size_t>(n))] += 1;
   }
   EXPECT_EQ(static_cast<int>(counts.size()), n);
   const double expect = static_cast<double>(samples) / n;

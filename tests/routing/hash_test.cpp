@@ -11,8 +11,8 @@
 namespace hpn::routing {
 namespace {
 
-/// hash_tuple as it was before the CRC and the seed finalizer were split:
-/// the whole 13-byte CRC per call, i.e. once per hop of a trace.
+/// A switch's tuple hash as it was before the CRC and the seed finalizer
+/// were split: the whole 13-byte CRC per call, i.e. once per hop of a trace.
 std::uint32_t per_hop_hash_tuple(const FiveTuple& ft, std::uint32_t seed) {
   std::array<std::uint8_t, 13> buf{};
   auto put32 = [&buf](std::size_t at, std::uint32_t v) {
@@ -37,6 +37,11 @@ std::uint32_t per_hop_hash_tuple(const FiveTuple& ft, std::uint32_t seed) {
   return h;
 }
 
+/// The one-CRC hash a trace applies at a hop with seed `seed`.
+std::uint32_t one_crc_hash(const FiveTuple& ft, std::uint32_t seed) {
+  return mix_seed(tuple_crc(ft), seed);
+}
+
 TEST(Crc32, KnownVector) {
   // Standard IEEE CRC32 check value for "123456789".
   const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
@@ -49,12 +54,12 @@ TEST(Crc32, EmptyIsZero) {
 
 TEST(HashTuple, Deterministic) {
   const FiveTuple ft{.src_ip = 1, .dst_ip = 2, .src_port = 100};
-  EXPECT_EQ(hash_tuple(ft, 7), hash_tuple(ft, 7));
+  EXPECT_EQ(one_crc_hash(ft, 7), one_crc_hash(ft, 7));
 }
 
 TEST(HashTuple, SeedSensitivity) {
   const FiveTuple ft{.src_ip = 1, .dst_ip = 2, .src_port = 100};
-  EXPECT_NE(hash_tuple(ft, 7), hash_tuple(ft, 8));
+  EXPECT_NE(one_crc_hash(ft, 7), one_crc_hash(ft, 8));
 }
 
 TEST(HashTuple, SourcePortMovesHash) {
@@ -62,7 +67,7 @@ TEST(HashTuple, SourcePortMovesHash) {
   FiveTuple a{.src_ip = 1, .dst_ip = 2, .src_port = 100};
   FiveTuple b = a;
   b.src_port = 101;
-  EXPECT_NE(hash_tuple(a, 7), hash_tuple(b, 7));
+  EXPECT_NE(one_crc_hash(a, 7), one_crc_hash(b, 7));
 }
 
 TEST(HashTuple, OneCrcSelectionMatchesPerHopHash) {
@@ -85,15 +90,14 @@ TEST(HashTuple, OneCrcSelectionMatchesPerHopHash) {
     const auto seed = static_cast<std::uint32_t>(rng.next_u64());
     const std::size_t n = 1 + rng.uniform_index(128);
     const std::uint32_t crc = tuple_crc(ft);
-    mismatches += mix_seed(crc, seed) % n != per_hop_hash_tuple(ft, seed) % n;
-    mismatches += hash_tuple(ft, seed) != per_hop_hash_tuple(ft, seed);
+    mismatches += mix_seed(crc, seed) != per_hop_hash_tuple(ft, seed);
     const EcmpHasher& h = hashers[static_cast<std::size_t>(i) % hashers.size()];
     const NodeId node{static_cast<std::uint32_t>(rng.uniform_index(1u << 20))};
     const std::size_t want = n == 1 ? 0 : per_hop_hash_tuple(ft, h.seed_for(node)) % n;
     mismatches += h.select_crc(crc, node, n) != want;
-    mismatches += h.select(ft, node, n) != want;
+    mismatches += h.select_at_core(ft, crc, node, static_cast<std::uint16_t>(i), n) != want;
   }
-  EXPECT_EQ(mismatches, 0u) << "of " << 4 * kDraws << " comparisons";
+  EXPECT_EQ(mismatches, 0u) << "of " << 3 * kDraws << " comparisons";
 }
 
 TEST(SeedPolicy, IdenticalSeedsEverywhere) {
@@ -119,13 +123,13 @@ TEST(EcmpHasher, SelectWithinRange) {
   EcmpHasher h;
   for (std::uint32_t ip = 0; ip < 100; ++ip) {
     const FiveTuple ft{.src_ip = ip, .dst_ip = 1};
-    EXPECT_LT(h.select(ft, NodeId{1}, 7), 7u);
+    EXPECT_LT(h.select_crc(tuple_crc(ft), NodeId{1}, 7), 7u);
   }
 }
 
 TEST(EcmpHasher, SingleCandidateAlwaysZero) {
   EcmpHasher h;
-  EXPECT_EQ(h.select(FiveTuple{}, NodeId{1}, 1), 0u);
+  EXPECT_EQ(h.select_crc(tuple_crc(FiveTuple{}), NodeId{1}, 1), 0u);
 }
 
 TEST(EcmpHasher, IdenticalSeedsPolarize) {
@@ -135,8 +139,8 @@ TEST(EcmpHasher, IdenticalSeedsPolarize) {
   EcmpHasher h{HashConfig{.seeds = SeedPolicy::kIdentical}};
   for (std::uint32_t ip = 0; ip < 500; ++ip) {
     const FiveTuple ft{.src_ip = ip, .dst_ip = 9, .src_port = static_cast<std::uint16_t>(ip)};
-    const std::size_t first = h.select(ft, NodeId{1}, 60);
-    const std::size_t second = h.select(ft, NodeId{2}, 2);
+    const std::size_t first = h.select_crc(tuple_crc(ft), NodeId{1}, 60);
+    const std::size_t second = h.select_crc(tuple_crc(ft), NodeId{2}, 2);
     EXPECT_EQ(second, first % 2);
   }
 }
@@ -147,7 +151,8 @@ TEST(EcmpHasher, PerSwitchSeedsDecorrelate) {
   const int n = 2000;
   for (std::uint32_t ip = 0; ip < static_cast<std::uint32_t>(n); ++ip) {
     const FiveTuple ft{.src_ip = ip, .dst_ip = 9, .src_port = static_cast<std::uint16_t>(ip)};
-    match += h.select(ft, NodeId{1}, 60) % 2 == h.select(ft, NodeId{2}, 2);
+    const std::uint32_t crc = tuple_crc(ft);
+    match += h.select_crc(crc, NodeId{1}, 60) % 2 == h.select_crc(crc, NodeId{2}, 2);
   }
   // Independent hashes agree ~50% of the time.
   EXPECT_NEAR(static_cast<double>(match) / n, 0.5, 0.05);
@@ -158,7 +163,8 @@ TEST(EcmpHasher, PerPortCoreIgnoresFiveTuple) {
   const FiveTuple a{.src_ip = 1, .dst_ip = 42, .src_port = 10};
   const FiveTuple b{.src_ip = 2, .dst_ip = 42, .src_port = 999};
   for (std::uint16_t port = 0; port < 32; ++port) {
-    EXPECT_EQ(h.select_at_core(a, NodeId{5}, port, 8), h.select_at_core(b, NodeId{5}, port, 8));
+    EXPECT_EQ(h.select_at_core(a, tuple_crc(a), NodeId{5}, port, 8),
+              h.select_at_core(b, tuple_crc(b), NodeId{5}, port, 8));
   }
 }
 
@@ -167,7 +173,7 @@ TEST(EcmpHasher, PerPortCoreSpreadsAcrossPorts) {
   const FiveTuple ft{.src_ip = 1, .dst_ip = 42};
   std::set<std::size_t> picks;
   for (std::uint16_t port = 0; port < 64; ++port) {
-    picks.insert(h.select_at_core(ft, NodeId{5}, port, 8));
+    picks.insert(h.select_at_core(ft, tuple_crc(ft), NodeId{5}, port, 8));
   }
   EXPECT_EQ(picks.size(), 8u);  // all egress choices reachable
 }
@@ -175,7 +181,8 @@ TEST(EcmpHasher, PerPortCoreSpreadsAcrossPorts) {
 TEST(EcmpHasher, PerPortCoreOffFallsBackToTupleHash) {
   EcmpHasher h{HashConfig{.per_port_at_core = false}};
   const FiveTuple ft{.src_ip = 1, .dst_ip = 42};
-  EXPECT_EQ(h.select_at_core(ft, NodeId{5}, 3, 8), h.select(ft, NodeId{5}, 8));
+  const std::uint32_t crc = tuple_crc(ft);
+  EXPECT_EQ(h.select_at_core(ft, crc, NodeId{5}, 3, 8), h.select_crc(crc, NodeId{5}, 8));
 }
 
 TEST(EcmpHasher, CoreSelectionWithPrecomputedCrc) {
@@ -185,8 +192,14 @@ TEST(EcmpHasher, CoreSelectionWithPrecomputedCrc) {
       const FiveTuple ft{.src_ip = 7, .dst_ip = 42, .src_port = sport};
       const auto port = static_cast<std::uint16_t>(sport % 64);
       const std::size_t n = 1 + sport % 16;
-      EXPECT_EQ(h.select_at_core(ft, tuple_crc(ft), NodeId{5}, port, n),
-                h.select_at_core(ft, NodeId{5}, port, n));
+      // Per-port: (ingress port, destination) alone; otherwise the tuple hash.
+      const std::uint32_t seed = h.seed_for(NodeId{5});
+      const std::size_t want =
+          n == 1     ? 0
+          : per_port ? ((static_cast<std::uint32_t>(port) * 2654435761u) ^ (ft.dst_ip * 40503u) ^
+                        seed) % n
+                     : per_hop_hash_tuple(ft, seed) % n;
+      EXPECT_EQ(h.select_at_core(ft, tuple_crc(ft), NodeId{5}, port, n), want);
     }
   }
 }

@@ -61,7 +61,7 @@ TEST(LoadAnalyzer, CountsUnroutable) {
 
 TEST(LoadAnalyzer, LoadsOnListsLinksInAscendingIdOrder) {
   // loads() is a hash map; loads_on must not hand its bucket order to the
-  // float sums in imbalance() and effective_entropy().
+  // float sums in effective_entropy().
   topo::DcnPlusConfig cfg;
   cfg.pods = 2;
   const Cluster c = topo::build_dcn_plus(cfg);
@@ -75,15 +75,6 @@ TEST(LoadAnalyzer, LoadsOnListsLinksInAscendingIdOrder) {
       EXPECT_LT(loads[i - 1].link, loads[i].link);
     }
   }
-}
-
-TEST(LoadAnalyzer, ImbalanceMetric) {
-  std::vector<LinkLoad> loads{{LinkId{0}, 3.0, 3}, {LinkId{1}, 1.0, 1}};
-  // 4 candidates, mean over candidates = 1.0, peak 3.0.
-  EXPECT_DOUBLE_EQ(LoadAnalyzer::imbalance(loads, 4), 3.0);
-  // Perfectly even over 2: imbalance 1.
-  std::vector<LinkLoad> even{{LinkId{0}, 2.0, 2}, {LinkId{1}, 2.0, 2}};
-  EXPECT_DOUBLE_EQ(LoadAnalyzer::imbalance(even, 2), 1.0);
 }
 
 TEST(LoadAnalyzer, EntropyMetric) {

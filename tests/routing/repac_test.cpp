@@ -63,34 +63,6 @@ TEST_F(RePaCTest, SteerOntoUnreachableLinkFails) {
           .has_value());
 }
 
-TEST_F(RePaCTest, SteerAwayFromCongestedLinks) {
-  const auto& att = c.nic_of(0);
-  const NodeId dst = c.nic_of(4 * 8).nic;
-  // Declare the current path's fabric links congested; RePaC must find a
-  // different one.
-  const Path current = repac.predict(att.access[0], dst, base(0, 4 * 8));
-  std::set<LinkId> avoid;
-  for (const LinkId l : current.links) {
-    if (c.topo.link(l).kind == topo::LinkKind::kFabric) avoid.insert(l);
-  }
-  ASSERT_FALSE(avoid.empty());
-  const auto sport = repac.steer_away(att.access[0], dst, base(0, 4 * 8), avoid);
-  ASSERT_TRUE(sport.has_value());
-  const Path p = repac.predict(
-      att.access[0], dst,
-      FiveTuple{.src_ip = att.nic.value(), .dst_ip = dst.value(), .src_port = *sport});
-  for (const LinkId l : p.links) EXPECT_EQ(avoid.count(l), 0u);
-}
-
-TEST_F(RePaCTest, SteerAwayImpossibleWhenAllPathsAvoided) {
-  const auto& att = c.nic_of(0);
-  const NodeId dst = c.nic_of(4 * 8).nic;
-  // Avoid every uplink of the source ToR: nothing in this plane can work.
-  std::set<LinkId> avoid;
-  for (const LinkId l : r.ecmp_links(att.tor[0], dst)) avoid.insert(l);
-  EXPECT_FALSE(repac.steer_away(att.access[0], dst, base(0, 4 * 8), avoid, 512).has_value());
-}
-
 TEST_F(RePaCTest, SearchBudgetBoundsWork) {
   // Table 1's point: the search space in HPN is the ToR fan-out, so finding
   // any given uplink takes only a handful of probes.

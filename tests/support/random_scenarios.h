@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "flowsim/maxmin.h"
+#include "tests/support/reference_maxmin.h"
 #include "topo/topology.h"
 
 namespace hpn::flowsim::testsupport {

@@ -159,10 +159,6 @@ class Communicator {
   void all_gather(DataSize gathered, DoneFn done);
   void multi_all_reduce(DataSize per_gpu, DoneFn done);
   int all_to_all(DataSize per_gpu, bool allow_host_relay, DoneFn done);
-  void broadcast(DataSize payload, DoneFn done);
-  void reduce(DataSize payload, DoneFn done);
-  void barrier(DoneFn done);
-  void send_recv(int src_index, int dst_index, DataSize size, DoneFn done);
   void point_to_point(int src_rank, int dst_rank, DataSize size, DoneFn done) {
     send_message(src_rank, dst_rank, size, std::move(done));
   }
@@ -172,9 +168,6 @@ class Communicator {
   Duration run_reduce_scatter(DataSize per_gpu);
   Duration run_all_gather(DataSize gathered);
   Duration run_multi_all_reduce(DataSize per_gpu);
-  Duration run_all_to_all(DataSize per_gpu, bool allow_host_relay = true);
-  Duration run_broadcast(DataSize payload);
-  Duration run_barrier();
 
   void on_fabric_change();
 
@@ -476,62 +469,6 @@ inline void Communicator::all_reduce_tree(DataSize per_gpu, DoneFn done) {
   StagePipeline::create(std::move(stages), chunks, std::move(done))->start();
 }
 
-inline void Communicator::broadcast(DataSize payload, DoneFn done) {
-  done = traced("broadcast", payload, std::move(done));
-  const int chunks = chunks_for(payload);
-  const DataSize chunk = payload / static_cast<double>(chunks);
-  const DataSize intra_bytes = chunk * (static_cast<double>(rails_ - 1) / rails_);
-  const DataSize edge_bytes = chunk / static_cast<double>(rails_);
-  const int depth = tree_depth();
-
-  std::vector<StagePipeline::StageFn> stages;
-  for (int level = 0; level < depth; ++level) {
-    stages.push_back([this, alive = alive_, level, edge_bytes](int, std::function<void()> next) {
-      if (!*alive) return;
-      tree_wave_level(level, /*up=*/false, edge_bytes, std::move(next));
-    });
-  }
-  // Rails each carried 1/8 of the payload; hosts re-assemble over NVLink.
-  stages.push_back([this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-    if (!*alive) return;
-    intra_phase(intra_bytes, /*up=*/false, std::move(next));
-  });
-  StagePipeline::create(std::move(stages), chunks, std::move(done))->start();
-}
-
-inline void Communicator::reduce(DataSize payload, DoneFn done) {
-  done = traced("reduce", payload, std::move(done));
-  const int chunks = chunks_for(payload);
-  const DataSize chunk = payload / static_cast<double>(chunks);
-  const double gain = config_.nvls ? config_.nvls_gain : 1.0;
-  const DataSize intra_bytes =
-      chunk * (static_cast<double>(rails_ - 1) / rails_ / gain);
-  const DataSize edge_bytes = chunk / static_cast<double>(rails_);
-  const int depth = tree_depth();
-
-  std::vector<StagePipeline::StageFn> stages;
-  stages.push_back([this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-    if (!*alive) return;
-    intra_phase(intra_bytes, /*up=*/true, std::move(next));
-  });
-  for (int level = depth - 1; level >= 0; --level) {
-    stages.push_back([this, alive = alive_, level, edge_bytes](int, std::function<void()> next) {
-      if (!*alive) return;
-      tree_wave_level(level, /*up=*/true, edge_bytes, std::move(next));
-    });
-  }
-  StagePipeline::create(std::move(stages), chunks, std::move(done))->start();
-}
-
-inline void Communicator::barrier(DoneFn done) {
-  // Minimal reduce + broadcast: one cache line's worth per edge.
-  auto shared_done = std::make_shared<DoneFn>(std::move(done));
-  reduce(DataSize::bytes(64), [this, alive = alive_, shared_done] {
-    if (!*alive) return;
-    broadcast(DataSize::bytes(64), [shared_done] { (*shared_done)(); });
-  });
-}
-
 inline void Communicator::all_reduce(DataSize per_gpu, DoneFn done) {
   done = traced("all_reduce", per_gpu, std::move(done));
   if (use_tree(per_gpu)) {
@@ -725,12 +662,6 @@ inline int Communicator::all_to_all(DataSize per_gpu, bool allow_host_relay, Don
   return unroutable;
 }
 
-inline void Communicator::send_recv(int src_index, int dst_index, DataSize size, DoneFn done) {
-  const int src = ranks_.at(static_cast<std::size_t>(src_index));
-  const int dst = ranks_.at(static_cast<std::size_t>(dst_index));
-  send_message(src, dst, size, std::move(done));
-}
-
 namespace detail {
 
 inline Duration run_blocking(sim::Simulator& sim,
@@ -768,23 +699,6 @@ inline Duration Communicator::run_multi_all_reduce(DataSize per_gpu) {
   return detail::run_blocking(*sim_, [&](std::function<void()> done) {
     multi_all_reduce(per_gpu, std::move(done));
   });
-}
-
-inline Duration Communicator::run_all_to_all(DataSize per_gpu, bool allow_host_relay) {
-  return detail::run_blocking(*sim_, [&](std::function<void()> done) {
-    all_to_all(per_gpu, allow_host_relay, std::move(done));
-  });
-}
-
-inline Duration Communicator::run_broadcast(DataSize payload) {
-  return detail::run_blocking(*sim_, [&](std::function<void()> done) {
-    broadcast(payload, std::move(done));
-  });
-}
-
-inline Duration Communicator::run_barrier() {
-  return detail::run_blocking(*sim_,
-                              [&](std::function<void()> done) { barrier(std::move(done)); });
 }
 
 }  // namespace hpn::reference

@@ -3,6 +3,10 @@
 // against the exact allocation semantics every experiment was validated
 // with. Deliberately naive — O(rounds x (links + flows x path_len)) with a
 // per-solve hash map — do not use outside tests/benches.
+//
+// FlowDemand is its input type. cold_solve() rates the same input through
+// the production engine — a fresh IncrementalMaxMin with every flow added
+// and one resolve() — so the two answers compare flow for flow.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +20,25 @@
 #include "topo/topology.h"
 
 namespace hpn::flowsim {
+
+struct FlowDemand {
+  std::vector<LinkId> path;
+  /// Per-flow rate cap (e.g. 200G for one NIC port); infinite by default.
+  double cap_bps = std::numeric_limits<double>::infinity();
+  /// Output: allocated rate.
+  double rate_bps = 0.0;
+};
+
+/// Fills `rate_bps` for every flow through a fresh IncrementalMaxMin: add
+/// every flow, one resolve(). Flows with empty paths get cap_bps.
+inline void cold_solve(const topo::Topology& topology, std::vector<FlowDemand>& flows) {
+  IncrementalMaxMin engine{topology};
+  std::vector<IncrementalMaxMin::Handle> handles;
+  handles.reserve(flows.size());
+  for (const FlowDemand& f : flows) handles.push_back(engine.add_flow(f.path, f.cap_bps));
+  engine.resolve();
+  for (std::size_t i = 0; i < flows.size(); ++i) flows[i].rate_bps = engine.rate(handles[i]);
+}
 
 class ReferenceMaxMinSolver {
  public:

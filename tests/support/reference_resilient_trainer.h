@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fault/checkpoint.h"
+#include "tests/support/checkpoint_write.h"
 #include "train/checkpoint_loop.h"
 #include "train/training_job.h"
 #include "workload/storage.h"
@@ -91,10 +92,10 @@ inline Duration ResilientTrainer::write_checkpoint() {
     // No storage cluster modeled: charge the policy's nominal write time.
     sim_->run_for(ckpt_policy_.write_time);
   } else {
-    workload::StorageTraffic st{*cluster_, *sim_, *session_, *router_};
+    workload::StorageTraffic st{*cluster_, *session_, *router_};
     const DataSize per_host =
         ckpt_policy_.per_gpu * static_cast<double>(cluster_->gpus_per_host);
-    st.run_checkpoint_write(plan_.hosts, storage_, per_host);
+    workload::testsupport::run_checkpoint_write(*sim_, st, plan_.hosts, storage_, per_host);
   }
   last_checkpoint_ = sim_->now();
   iterations_since_checkpoint_ = 0;

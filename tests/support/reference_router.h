@@ -62,10 +62,11 @@ class Router {
       const auto candidates = ecmp_links(at, dst);
       if (candidates.empty()) return Path{};  // unreachable
       const topo::Node& node = topo_->node(at);
+      const std::uint32_t crc = routing::tuple_crc(ft);
       const std::size_t pick =
           node.kind == topo::NodeKind::kCore
-              ? hasher_.select_at_core(ft, at, ingress_port, candidates.size())
-              : hasher_.select(ft, at, candidates.size());
+              ? hasher_.select_at_core(ft, crc, at, ingress_port, candidates.size())
+              : hasher_.select_crc(crc, at, candidates.size());
       const LinkId chosen = candidates[pick];
       path.links.push_back(chosen);
       const topo::Link& l = topo_->link(chosen);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "tests/support/moe_preset.h"
 #include "tests/support/reference_training_job.h"
 #include "topo/builders.h"
 #include "train/training_job.h"
@@ -59,7 +60,7 @@ Outcome run_drill(const Drill& drill) {
   ccl::ConnectionManager connections{cluster, router};
   ctrl::FabricController fabric{cluster, sim, router};
 
-  auto model = drill.moe ? workload::moe_8x7b() : workload::llama_7b();
+  auto model = drill.moe ? workload::testsupport::moe_8x7b() : workload::llama_7b();
   model.compute_per_iteration = Duration::millis(100);
   if (drill.moe) model.traffic.dp_all_reduce = DataSize::megabytes(16);
   const auto plan = workload::ParallelismPlanner{cluster}.plan(8, 1, 4);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "tests/support/moe_preset.h"
 #include "topo/builders.h"
 
 namespace hpn::train {
@@ -313,7 +314,7 @@ namespace {
 TEST(TrainingJobMoe, ExpertAllToAllRunsPerIteration) {
   Rig rig;
   const auto plan = workload::ParallelismPlanner{rig.c}.plan(8, 1, 4);
-  auto model = workload::moe_8x7b();
+  auto model = workload::testsupport::moe_8x7b();
   model.compute_per_iteration = Duration::millis(80);
   model.traffic.dp_all_reduce = DataSize::megabytes(16);
   TrainingJob job{rig.c, rig.s, rig.fs, rig.cm, plan, model};
@@ -338,7 +339,7 @@ TEST(TrainingJobMoe, WorksOnRailOnlyViaHostRelay) {
   routing::Router r{c.topo};
   ccl::ConnectionManager cm{c, r};
   const auto plan = workload::ParallelismPlanner{c}.plan(8, 1, 4);
-  auto model = workload::moe_8x7b();
+  auto model = workload::testsupport::moe_8x7b();
   model.compute_per_iteration = Duration::millis(80);
   model.traffic.dp_all_reduce = DataSize::megabytes(16);
   TrainingJob job{c, s, fs, cm, plan, model};
