@@ -2,7 +2,7 @@
 // Fig-6-sized training jobs plus §8 inference services — replayed on one
 // shared HPN fabric under each placement policy. Reports utilization, JCT
 // distribution, locality-vs-random interference and fragmentation over
-// time. Sweep cases (policy x seed) run on the RunnerPool; rows and CSV
+// time. Sweep cases (policy x seed) run through bench::sweep; rows and CSV
 // bytes are identical at any --jobs (pinned by tests/cluster).
 #include "bench_common.h"
 #include "cluster/cluster_sim.h"

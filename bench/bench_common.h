@@ -3,12 +3,11 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "exec/runner_pool.h"
+#include "exec/parallel.h"
 #include "metrics/table.h"
 #include "metrics/trace.h"
 
@@ -19,27 +18,26 @@ inline constexpr const char* kResultsDir = "results";
 /// Common harness flags, parsed from main()'s argv:
 ///   --smoke          tiny-scale run for the ctest smoke suite (CI bit-rot
 ///                    detection, not paper numbers)
-///   --trace <path>   export the simulation trace (.json => Chrome format)
-///   --jobs N         run independent sweep cases on N workers (default 1;
+///   --jobs N         run independent sweep cases on N threads (default 1;
 ///                    table rows and CSVs are identical at any job count)
-///   --csv <path>     write the result CSV to an explicit file instead of
-///                    the default results/<bench-name>.csv
+///   --trace <path>   export the simulation trace (.json => Chrome format);
+///                    only benches that export one pass `takes_trace`
 ///
-/// Parsing is strict: an unknown flag, a positional argument, a missing
-/// value, or a non-numeric count prints a usage line to stderr and exits 2
-/// instead of being silently ignored (a typo'd `--smok` used to run the
-/// full-scale bench in CI).
+/// Parsing is strict: an unknown flag (including `--trace` where nothing
+/// reads it), a positional argument, a missing value, or a non-numeric
+/// count prints a usage line to stderr and exits 2 instead of being
+/// silently ignored (a typo'd `--smok` used to run the full-scale bench in
+/// CI).
 struct Args {
   bool smoke = false;
   std::string trace_path;
-  std::string csv_path;
   int jobs = 1;
 
-  static Args parse(int argc, char** argv) {
+  static Args parse(int argc, char** argv, bool takes_trace = false) {
     const auto fail = [&](const std::string& why) {
       std::cerr << "error: " << why << "\n"
-                << "usage: " << (argc > 0 ? argv[0] : "bench")
-                << " [--smoke] [--trace <path>] [--csv <path>] [--jobs N]\n";
+                << "usage: " << (argc > 0 ? argv[0] : "bench") << " [--smoke] [--jobs N]"
+                << (takes_trace ? " [--trace <path>]" : "") << "\n";
       std::exit(2);
     };
     const auto need_value = [&](int& i, const char* flag) -> const char* {
@@ -58,10 +56,8 @@ struct Args {
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--smoke") == 0) {
         a.smoke = true;
-      } else if (std::strcmp(argv[i], "--trace") == 0) {
+      } else if (takes_trace && std::strcmp(argv[i], "--trace") == 0) {
         a.trace_path = need_value(i, "--trace");
-      } else if (std::strcmp(argv[i], "--csv") == 0) {
-        a.csv_path = need_value(i, "--csv");
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
         a.jobs = parse_int("--jobs", need_value(i, "--jobs"));
         if (a.jobs < 1) fail("--jobs must be >= 1");
@@ -81,8 +77,7 @@ struct Args {
 /// share nothing mutable across cases.
 template <typename Case, typename Fn>
 auto sweep(const std::vector<Case>& cases, int jobs, Fn&& fn) {
-  exec::RunnerPool pool{jobs};
-  return pool.map(cases.size(), [&](std::size_t i) { return fn(cases[i]); });
+  return exec::parallel_map(jobs, cases.size(), [&](std::size_t i) { return fn(cases[i]); });
 }
 
 inline void banner(const std::string& experiment, const std::string& claim) {
@@ -96,31 +91,14 @@ inline void emit(const metrics::Table& table, const std::string& csv_name) {
   std::cout << "[csv] " << path << "\n";
 }
 
-/// emit() honouring --csv: an explicit path overrides results/<name>.csv.
-inline void emit(const metrics::Table& table, const std::string& csv_name,
-                 const Args& args) {
-  if (args.csv_path.empty()) {
-    emit(table, csv_name);
-    return;
-  }
-  table.print(std::cout);
-  std::ofstream os(args.csv_path);
-  if (os.good()) {
-    table.write_csv(os);
-    std::cout << "[csv] " << args.csv_path << "\n";
-  } else {
-    std::cout << "[csv] failed to write " << args.csv_path << "\n";
-  }
-}
-
-/// Export the tracer to `args.trace_path` if set (after the run finished).
-inline void export_trace(const metrics::Tracer& tracer, const Args& args) {
-  if (args.trace_path.empty()) return;
-  if (tracer.save(args.trace_path)) {
-    std::cout << "[trace] " << args.trace_path << " (" << tracer.size() << " events, "
+/// Export the tracer to `path` if set (after the run finished).
+inline void export_trace(const metrics::Tracer& tracer, const std::string& path) {
+  if (path.empty()) return;
+  if (tracer.save(path)) {
+    std::cout << "[trace] " << path << " (" << tracer.size() << " events, "
               << tracer.dropped() << " dropped)\n";
   } else {
-    std::cout << "[trace] failed to write " << args.trace_path << "\n";
+    std::cout << "[trace] failed to write " << path << "\n";
   }
 }
 

@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  bench::emit(t, "e2e_session", args);
+  bench::emit(t, "e2e_session");
 
   const std::size_t largest = shapes.back();
   std::cout << "\nN=" << largest << " on disjoint paths: lazy session "

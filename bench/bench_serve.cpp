@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
                                    0),
                metrics::Table::num(cold_med / std::max(1e-9, med), 1)});
   }
-  bench::emit(t, "bench_serve", args);
+  bench::emit(t, "bench_serve");
   std::cout << "answers byte-stable at jobs {1," << args.jobs << "}: "
             << (jobs_stable ? "yes" : "NO") << "\n";
   const double protocol_x = median(protocol.us) / std::max(1e-9, median(engine_us));

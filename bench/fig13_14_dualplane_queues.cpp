@@ -93,11 +93,7 @@ PortReport run(bool dual_plane, std::uint16_t sport_base, Duration sim_time,
         static_cast<std::uint32_t>(port_link[p].value()));
     rep.queue_kb[p] = q.empty() ? 0.0 : q.points().back().value / 1e3;
   }
-  if (!trace_path.empty()) {
-    bench::Args args;
-    args.trace_path = trace_path;
-    bench::export_trace(s.tracer(), args);
-  }
+  bench::export_trace(s.tracer(), trace_path);
   return rep;
 }
 
@@ -155,7 +151,7 @@ std::uint16_t representative_clos_epoch() {
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, /*takes_trace=*/true);
   bench::banner("Figures 13 & 14 — ToR downstream ports toward the same NIC",
                 "typical Clos: ~3x load imbalance between the two ports, hot-port "
                 "queue ~267KB vs 3KB; dual-plane: even split, avg queue ~20KB "

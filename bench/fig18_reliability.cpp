@@ -100,11 +100,7 @@ Outcome run_link_failure(bool dual_tor, Duration repair_after,
   job.run_iterations(5);
   out.after = job.state() == train::JobState::kRunning ? job.steady_samples_per_sec(3) : 0.0;
   out.crashed = job.state() == train::JobState::kCrashed;
-  if (!trace_path.empty()) {
-    bench::Args targs;
-    targs.trace_path = trace_path;
-    bench::export_trace(rig.sim.tracer(), targs);
-  }
+  bench::export_trace(rig.sim.tracer(), trace_path);
   return out;
 }
 
@@ -165,7 +161,7 @@ std::string fmt(double v) { return hpn::metrics::Table::num(v, 1); }
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, /*takes_trace=*/true);
   bench::banner("Figure 18 — performance under NIC-ToR link malfunctions (256 GPUs)",
                 "(a) failure: single-ToR halts (crashes if repair > timeout); dual-ToR "
                 "loses only ~6.25%; (b) flapping: single-ToR stalls >9s, dual-ToR "

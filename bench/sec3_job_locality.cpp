@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   t.add_row({shapes[1].label, std::to_string(dcn.placed),
              metrics::Table::percent(static_cast<double>(dcn.single_segment) / dcn.placed, 1),
              metrics::Table::num(dcn.avg_segments, 2)});
-  bench::emit(t, "sec3_job_locality", args);
+  bench::emit(t, "sec3_job_locality");
 
   std::cout << "\npaper: 96.3% of jobs < 1K GPUs -> single-segment on HPN; the Fig 15 "
                "job needed 19 DCN+ segments but only 3 HPN segments\n";

@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
 
   metrics::Table t{"open-loop inference, 800 req/s over 8 serving hosts"};
   t.columns({"cluster state", "p50_ms", "p99_ms", "completed"});
-  // The three cluster states are independent simulations — sweep them on
-  // the RunnerPool; rows are assembled in case order so the table and CSV
+  // The three cluster states are independent simulations — sweep them over
+  // --jobs threads; rows are assembled in case order so the table and CSV
   // stay byte-identical at any --jobs.
   struct State {
     bool training, storm;
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
              metrics::Table::num(trained.p99_ms, 1), std::to_string(trained.completed)});
   t.add_row({"checkpoint storm on frontend", metrics::Table::num(stormed.p50_ms, 1),
              metrics::Table::num(stormed.p99_ms, 1), std::to_string(stormed.completed)});
-  bench::emit(t, "sec8_inference", args);
+  bench::emit(t, "sec8_inference");
 
   std::cout << "\ntraining impact on p50: "
             << metrics::Table::percent(trained.p50_ms / idle.p50_ms - 1.0, 2)

@@ -12,9 +12,9 @@
 //   hpnsim failover [--trace out.json]     dual-ToR failover drill, exports
 //                                          the simulation-wide event trace
 //   hpnsim sweep   [--jobs N]              dual-ToR x repair-time failover
-//                                          grid (independent sims on a
-//                                          worker pool; table is identical
-//                                          at any --jobs)
+//                                          grid (independent sims on N
+//                                          threads; table is identical at
+//                                          any --jobs)
 //   hpnsim cluster [--policy random|locality|frag-min] [--seed S]
 //                  [--jobs-count N] [--faults N] [--trace out.json]
 //                                          multi-tenant cluster mode: replay
@@ -31,11 +31,12 @@
 //                                          service" for the protocol
 //
 // Argument parsing is strict: unknown flags, unexpected positional
-// arguments, and missing/malformed flag values print usage and exit 2 —
-// they are never silently ignored.
+// arguments, missing/malformed flag values, and `--trace`/`--jobs` on a
+// command that does not read them print usage and exit 2 — they are never
+// silently ignored.
 //
-// `--trace <path>` works on any command that runs the simulator; a `.json`
-// suffix selects Chrome trace_event format (open in chrome://tracing or
+// `--trace <path>` works on `failover` and `cluster`; a `.json` suffix
+// selects Chrome trace_event format (open in chrome://tracing or
 // https://ui.perfetto.dev), anything else writes CSV.
 //
 // Examples:
@@ -44,13 +45,14 @@
 //   hpnsim failover --trace failover.json
 //   hpnsim sweep --jobs 4
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster_sim.h"
 #include "ctrl/fabric_controller.h"
-#include "exec/runner_pool.h"
+#include "exec/parallel.h"
 #include "fabric/fabric.h"
 #include "metrics/table.h"
 #include "routing/int_probe.h"
@@ -103,9 +105,9 @@ void usage() {
             << "                           " << fabric::fabric_names() << "\n"
             << "  --segments N --hosts N --pods N\n"
             << "  --no-dual-tor --no-dual-plane --rail-only\n"
-            << "  --trace <path>           export the simulation event trace\n"
+            << "  --trace <path>           failover/cluster: export the event trace\n"
             << "                           (.json = Chrome trace_event, else CSV)\n"
-            << "  --jobs N                 workers for `sweep` (output\n"
+            << "  --jobs N                 threads for `sweep` (output\n"
             << "                           is identical at any job count)\n"
             << "  trace/probe: <src_rank> <dst_rank> [--sport P]\n"
             << "  cluster: --policy random|locality|frag-min  placement policy\n"
@@ -130,6 +132,8 @@ Options parse(int argc, char** argv) {
   // trace/probe take exactly two positional ranks; no other command takes
   // positional arguments at all.
   const bool takes_ranks = o.command == "trace" || o.command == "probe";
+  const bool takes_trace = o.command == "failover" || o.command == "cluster";
+  const bool takes_jobs = o.command == "sweep" || o.command == "serve";
   int positional = 0;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
@@ -186,6 +190,8 @@ Options parse(int argc, char** argv) {
       int v = 0;
       next_int(v);
       o.sport = static_cast<std::uint16_t>(v);
+    } else if ((a == "--trace" && !takes_trace) || (a == "--jobs" && !takes_jobs)) {
+      throw ConfigError{a + " does nothing for '" + o.command + "'"};
     } else if (a == "--trace") {
       o.trace_path = next_str();
     } else if (a == "--jobs") {
@@ -325,88 +331,34 @@ int cmd_trace(const Options& o, bool probe) {
   return 0;
 }
 
-int cmd_failover(const Options& o) {
-  // A compact fig18-style drill: 16 hosts / 128 GPUs training LLaMa-7B,
-  // one NIC-ToR link fails mid-run and is repaired 2 (simulated) seconds
-  // later. Every layer records into the Simulator's tracer: iteration and
-  // collective spans, link down/up, fabric events, per-flow
-  // stall/reroute/resume.
-  auto cfg = topo::HpnConfig::tiny();
-  cfg.segments_per_pod = 1;
-  cfg.hosts_per_segment = 16;
-  cfg.dual_tor = o.dual_tor;
-  cfg.dual_plane = o.dual_plane && o.dual_tor;
-  topo::Cluster cluster = topo::build_hpn(cfg);
-  sim::Simulator sim;
-  sim.tracer().enable();
-  flowsim::FlowSession session{cluster.topo, sim};
-  routing::Router router{cluster.topo};
-  ccl::ConnectionManager connections{cluster, router};
-  ctrl::FabricController fabric{cluster, sim, router};
-
-  auto model = workload::llama_7b();
-  model.compute_per_iteration = Duration::millis(200);
-  const auto plan = workload::ParallelismPlanner{cluster}.plan(8, 1, 16);
-  train::TrainingJob job{cluster, sim, session, connections, plan, model};
-
-  job.run_iterations(5);
-  const double baseline = job.steady_samples_per_sec(3);
-
-  fabric.fail_access(plan.hosts[0], 0, 0);
-  job.on_fabric_change();
-  sim.schedule_after(Duration::seconds(2.0), [&] {
-    fabric.repair_access(plan.hosts[0], 0, 0);
-    job.on_fabric_change();
-  });
-  job.run_iterations(15);
-  const double after = job.steady_samples_per_sec(3);
-
-  const metrics::Tracer& tracer = sim.tracer();
-  std::cout << "failover drill: baseline " << baseline << " samples/s, after repair "
-            << after << " samples/s, job "
-            << (job.state() == train::JobState::kRunning ? "RUNNING" : "CRASHED") << "\n"
-            << "trace: " << tracer.size() << " events ("
-            << tracer.events_of(metrics::TraceEventKind::kLinkDown).size() << " link-down, "
-            << tracer.events_of(metrics::TraceEventKind::kFlowReroute).size()
-            << " reroute, "
-            << tracer.events_of(metrics::TraceEventKind::kIterationEnd).size()
-            << " iterations)\n";
-
-  // The solver's lifetime work and the flows still live at the end.
-  const flowsim::IncrementalMaxMin::Stats& ss = session.solver_stats();
-  std::cout << "solver: " << ss.resolves << " resolves, " << ss.flows_rerated
-            << " flows re-rated; live " << session.solver_aggregation().flows
-            << " network flows\n";
-
-  const std::string path = o.trace_path.empty() ? "failover_trace.json" : o.trace_path;
-  if (!tracer.save(path)) {
-    std::cerr << "error: cannot write " << path << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << path
-            << (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0
-                    ? " (open in chrome://tracing or ui.perfetto.dev)\n"
-                    : " (CSV)\n");
-  return 0;
-}
-
 struct DrillOutcome {
   double baseline = 0.0;
   double after = 0.0;
   bool crashed = false;
 };
 
-/// One compact failover drill (no tracing): 16 hosts / 128 GPUs, a NIC-ToR
-/// link fails mid-run and is repaired `repair_s` simulated seconds later.
-/// Builds its own cluster + Simulator so drills can run concurrently.
-DrillOutcome run_drill(bool dual_tor, double repair_s) {
+/// Reads a finished drill: its outcome, the Simulator (and its tracer) and
+/// the FlowSession.
+using DrillReport = std::function<void(const DrillOutcome&, const sim::Simulator&,
+                                       const flowsim::FlowSession&)>;
+
+/// The compact fig18-style drill `failover` and `sweep` both run: 16 hosts /
+/// 128 GPUs train LLaMa-7B, one NIC-ToR link fails after 5 iterations and
+/// is repaired `repair_s` simulated seconds later, then 15 more iterations
+/// run. Builds its own cluster + Simulator so drills can run concurrently.
+/// With a `report`, every layer records into the Simulator's tracer —
+/// iteration and collective spans, link down/up, fabric events, per-flow
+/// stall/reroute/resume — and `report` reads the finished run.
+DrillOutcome run_drill(bool dual_tor, bool dual_plane, double repair_s,
+                       const DrillReport& report = {}) {
   auto cfg = topo::HpnConfig::tiny();
   cfg.segments_per_pod = 1;
   cfg.hosts_per_segment = 16;
   cfg.dual_tor = dual_tor;
-  cfg.dual_plane = dual_tor;
+  cfg.dual_plane = dual_plane;
   topo::Cluster cluster = topo::build_hpn(cfg);
   sim::Simulator sim;
+  if (report) sim.tracer().enable();
   flowsim::FlowSession session{cluster.topo, sim};
   routing::Router router{cluster.topo};
   ccl::ConnectionManager connections{cluster, router};
@@ -428,8 +380,44 @@ DrillOutcome run_drill(bool dual_tor, double repair_s) {
   });
   job.run_iterations(15);
   out.crashed = job.state() == train::JobState::kCrashed;
-  out.after = out.crashed ? 0.0 : job.steady_samples_per_sec(3);
+  out.after = job.steady_samples_per_sec(3);
+  if (report) report(out, sim, session);
   return out;
+}
+
+int cmd_failover(const Options& o) {
+  const std::string path = o.trace_path.empty() ? "failover_trace.json" : o.trace_path;
+  bool saved = false;
+  run_drill(o.dual_tor, o.dual_plane && o.dual_tor, 2.0,
+            [&](const DrillOutcome& d, const sim::Simulator& sim,
+                const flowsim::FlowSession& session) {
+              const metrics::Tracer& tracer = sim.tracer();
+              std::cout << "failover drill: baseline " << d.baseline
+                        << " samples/s, after repair " << d.after << " samples/s, job "
+                        << (d.crashed ? "CRASHED" : "RUNNING") << "\n"
+                        << "trace: " << tracer.size() << " events ("
+                        << tracer.events_of(metrics::TraceEventKind::kLinkDown).size()
+                        << " link-down, "
+                        << tracer.events_of(metrics::TraceEventKind::kFlowReroute).size()
+                        << " reroute, "
+                        << tracer.events_of(metrics::TraceEventKind::kIterationEnd).size()
+                        << " iterations)\n";
+              // The solver's lifetime work and the flows still live at the end.
+              const flowsim::IncrementalMaxMin::Stats& ss = session.solver_stats();
+              std::cout << "solver: " << ss.resolves << " resolves, " << ss.flows_rerated
+                        << " flows re-rated; live " << session.solver_aggregation().flows
+                        << " network flows\n";
+              saved = tracer.save(path);
+            });
+  if (!saved) {
+    std::cerr << "error: cannot write " << path << "\n";
+    return 1;
+  }
+  std::cout << "wrote " << path
+            << (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0
+                    ? " (open in chrome://tracing or ui.perfetto.dev)\n"
+                    : " (CSV)\n");
+  return 0;
 }
 
 int cmd_sweep(const Options& o) {
@@ -439,13 +427,14 @@ int cmd_sweep(const Options& o) {
   };
   const std::vector<Case> cases{{true, 0.5},  {true, 2.0},  {true, 5.0},
                                 {false, 0.5}, {false, 2.0}, {false, 5.0}};
-  // Each case is an independent simulation; the pool fans them out over
-  // --jobs workers and map() returns results in case order, so the table
+  // Each case is an independent simulation; parallel_map fans them out
+  // over --jobs threads and returns results in case order, so the table
   // is identical at any job count.
-  exec::RunnerPool pool{o.jobs};
-  const std::vector<DrillOutcome> outcomes = pool.map(
-      cases.size(),
-      [&](std::size_t i) { return run_drill(cases[i].dual, cases[i].repair_s); });
+  const std::vector<DrillOutcome> outcomes = exec::parallel_map(
+      o.jobs, cases.size(),
+      [&](std::size_t i) {
+        return run_drill(cases[i].dual, cases[i].dual, cases[i].repair_s);
+      });
 
   metrics::Table t{"failover drill grid — 128 GPUs, NIC-ToR link failure"};
   t.columns({"design", "repair_after", "baseline_sps", "after_sps", "outcome"});

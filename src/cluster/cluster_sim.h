@@ -13,8 +13,8 @@
 //
 // Determinism contract: a run is a pure function of (config). The CSV
 // emitters format with fixed precision, so byte-identical output at any
-// RunnerPool --jobs count follows from running each (seed, policy) case as
-// its own run and aggregating by case index.
+// --jobs count follows from running each (seed, policy) case as its own
+// run and aggregating by case index (exec::parallel_map).
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@
 
 #include "common/check.h"
 #include "common/text.h"
-#include "exec/runner_pool.h"
+#include "exec/parallel.h"
 #include "flowsim/maxmin.h"
 #include "flowsim/session.h"
 #include "sim/simulator.h"
@@ -481,13 +481,8 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
       }
     }
   };
-  if (!groups.empty()) {
-    exec::RunnerPool pool{options_.jobs};
-    pool.map(groups.size(), [&](std::size_t gi) {
-      run_group(groups[gi]);
-      return 0;
-    });
-  }
+  exec::parallel_for(options_.jobs, groups.size(),
+                     [&](std::size_t gi) { run_group(groups[gi]); });
 
   // Phase 4 (serial): adopt built bases, publish results, fill duplicates.
   for (GroupTask& g : groups) {

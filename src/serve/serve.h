@@ -48,7 +48,7 @@
 //                        knob replaced (evaluated as its own base)
 //
 // Batching: independent queries in one `go` batch are grouped by base
-// scenario and the groups run in parallel on a RunnerPool; queries sharing
+// scenario and the groups run through exec::parallel_for; queries sharing
 // a base stay sequential within their group (they share BaseState).
 // Replies are assembled in query order — transcripts are byte-stable at
 // any --jobs. Duplicate queries in a batch compute once and reply twice.
@@ -89,7 +89,7 @@ struct Answer {
 struct EngineOptions {
   std::size_t cache_bytes = 64u << 20;  ///< result-cache cap (see EngineStats)
   std::size_t max_bases = 8;            ///< warm BaseStates kept (LRU)
-  int jobs = 1;                         ///< RunnerPool width per batch
+  int jobs = 1;                         ///< threads per batch (1 = caller's)
 };
 
 struct EngineStats {

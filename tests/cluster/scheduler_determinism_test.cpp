@@ -1,5 +1,5 @@
 // Scheduler-equivalence battery: a cluster run is a pure function of its
-// config, and the RunnerPool aggregation is a pure function of the case
+// config, and the parallel_map aggregation is a pure function of the case
 // list — so for every policy the per-job JCT CSV and the summary row must
 // be BYTE-identical whether the sweep runs at --jobs 1, 4 or 8. This is
 // the contract bench_cluster's CSV artifact rests on; it holds with fault
@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_sim.h"
-#include "exec/runner_pool.h"
+#include "exec/parallel.h"
 
 namespace hpn::cluster {
 namespace {
@@ -48,8 +48,7 @@ std::vector<Case> case_list() {
 /// Everything byte-stable a run emits, concatenated in case order.
 std::string sweep_bytes(int jobs) {
   const auto cases = case_list();
-  exec::RunnerPool pool{jobs};
-  const auto outs = pool.map(cases.size(), [&](std::size_t i) {
+  const auto outs = exec::parallel_map(jobs, cases.size(), [&](std::size_t i) {
     const auto& c = cases[i];
     const ClusterReport r = run_cluster(small_config(c.policy, c.seed, c.faults));
     return r.jct_csv() + r.summary_csv_row();

@@ -10,7 +10,7 @@
 
 #include "cluster/cluster_sim.h"
 #include "common/check.h"
-#include "exec/runner_pool.h"
+#include "exec/parallel.h"
 #include "flowsim/fluid.h"
 #include "flowsim/packet.h"
 #include "flowsim/session.h"
@@ -376,8 +376,7 @@ SweepResult run_sweep(const SweepOptions& options) {
   int done = 0;
   std::mutex progress_mu;
 
-  exec::RunnerPool pool{options.jobs};
-  pool.for_each(static_cast<std::size_t>(runs), [&](std::size_t i) {
+  exec::parallel_for(options.jobs, static_cast<std::size_t>(runs), [&](std::size_t i) {
     const std::uint64_t seed = sweep_seed(options.master_seed, static_cast<int>(i));
     Scenario s = random_scenario(seed);
     if (options.only_topology) s.topology = *options.only_topology;

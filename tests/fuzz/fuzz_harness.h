@@ -93,7 +93,7 @@ struct SweepResult {
   [[nodiscard]] bool ok() const { return failures.empty(); }
 };
 
-/// Run the sweep on an exec::RunnerPool. Every field of the result is
+/// Run the sweep through exec::parallel_for. Every field of the result is
 /// bit-identical for fixed (runs, master_seed, run options) regardless of
 /// `jobs` — ordering is by run index, never by completion order.
 SweepResult run_sweep(const SweepOptions& options);

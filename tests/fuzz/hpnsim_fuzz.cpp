@@ -5,13 +5,13 @@
 //   hpnsim_fuzz --runs 120 --jobs 8 --csv sweep.csv
 //
 // Scenario i draws from seed `master ^ golden*(i+1)`, so results are a
-// function of (--seed, --runs) alone. Runs execute on an exec::RunnerPool
-// (--jobs workers), and everything the driver emits — stdout ordering,
-// repro file bytes, the --csv aggregate — is bit-identical regardless of
-// --jobs: results are aggregated by run index after the pool settles, and
-// only the progress ticker (stderr) follows completion order. On failure
-// the driver greedily shrinks each scenario and writes a `.scenario` repro
-// file that replays with --replay.
+// function of (--seed, --runs) alone. Runs execute through
+// exec::parallel_for (--jobs threads), and everything the driver emits —
+// stdout ordering, repro file bytes, the --csv aggregate — is bit-identical
+// regardless of --jobs: results are aggregated by run index once every run
+// has returned, and only the progress ticker (stderr) follows completion
+// order. On failure the driver greedily shrinks each scenario and writes a
+// `.scenario` repro file that replays with --replay.
 //
 // --replay exits 0 when the repro still reproduces a violation and 1 when
 // it runs clean (a stale repro must fail loudly, not silently pass);
