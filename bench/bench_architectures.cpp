@@ -84,16 +84,16 @@ ZooRow run_fabric(const ZooCase& zc, bool smoke) {
   // Reconfigurable fabrics rotate for the entire run: epoch flips are
   // topology mutations, so the router re-converges and in-flight traffic
   // fails over exactly as it would on a real OCS dwell boundary.
-  const fabric::ReconfigSchedule reconfig = zc.fab->reconfig();
+  const Duration reconfig_period = zc.fab->reconfig_period();
   int epoch = 0;
   std::function<void()> rotate = [&] {
     fabric::apply_epoch(cluster, ++epoch);
     router.invalidate();
     job.on_fabric_change();
-    sim.schedule_after(reconfig.period, rotate);
+    sim.schedule_after(reconfig_period, rotate);
   };
-  if (reconfig.active() && !cluster.circuits.empty()) {
-    sim.schedule_after(reconfig.period, rotate);
+  if (reconfig_period > Duration::zero() && !cluster.circuits.empty()) {
+    sim.schedule_after(reconfig_period, rotate);
   }
 
   const int warm = smoke ? 4 : 10;

@@ -15,9 +15,16 @@ namespace hpn::bench {
 
 inline constexpr const char* kResultsDir = "results";
 
+/// Directory emit() writes CSVs to. Args::parse points it at
+/// results/smoke/ (not committed) for a `--smoke` run, so a smoke table
+/// never replaces a committed full-scale CSV (perfbench `fleet` checks its
+/// rows against results/bench_cluster.csv).
+inline std::string csv_dir = kResultsDir;
+
 /// Common harness flags, parsed from main()'s argv:
 ///   --smoke          tiny-scale run for the ctest smoke suite (CI bit-rot
-///                    detection, not paper numbers)
+///                    detection, not paper numbers); CSVs go to
+///                    results/smoke/
 ///   --jobs N         run independent sweep cases on N threads (default 1;
 ///                    table rows and CSVs are identical at any job count)
 ///   --trace <path>   export the simulation trace (.json => Chrome format);
@@ -56,6 +63,7 @@ struct Args {
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--smoke") == 0) {
         a.smoke = true;
+        csv_dir = std::string{kResultsDir} + "/smoke";
       } else if (takes_trace && std::strcmp(argv[i], "--trace") == 0) {
         a.trace_path = need_value(i, "--trace");
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
@@ -87,7 +95,7 @@ inline void banner(const std::string& experiment, const std::string& claim) {
 
 inline void emit(const metrics::Table& table, const std::string& csv_name) {
   table.print(std::cout);
-  const std::string path = table.save_csv(kResultsDir, csv_name);
+  const std::string path = table.save_csv(csv_dir, csv_name);
   std::cout << "[csv] " << path << "\n";
 }
 

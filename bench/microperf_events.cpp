@@ -90,10 +90,9 @@ Measure bench_schedule_fire(std::uint64_t total, int reps) {
       }
       s.run();
     };
-    // Warm-up: grow the pool / rehash outside the measurement. For the
-    // calendar-queue core that means driving the clock through one full
-    // wheel rotation (~1 ms simulated) so every bucket's ring reaches its
-    // steady-state capacity before the timed region starts.
+    // Warm-up: grow the pool, the heap vector (pooled core) and the hash
+    // table (seed core) to their steady-state capacity outside the
+    // measurement, so the timed region counts no growth allocations.
     while (s.now() < TimePoint::at_nanos(1'200'000)) batch();
     const std::uint64_t warm_events = s.processed_events();
     const std::uint64_t a0 = allocs();

@@ -106,10 +106,10 @@ class RailXFabric final : public Fabric {
     cfg.seeds = routing::SeedPolicy::kPerSwitch;
     return cfg;
   }
-  [[nodiscard]] ReconfigSchedule reconfig() const override {
+  [[nodiscard]] Duration reconfig_period() const override {
     // OCS dwell time: long against packet timescales, short against an
     // iteration, so a training run sees several rewirings.
-    return ReconfigSchedule{.enabled = true, .period = Duration::millis(50)};
+    return Duration::millis(50);
   }
 };
 

@@ -1,8 +1,8 @@
 // A fabric as a strategy object (ROADMAP item 2): one named bundle of
 //   * a wiring recipe   — how to build a Cluster at a requested scale,
 //   * a hash/path policy — the ECMP HashConfig the architecture runs with,
-//   * a reconfiguration schedule — for optically-switched fabrics, how the
-//     circuit tier rotates (static fabrics report none).
+//   * a reconfiguration period — for optically-switched fabrics, how long
+//     each circuit-tier epoch dwells (static fabrics report zero).
 //
 // Strategies live in a process-wide registry keyed by CLI-friendly names
 // (`--fabric hpn|dcn+|fat-tree|rail-only|railx-lite|ubmesh-lite`), so
@@ -35,15 +35,6 @@ struct FabricScale {
   int gpus_per_host = 8;
 };
 
-/// How a reconfigurable fabric rotates its circuit tier. The epoch count is
-/// scale-dependent and lives in the built cluster (`Cluster::circuits`);
-/// the strategy only says whether rotation happens and how fast.
-struct ReconfigSchedule {
-  bool enabled = false;
-  Duration period = Duration::zero();  ///< Suggested dwell time per epoch.
-  [[nodiscard]] bool active() const { return enabled; }
-};
-
 /// Cost proxy (Table 1-style comparison): counts, not dollars. Optics are
 /// approximated as one transceiver pair per fabric cable plus one per
 /// access cable; circuit ports count the OCS side of reconfigurable links.
@@ -69,8 +60,10 @@ class Fabric {
   /// Hash/path policy this architecture is operated with.
   [[nodiscard]] virtual routing::HashConfig hash_policy() const = 0;
 
-  /// Reconfiguration schedule; default: static fabric.
-  [[nodiscard]] virtual ReconfigSchedule reconfig() const { return {}; }
+  /// Suggested dwell time per circuit-tier epoch; zero (the default) means a
+  /// static fabric. The epoch count is scale-dependent and lives in the
+  /// built cluster (`Cluster::circuits`).
+  [[nodiscard]] virtual Duration reconfig_period() const { return Duration::zero(); }
 };
 
 /// Look up a strategy by name; nullptr when unknown.

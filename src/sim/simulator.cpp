@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <bit>
 #include <utility>
 
 namespace hpn::sim {
@@ -45,7 +44,8 @@ EventId Simulator::schedule_at(TimePoint t, Callback cb) {
   s.armed = true;
   s.fn = std::move(cb);
   ++live_;
-  insert_entry(HeapEntry{t, next_seq_++, slot});
+  queue_.push_back(HeapEntry{t, next_seq_++, slot});
+  sift_up(queue_, queue_.size() - 1);
   return make_id(s.gen, slot);
 }
 
@@ -108,127 +108,47 @@ Simulator::HeapEntry Simulator::heap_pop(std::vector<HeapEntry>& h) {
   return top;
 }
 
-void Simulator::insert_entry(const HeapEntry& e) {
-  const std::int64_t b = bucket_no(e.at);
-  if (b <= cur_bucket_) {
-    // At or behind the cursor (the cursor can lag now_ after run_until
-    // crossed empty buckets): ordering is still exact because everything in
-    // near_ precedes everything in later buckets.
-    near_.push_back(e);
-    sift_up(near_, near_.size() - 1);
-  } else if (b < cur_bucket_ + static_cast<std::int64_t>(kNumBuckets)) {
-    const std::size_t idx = static_cast<std::size_t>(b) & kBucketMask;
-    buckets_[idx].push_back(e);
-    occ_set(idx);
-  } else {
-    far_.push_back(e);
-    sift_up(far_, far_.size() - 1);
-  }
-}
-
-std::int64_t Simulator::scan_buckets() const {
-  // All occupied buckets lie strictly inside (cur_bucket_, cur_bucket_ + N),
-  // so the first set bit in circular order from the cursor is the earliest.
-  const std::size_t cur_idx = static_cast<std::size_t>(cur_bucket_) & kBucketMask;
-  const std::size_t start = (cur_idx + 1) & kBucketMask;
-  constexpr std::size_t kWords = kNumBuckets / 64;
-  std::size_t word = start >> 6;
-  std::uint64_t bits = occ_[word] & (~std::uint64_t{0} << (start & 63));
-  for (std::size_t n = 0; n <= kWords; ++n) {
-    if (bits != 0) {
-      const std::size_t idx =
-          (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-      const std::size_t delta = (idx - cur_idx) & kBucketMask;
-      return cur_bucket_ + static_cast<std::int64_t>(delta);
-    }
-    word = (word + 1) & (kWords - 1);
-    bits = occ_[word];
-  }
-  return -1;
-}
-
-bool Simulator::refill() {
-  for (;;) {
-    // Overflow entries that slid inside the window belong on the wheel (or
-    // in near_, when the cursor jumped straight to their bucket).
-    while (!far_.empty() && bucket_no(far_[0].at) <
-                                cur_bucket_ + static_cast<std::int64_t>(kNumBuckets)) {
-      insert_entry(heap_pop(far_));
-    }
-    if (!near_.empty()) return true;
-    const std::int64_t b = scan_buckets();
-    if (b >= 0) {
-      cur_bucket_ = b;
-      const std::size_t idx = static_cast<std::size_t>(b) & kBucketMask;
-      std::vector<HeapEntry>& vec = buckets_[idx];
-      // Copy (not move) so both vectors keep their capacity — steady state
-      // allocates nothing.
-      near_.assign(vec.begin(), vec.end());
-      vec.clear();
-      occ_clear(idx);
-      // Floyd build-heap: the last internal node of a 4-ary heap of n
-      // entries is (n-2)/4, hence the +2 before the truncating divide.
-      for (std::size_t i = (near_.size() + 2) / 4; i-- > 0;) sift_down(near_, i);
-      return true;
-    }
-    if (far_.empty()) return false;
-    cur_bucket_ = bucket_no(far_[0].at);  // wheel empty: jump to the overflow min
-  }
-}
-
 const Simulator::HeapEntry* Simulator::peek() {
-  for (;;) {
-    if (near_.empty() && !refill()) return nullptr;
-    if (pool_[near_[0].slot].armed) return &near_[0];
-    recycle_slot(near_[0].slot);
+  while (!queue_.empty()) {
+    if (pool_[queue_[0].slot].armed) return &queue_[0];
+    recycle_slot(queue_[0].slot);
     --tombstones_;
-    heap_pop(near_);
+    heap_pop(queue_);
   }
+  return nullptr;
 }
 
 Simulator::HeapEntry Simulator::heap_pop_live() {
-  for (;;) {
-    if (near_.empty() && !refill()) return HeapEntry{};
-    const HeapEntry top = heap_pop(near_);
+  while (!queue_.empty()) {
+    const HeapEntry top = heap_pop(queue_);
     // Pull the *next* event's slot toward the cache while the current
     // callback runs; with hundreds of thousands of live events the pool is
     // far larger than L2 and this pop-to-pop miss dominates otherwise.
-    if (!near_.empty()) __builtin_prefetch(&pool_[near_[0].slot]);
+    if (!queue_.empty()) __builtin_prefetch(&pool_[queue_[0].slot]);
     if (pool_[top.slot].armed) return top;
     recycle_slot(top.slot);
     --tombstones_;
   }
+  return HeapEntry{};
 }
 
 void Simulator::maybe_compact() {
   const std::size_t total = live_ + tombstones_;
   if (total < kCompactMinQueue || tombstones_ * 2 <= total) return;
-  auto sweep = [this](std::vector<HeapEntry>& v) {
-    std::size_t kept = 0;
-    for (const HeapEntry& e : v) {
-      if (pool_[e.slot].armed) {
-        v[kept++] = e;
-      } else {
-        recycle_slot(e.slot);
-      }
-    }
-    v.resize(kept);
-    return kept;
-  };
-  // Floyd rebuild for the heaps; ordering comes from (at, seq) so the
-  // compacted queue pops in exactly the same sequence as the lazy one.
-  for (std::size_t i = (sweep(near_) + 2) / 4; i-- > 0;) sift_down(near_, i);
-  for (std::size_t i = (sweep(far_) + 2) / 4; i-- > 0;) sift_down(far_, i);
-  // Walk only occupied buckets via the bitmap.
-  for (std::size_t word = 0; word < occ_.size(); ++word) {
-    std::uint64_t bits = occ_[word];
-    while (bits != 0) {
-      const std::size_t idx =
-          (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      if (sweep(buckets_[idx]) == 0) occ_clear(idx);
+  std::size_t kept = 0;
+  for (const HeapEntry& e : queue_) {
+    if (pool_[e.slot].armed) {
+      queue_[kept++] = e;
+    } else {
+      recycle_slot(e.slot);
     }
   }
+  queue_.resize(kept);
+  // Floyd build-heap: the last internal node of a 4-ary heap of n entries
+  // is (n-2)/4, hence the +2 before the truncating divide. Ordering comes
+  // from (at, seq), so the compacted queue pops in exactly the same
+  // sequence as the lazy one.
+  for (std::size_t i = (kept + 2) / 4; i-- > 0;) sift_down(queue_, i);
   tombstones_ = 0;
 }
 

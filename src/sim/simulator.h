@@ -13,17 +13,14 @@
 // the live events the queue is compacted in place, so cancel-heavy
 // workloads (timer re-arm churn) keep the pool bounded.
 //
-// The ready queue is a calendar queue (htsim/ns-3 lineage): near-future
-// events append O(1) into 512 ns wheel buckets, only the *current* bucket
-// is kept heap-ordered (a tiny, cache-hot 4-ary heap), and events beyond
-// the ~1 ms wheel horizon sit in an overflow 4-ary heap that is drained
-// into the wheel as the cursor advances. Pop order is exactly (time, seq)
-// — identical to one global min-heap — so the determinism contract (same
-// seed + schedule => same event order) is a property of the structure, not
-// of tuning.
+// The ready queue is one 4-ary min-heap of (time, seq) keys. Pop order is
+// exactly (time, seq), so the determinism contract (same seed + schedule =>
+// same event order) is a property of the structure, not of tuning. The
+// flow engines keep only a few events pending at a time, so the heap stays
+// shallow; the packet engine's 1024-NIC incast keeps ~33K pending and pays
+// a log4(n) sift per pop (see EXPERIMENTS.md "Event core performance").
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -119,13 +116,6 @@ class Simulator {
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  /// Calendar-queue geometry: 2048 buckets of 512 ns each, so the wheel
-  /// spans ~1.05 ms — wide enough that the packet engine's event horizon
-  /// (serialization gaps through retransmit timers) stays on the wheel.
-  static constexpr int kBucketShift = 9;  ///< 512 ns per bucket
-  static constexpr std::size_t kNumBuckets = std::size_t{1} << 11;
-  static constexpr std::size_t kBucketMask = kNumBuckets - 1;
-
   /// Exactly one cache line: 48-byte callback + metadata. Pops touch slots
   /// in heap order (effectively random across a pool that can dwarf L2), so
   /// one line per slot halves the miss bill of the old 80-byte layout.
@@ -155,10 +145,6 @@ class Simulator {
     return a.seq < b.seq;                  // then FIFO
   }
 
-  static std::int64_t bucket_no(TimePoint t) {
-    return t.as_nanos() >> kBucketShift;
-  }
-
   std::uint32_t alloc_slot();
   void recycle_slot(std::uint32_t slot);
 
@@ -166,16 +152,6 @@ class Simulator {
   static void sift_down(std::vector<HeapEntry>& h, std::size_t i);
   static HeapEntry heap_pop(std::vector<HeapEntry>& h);
 
-  void occ_set(std::size_t idx) { occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63); }
-  void occ_clear(std::size_t idx) { occ_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63)); }
-
-  /// Route an entry to near_ / its wheel bucket / far_ by bucket number.
-  void insert_entry(const HeapEntry& e);
-  /// With near_ empty, advance the cursor to the earliest occupied bucket
-  /// (draining overflow entries that slid into the window). False = drained.
-  bool refill();
-  /// Earliest occupied absolute bucket after cur_bucket_, or -1 if none.
-  [[nodiscard]] std::int64_t scan_buckets() const;
   /// Earliest *armed* entry without removing it (reclaims tombstones off the
   /// head on the way), or nullptr when the queue is empty.
   const HeapEntry* peek();
@@ -193,18 +169,9 @@ class Simulator {
   std::vector<Slot> pool_;
   std::uint32_t free_head_ = kNoSlot;
 
-  /// Calendar queue: near_ is a 4-ary min-heap over every pending entry with
-  /// bucket_no(at) <= cur_bucket_ (entries in distinct buckets can never
-  /// interleave in time, so near_ always holds the global minimum); wheel
-  /// buckets are unsorted O(1)-append vectors for entries within the
-  /// horizon; far_ is a 4-ary min-heap for entries beyond it. occ_ is an
-  /// occupancy bitmap so the cursor skips empty buckets a word at a time.
-  std::vector<HeapEntry> near_;
-  std::vector<std::vector<HeapEntry>> buckets_ =
-      std::vector<std::vector<HeapEntry>>(kNumBuckets);
-  std::array<std::uint64_t, kNumBuckets / 64> occ_{};
-  std::vector<HeapEntry> far_;
-  std::int64_t cur_bucket_ = 0;
+  /// 4-ary min-heap on (at, seq) over every pending entry, tombstones
+  /// included.
+  std::vector<HeapEntry> queue_;
   metrics::Tracer tracer_;
   InvariantAuditor auditor_;
 };

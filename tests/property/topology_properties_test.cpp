@@ -16,16 +16,15 @@ struct GridParam {
   bool dual_tor;
   bool dual_plane;
   bool rail_optimized;
-
-  [[nodiscard]] std::string name() const {
-    std::string s = "seg" + std::to_string(segments) + "_h" + std::to_string(hosts) +
-                    "_pod" + std::to_string(pods);
-    s += dual_tor ? "_dt" : "_st";
-    s += dual_plane ? "_dp" : "_sp";
-    s += rail_optimized ? "_ro" : "_nr";
-    return s;
-  }
 };
+
+/// gtest names and lists a case by this text; without a PrintTo it dumps
+/// the param's bytes.
+void PrintTo(const GridParam& p, std::ostream* os) {
+  *os << "seg" << p.segments << "_h" << p.hosts << "_pod" << p.pods
+      << (p.dual_tor ? "_dt" : "_st") << (p.dual_plane ? "_dp" : "_sp")
+      << (p.rail_optimized ? "_ro" : "_nr");
+}
 
 class HpnGrid : public ::testing::TestWithParam<GridParam> {
  protected:
@@ -114,10 +113,6 @@ TEST_P(HpnGrid, TorChipBudgetRespected) {
   }
 }
 
-// gtest lists each case with a dump of GridParam's bytes, its padding byte
-// included. A static table is zero-initialized, padding and all, so the
-// listing (and with it every ctest name) is the same on every run; built
-// from temporaries, the padding byte held whatever the stack did.
 constexpr GridParam kGrid[] = {
     {1, 4, 1, true, true, true},  {2, 4, 1, true, true, true},
     {2, 8, 1, true, true, true},  {4, 4, 1, true, true, true},
@@ -127,8 +122,7 @@ constexpr GridParam kGrid[] = {
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    Grid, HpnGrid, ::testing::ValuesIn(kGrid),
-    [](const ::testing::TestParamInfo<GridParam>& param_info) { return param_info.param.name(); });
+    Grid, HpnGrid, ::testing::ValuesIn(kGrid), ::testing::PrintToStringParamName());
 
 class FatTreeGrid : public ::testing::TestWithParam<int> {};
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -117,10 +118,24 @@ TEST(EventPool, PendingEventsExcludesTombstones) {
 
 // ---- Differential: pooled engine vs the seed core -------------------------
 
+/// Spans of simulated time the differential draws its event times from:
+/// 20 us keeps every event a few hundred ns apart, and 10 s spreads them
+/// from 1 ns to seconds, with long empty gaps between the late ones.
+constexpr std::int64_t kShortSpanNs = 20'000;
+constexpr std::int64_t kLongSpanNs = 10'000'000'000;
+
+/// A delay in [0, span_ns]: uniform over a short span, log-uniform from 1 ns
+/// over a long one, so every decade up to the span gets events.
+std::int64_t draw_ns(Rng& rng, std::int64_t span_ns) {
+  if (span_ns <= kShortSpanNs) return rng.uniform_int(0, span_ns);
+  return static_cast<std::int64_t>(
+      std::pow(static_cast<double>(span_ns), rng.uniform_real()));
+}
+
 /// Drives an identical randomized schedule/cancel/cascade workload through
 /// either engine and records the tag of every fired event.
 template <typename Sim>
-std::vector<int> run_workload(std::uint64_t seed) {
+std::vector<int> run_workload(std::uint64_t seed, std::int64_t span_ns) {
   Rng rng{seed};
   Sim s;
   std::vector<int> fired;
@@ -130,13 +145,13 @@ std::vector<int> run_workload(std::uint64_t seed) {
   const int n = 400;
   for (int i = 0; i < n; ++i) {
     const int tag = next_tag++;
-    const auto at = TimePoint::at_nanos(rng.uniform_int(0, 20'000));
+    const auto at = TimePoint::at_nanos(draw_ns(rng, span_ns));
     const bool cascades = rng.bernoulli(0.25);
     const auto id = s.schedule_at(at, [&, tag, cascades] {
       fired.push_back(tag);
       if (cascades) {
         const int child = next_tag++;
-        s.schedule_after(Duration::nanos(child % 500), [&fired, child] {
+        s.schedule_after(Duration::nanos(child % (span_ns / 40)), [&fired, child] {
           fired.push_back(child);
         });
       }
@@ -146,10 +161,18 @@ std::vector<int> run_workload(std::uint64_t seed) {
   // Cancel a deterministic subset (every other saved id).
   for (std::size_t i = 0; i < cancellable.size(); i += 2) s.cancel(cancellable[i]);
   // Interleave run_until with more scheduling, then drain.
-  s.run_until(TimePoint::at_nanos(10'000));
+  s.run_until(TimePoint::at_nanos(span_ns / 2));
   for (int i = 0; i < 50; ++i) {
     const int tag = next_tag++;
-    s.schedule_after(Duration::nanos(rng.uniform_int(0, 5'000)),
+    s.schedule_after(Duration::nanos(draw_ns(rng, span_ns / 4)),
+                     [&fired, tag] { fired.push_back(tag); });
+  }
+  s.run();
+  // Cross one more empty span, then schedule from the far side of the gap.
+  s.run_until(s.now() + Duration::nanos(span_ns));
+  for (int i = 0; i < 50; ++i) {
+    const int tag = next_tag++;
+    s.schedule_after(Duration::nanos(draw_ns(rng, span_ns)),
                      [&fired, tag] { fired.push_back(tag); });
   }
   s.run();
@@ -159,9 +182,13 @@ std::vector<int> run_workload(std::uint64_t seed) {
 class EventCoreDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EventCoreDifferential, FiringSequenceMatchesSeedCore) {
-  const std::vector<int> pooled = run_workload<Simulator>(GetParam());
-  const std::vector<int> reference = run_workload<testing::ReferenceSimulator>(GetParam());
-  EXPECT_EQ(pooled, reference);
+  for (const std::int64_t span_ns : {kShortSpanNs, kLongSpanNs}) {
+    SCOPED_TRACE(span_ns);
+    const std::vector<int> pooled = run_workload<Simulator>(GetParam(), span_ns);
+    const std::vector<int> reference =
+        run_workload<testing::ReferenceSimulator>(GetParam(), span_ns);
+    EXPECT_EQ(pooled, reference);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventCoreDifferential,
