@@ -493,7 +493,14 @@ int cmd_cluster(const Options& o) {
             << "s, inference mean JCT "
             << metrics::Table::num(report.mean_jct_s(cluster::JobKind::kInference), 3)
             << "s\n";
-  if (!cfg.trace_path.empty()) std::cout << "wrote " << cfg.trace_path << "\n";
+  if (!cfg.trace_path.empty()) {
+    if (!report.trace_saved) {
+      std::cerr << "error: cannot write " << cfg.trace_path << "\n";
+      return 1;
+    }
+    std::cout << "wrote " << cfg.trace_path << " (" << report.trace_events << " events, "
+              << report.trace_overwritten << " overwritten)\n";
+  }
   return 0;
 }
 

@@ -133,7 +133,12 @@ class ClusterSim {
       report.audit_report = sim_.auditor().report();
     }
 
-    if (!config_.trace_path.empty()) sim_.tracer().save(config_.trace_path);
+    if (!config_.trace_path.empty()) {
+      const metrics::Tracer& tracer = sim_.tracer();
+      report.trace_saved = tracer.save(config_.trace_path);
+      report.trace_events = tracer.size();
+      report.trace_overwritten = tracer.dropped();
+    }
     return report;
   }
 

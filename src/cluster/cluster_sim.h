@@ -112,6 +112,11 @@ struct ClusterReport {
   std::string audit_report;
   /// Work the shared connection planner (Algorithm 1) did.
   ccl::ConnectionManager::Stats planner;
+  /// With ClusterConfig::trace_path set: whether the file was written, the
+  /// events it holds and the events the ring overwrote before the export.
+  bool trace_saved = false;
+  std::uint64_t trace_events = 0;
+  std::uint64_t trace_overwritten = 0;
 
   [[nodiscard]] double mean_jct_s(JobKind kind) const;
   [[nodiscard]] double quantile_jct_s(JobKind kind, double q) const;

@@ -45,9 +45,10 @@ bool underflows(const char* mantissa, const char* end) {
 
 }  // namespace
 
-void append_g17(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+void append_g(std::string& out, double v, int precision) {
+  char buf[32];  // sign, 17 digits, '.', "e-308": 24 bytes at most
+  const auto res =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, precision);
   out.append(buf, res.ptr);
 }
 

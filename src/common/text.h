@@ -1,13 +1,15 @@
 // Stream-free text primitives for the line formats the simulator speaks (the
-// `.scenario` format and the serve protocol). Both formats were defined by
-// what iostreams print and accept; these helpers reproduce those bytes and
-// that syntax exactly, at O(bytes) cost with no stream objects:
+// `.scenario` format, the serve protocol and the trace exports). Each was
+// defined by what iostreams or printf print and accept; these helpers
+// reproduce those bytes and that syntax exactly, at O(bytes) cost with no
+// stream objects:
 //
-//  - append_* write into a caller's std::string. append_g17 is
-//    std::to_chars(general, 17), which is specified as printf's `%.17g`,
-//    the same bytes as `ostream << std::setprecision(17) << v`: 17
-//    significant digits, so two doubles print alike iff they are the same
-//    bits (NaN payloads aside).
+//  - append_* write into a caller's std::string. append_g is
+//    std::to_chars(general, precision), which is specified as printf's
+//    `%.*g`. At precision 17 that is the same bytes as
+//    `ostream << std::setprecision(17) << v`: 17 significant digits, so two
+//    doubles print alike iff they are the same bits (NaN payloads aside).
+//    The tracer's exporters print `%.9g` and `%.6g` through it too.
 //  - Cursor walks one line the way `istringstream >>` does in the classic
 //    locale: tokens split on C whitespace, and numbers are read from the
 //    cursor without needing a token boundary ("100.5" reads as the integer
@@ -21,8 +23,9 @@
 
 namespace hpn::text {
 
-/// Append `v` as `%.17g` (inf, -inf, nan and -nan spelled as printf does).
-void append_g17(std::string& out, double v);
+/// Append `v` as printf's `%.<precision>g`, for precision in [1, 17] (inf,
+/// -inf, nan and -nan spelled as printf does).
+void append_g(std::string& out, double v, int precision);
 /// Append `v` in base 10.
 void append_uint(std::string& out, std::uint64_t v);
 void append_int(std::string& out, std::int64_t v);

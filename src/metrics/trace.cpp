@@ -1,13 +1,20 @@
 #include "metrics/trace.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 
 #include "common/check.h"
+#include "common/text.h"
 
 namespace hpn::metrics {
+
+namespace {
+
+/// First storage step of an enabled ring, in events (40 KB).
+constexpr std::size_t kFirstReserve = 1024;
+
+}  // namespace
 
 std::string_view to_string(TraceEventKind kind) {
   switch (kind) {
@@ -37,8 +44,9 @@ std::string_view to_string(TraceEventKind kind) {
 void Tracer::enable(std::size_t capacity) {
   HPN_CHECK_MSG(capacity > 0, "tracer needs a nonzero ring");
   HPN_CHECK_MSG(capacity <= std::size_t{0xFFFFFFFFu}, "tracer ring is capped at 2^32 events");
-  if (ring_.size() != capacity) {
-    ring_.assign(capacity, TraceEvent{});
+  if (capacity_ != capacity) {
+    ring_ = std::vector<TraceEvent>{};  // frees the old storage
+    capacity_ = capacity;
     total_ = 0;
     ++generation_;
   }
@@ -46,8 +54,15 @@ void Tracer::enable(std::size_t capacity) {
 }
 
 void Tracer::push(const TraceEvent& ev) {
-  if (ring_.empty()) ring_.assign(1u << 20, TraceEvent{});  // enable() skipped
-  ring_[total_ % ring_.size()] = ev;
+  if (ring_.size() < capacity_) {
+    if (ring_.size() == ring_.capacity()) {
+      // Double explicitly, and stop at capacity_ rather than past it.
+      ring_.reserve(std::min(capacity_, std::max(kFirstReserve, 2 * ring_.size())));
+    }
+    ring_.push_back(ev);
+  } else {
+    ring_[total_ % capacity_] = ev;
+  }
   ++total_;
   ++generation_;
 }
@@ -58,19 +73,13 @@ void Tracer::watch_link(LinkId link) {
   watched_[link.index()] = 1;
 }
 
-std::size_t Tracer::size() const {
-  return static_cast<std::size_t>(std::min<std::uint64_t>(total_, ring_.size()));
-}
-
-std::uint64_t Tracer::dropped() const {
-  return total_ > ring_.size() ? total_ - ring_.size() : 0;
-}
-
 template <typename F>
 void Tracer::for_each_event(F&& f) const {
-  const std::size_t n = size();
-  const std::size_t start = static_cast<std::size_t>(total_ - n);
-  for (std::size_t i = 0; i < n; ++i) f(ring_[(start + i) % ring_.size()]);
+  // Oldest first: slot total_ % n once the ring has wrapped, slot 0 before.
+  const std::size_t n = ring_.size();
+  const std::size_t start = n == 0 ? 0 : static_cast<std::size_t>(total_ % n);
+  for (std::size_t i = start; i < n; ++i) f(ring_[i]);
+  for (std::size_t i = 0; i < start; ++i) f(ring_[i]);
 }
 
 namespace {
@@ -123,92 +132,144 @@ TimeSeries Tracer::series(TraceEventKind kind, std::uint32_t a) const {
   return ts;
 }
 
-void Tracer::write_csv(std::ostream& os) const {
-  os << "time_ns,kind,a,b,value,label\n";
-  char num[32];
-  for_each_event([&](const TraceEvent& ev) {
-    os << ev.at.as_nanos() << ',' << to_string(ev.kind) << ',';
-    if (ev.a != kTraceNoId) os << ev.a;
-    os << ',';
-    if (ev.b != kTraceNoId) os << ev.b;
-    std::snprintf(num, sizeof num, "%.9g", ev.value);
-    os << ',' << num << ',' << (ev.label != nullptr ? ev.label : "") << '\n';
-  });
-}
-
 namespace {
 
-/// Microsecond timestamp for the chrome `ts` field.
-void put_ts(std::ostream& os, TimePoint at) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f",
-                static_cast<double>(at.as_nanos()) / 1e3);
-  os << buf;
+/// Exporters hand the stream this much at a time.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+
+void append_csv_line(std::string& out, const TraceEvent& ev) {
+  text::append_int(out, ev.at.as_nanos());
+  out += ',';
+  out += to_string(ev.kind);
+  out += ',';
+  if (ev.a != kTraceNoId) text::append_uint(out, ev.a);
+  out += ',';
+  if (ev.b != kTraceNoId) text::append_uint(out, ev.b);
+  out += ',';
+  text::append_g(out, ev.value, 9);
+  out += ',';
+  if (ev.label != nullptr) out += ev.label;
+  out += '\n';
+}
+
+/// Microsecond timestamp for the chrome `ts` field: printf's `%.3f`.
+void append_ts(std::string& out, TimePoint at) {
+  char buf[32];  // |ns| < 2^63, so |us| < 1e16: at most 22 bytes
+  const auto res = std::to_chars(buf, buf + sizeof buf,
+                                 static_cast<double>(at.as_nanos()) / 1e3,
+                                 std::chars_format::fixed, 3);
+  out.append(buf, res.ptr);
+}
+
+/// One chrome trace_event object. One process; tracks (tid) separate the
+/// layers so the timeline groups flows, links, control plane, collectives
+/// and iterations.
+void append_chrome_event(std::string& out, const TraceEvent& ev) {
+  const std::string_view kind = to_string(ev.kind);
+  switch (ev.kind) {
+    case TraceEventKind::kCollectiveBegin:
+    case TraceEventKind::kCollectiveEnd:
+    case TraceEventKind::kIterationBegin:
+    case TraceEventKind::kIterationEnd:
+    case TraceEventKind::kJobBegin:
+    case TraceEventKind::kJobEnd: {
+      const bool begin = ev.kind == TraceEventKind::kCollectiveBegin ||
+                         ev.kind == TraceEventKind::kIterationBegin ||
+                         ev.kind == TraceEventKind::kJobBegin;
+      const bool iter = ev.kind == TraceEventKind::kIterationBegin ||
+                        ev.kind == TraceEventKind::kIterationEnd;
+      const bool job = ev.kind == TraceEventKind::kJobBegin ||
+                       ev.kind == TraceEventKind::kJobEnd;
+      out += "{\"name\":\"";
+      if (ev.label != nullptr) {
+        out += ev.label;
+      } else {
+        out += job ? "job" : iter ? "iteration" : "collective";
+      }
+      if (iter || job) {
+        out += ' ';
+        text::append_uint(out, ev.a);
+      }
+      out += "\",\"cat\":\"";
+      out += job ? "cluster" : iter ? "train" : "ccl";
+      out += "\",\"ph\":\"";
+      out += begin ? 'b' : 'e';
+      out += "\",\"id\":";
+      text::append_uint(out, ev.a);
+      out += ",\"pid\":1,\"tid\":";
+      out += job ? '4' : iter ? '1' : '2';
+      out += ",\"ts\":";
+      append_ts(out, ev.at);
+      out += '}';
+      break;
+    }
+    case TraceEventKind::kLinkUtilization:
+    case TraceEventKind::kQueueDepth: {
+      out += "{\"name\":\"";
+      out += kind;
+      out += ":link";
+      text::append_uint(out, ev.a);
+      out += "\",\"ph\":\"C\",\"pid\":1,\"ts\":";
+      append_ts(out, ev.at);
+      out += ",\"args\":{\"value\":";
+      text::append_g(out, ev.value, 6);
+      out += "}}";
+      break;
+    }
+    default: {
+      out += "{\"name\":\"";
+      out += kind;
+      if (ev.a != kTraceNoId) {
+        out += ' ';
+        text::append_uint(out, ev.a);
+      }
+      out += "\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":3,\"ts\":";
+      append_ts(out, ev.at);
+      out += ",\"args\":{\"value\":";
+      text::append_g(out, ev.value, 6);
+      if (ev.b != kTraceNoId) {
+        out += ",\"b\":";
+        text::append_uint(out, ev.b);
+      }
+      out += "}}";
+      break;
+    }
+  }
 }
 
 }  // namespace
 
-void Tracer::write_chrome_json(std::ostream& os) const {
-  // One process; tracks (tid) separate the layers so the timeline groups
-  // flows, links, control plane, collectives and iterations.
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  char num[32];
+template <typename F>
+void Tracer::write_chunked(std::ostream& os, std::string_view head, F&& append,
+                           std::string_view tail) const {
+  std::string buf;
+  buf.reserve(kChunkBytes + 512);  // one event's line past a full chunk
+  buf += head;
   for_each_event([&](const TraceEvent& ev) {
-    if (!first) os << ",\n";
-    first = false;
-    const std::string_view kind = to_string(ev.kind);
-    switch (ev.kind) {
-      case TraceEventKind::kCollectiveBegin:
-      case TraceEventKind::kCollectiveEnd:
-      case TraceEventKind::kIterationBegin:
-      case TraceEventKind::kIterationEnd:
-      case TraceEventKind::kJobBegin:
-      case TraceEventKind::kJobEnd: {
-        const bool begin = ev.kind == TraceEventKind::kCollectiveBegin ||
-                           ev.kind == TraceEventKind::kIterationBegin ||
-                           ev.kind == TraceEventKind::kJobBegin;
-        const bool iter = ev.kind == TraceEventKind::kIterationBegin ||
-                          ev.kind == TraceEventKind::kIterationEnd;
-        const bool job = ev.kind == TraceEventKind::kJobBegin ||
-                         ev.kind == TraceEventKind::kJobEnd;
-        os << "{\"name\":\"";
-        if (ev.label != nullptr) {
-          os << ev.label;
-        } else {
-          os << (job ? "job" : iter ? "iteration" : "collective");
-        }
-        if (iter || job) os << ' ' << ev.a;
-        os << "\",\"cat\":\"" << (job ? "cluster" : iter ? "train" : "ccl")
-           << "\",\"ph\":\"" << (begin ? 'b' : 'e') << "\",\"id\":" << ev.a
-           << ",\"pid\":1,\"tid\":" << (job ? 4 : iter ? 1 : 2) << ",\"ts\":";
-        put_ts(os, ev.at);
-        os << "}";
-        break;
-      }
-      case TraceEventKind::kLinkUtilization:
-      case TraceEventKind::kQueueDepth: {
-        std::snprintf(num, sizeof num, "%.6g", ev.value);
-        os << "{\"name\":\"" << kind << ":link" << ev.a
-           << "\",\"ph\":\"C\",\"pid\":1,\"ts\":";
-        put_ts(os, ev.at);
-        os << ",\"args\":{\"value\":" << num << "}}";
-        break;
-      }
-      default: {
-        std::snprintf(num, sizeof num, "%.6g", ev.value);
-        os << "{\"name\":\"" << kind;
-        if (ev.a != kTraceNoId) os << ' ' << ev.a;
-        os << "\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":3,\"ts\":";
-        put_ts(os, ev.at);
-        os << ",\"args\":{\"value\":" << num;
-        if (ev.b != kTraceNoId) os << ",\"b\":" << ev.b;
-        os << "}}";
-        break;
-      }
+    append(buf, ev);
+    if (buf.size() >= kChunkBytes) {
+      os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
     }
   });
-  os << "\n]}\n";
+  buf += tail;
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+}
+
+void Tracer::write_csv(std::ostream& os) const {
+  write_chunked(os, "time_ns,kind,a,b,value,label\n", append_csv_line, "");
+}
+
+void Tracer::write_chrome_json(std::ostream& os) const {
+  bool first = true;
+  write_chunked(
+      os, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
+      [&first](std::string& out, const TraceEvent& ev) {
+        if (!first) out += ",\n";
+        first = false;
+        append_chrome_event(out, ev);
+      },
+      "\n]}\n");
 }
 
 bool Tracer::save(const std::string& path) const {

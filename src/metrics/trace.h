@@ -9,9 +9,13 @@
 // TimeSeries instead of hand-rolling their own sampling.
 //
 // Disabled (the default) it is a single branch on a bool per call site —
-// nothing allocates, nothing records. Enabled, events land in a fixed-size
-// ring (oldest overwritten first, drops counted), exportable as CSV or as
-// Chrome trace_event JSON loadable in chrome://tracing / Perfetto.
+// nothing allocates, nothing records. Enabled, events land in a ring of a
+// fixed capacity (oldest overwritten first, drops counted) whose storage
+// grows on demand: it holds what was recorded, doubling up to the capacity,
+// so a run that records 65K events of a 1M-event ring pays for 65K. The
+// ring exports as CSV or as Chrome trace_event JSON loadable in
+// chrome://tracing / Perfetto; both exporters format into one reserved
+// buffer with the text:: appenders and write it a chunk at a time.
 //
 // Read-path cost: the exporters and events_of(kind) walk the ring in place,
 // O(retained events) with no copy; events() is the one accessor that copies
@@ -81,9 +85,11 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  /// Start recording into a ring of `capacity` events (~40 B each). A
-  /// second enable() with a different capacity reallocates and clears.
-  /// Capacity is capped at 2^32 events (index slots are 32-bit).
+  /// Start recording into a ring of `capacity` events (~40 B each). The
+  /// ring's storage grows with the events recorded and wraps once it holds
+  /// `capacity`. A second enable() with a different capacity frees the
+  /// storage and clears. Capacity is capped at 2^32 events (index slots are
+  /// 32-bit).
   void enable(std::size_t capacity = 1u << 20);
   void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
@@ -112,10 +118,10 @@ class Tracer {
   std::uint32_t begin_span() { return next_span_++; }
 
   // ---- Introspection --------------------------------------------------------
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Events overwritten because the ring wrapped.
-  [[nodiscard]] std::uint64_t dropped() const;
+  [[nodiscard]] std::uint64_t dropped() const { return total_ - ring_.size(); }
   [[nodiscard]] bool empty() const { return total_ == 0; }
 
   /// Retained events, oldest first. Copies the whole ring.
@@ -142,6 +148,12 @@ class Tracer {
 
  private:
   void push(const TraceEvent& ev);
+  /// Writes `head`, append(buffer, ev) for every retained event oldest
+  /// first, then `tail`: formatted into one reserved buffer that goes to
+  /// `os` each time it holds a chunk.
+  template <typename F>
+  void write_chunked(std::ostream& os, std::string_view head, F&& append,
+                     std::string_view tail) const;
   /// Calls f(ev) for every retained event, oldest first, in place.
   template <typename F>
   void for_each_event(F&& f) const;
@@ -152,8 +164,11 @@ class Tracer {
 
   bool enabled_ = false;
   bool watch_all_ = false;
+  /// Holds min(total_, capacity_) events: appended while it is shorter
+  /// than capacity_, overwritten at slot total_ % capacity_ after.
   std::vector<TraceEvent> ring_;
-  std::uint64_t total_ = 0;  ///< Events ever recorded; next slot = total_ % cap.
+  std::size_t capacity_ = 0;
+  std::uint64_t total_ = 0;  ///< Events ever recorded.
   /// Bumped by every change to the retained events (push, enable with a new
   /// capacity). total_ cannot stand in for it: re-enabling with a new
   /// capacity and recording as many events leaves total_ where it was.

@@ -188,7 +188,7 @@ std::string Scenario::to_text() const {
     out += ' ';
     text::append_int(out, f.size_bytes);
     out += ' ';
-    text::append_g17(out, f.cap_gbps);
+    text::append_g(out, f.cap_gbps, 17);
     out += '\n';
   }
   for (const ScenarioFault& f : faults) {

@@ -314,7 +314,7 @@ std::string QueryEngine::cache_key(std::uint64_t base_hash,
       key += "add-job|";
       text::append_uint(key, q.arg0);
       key += '|';
-      text::append_g17(key, q.arg1);
+      text::append_g(key, q.arg1, 17);
       break;
     case QueryRequest::Verb::kResize:
       key += "resize|";
@@ -546,7 +546,7 @@ void append_reply(std::string& out, std::size_t index, std::string_view verb,
     out += tag;
     text::append_uint(out, j);
     out += ' ';
-    text::append_g17(out, value);
+    text::append_g(out, value, 17);
     out += state;
   };
   for (std::size_t j = 0; j < r.base_flows.size(); ++j) {
@@ -575,9 +575,9 @@ void append_reply(std::string& out, std::size_t index, std::string_view verb,
   out += " stalled=";
   text::append_uint(out, r.stalled);
   out += " total_gbps=";
-  text::append_g17(out, r.total_gbps);
+  text::append_g(out, r.total_gbps, 17);
   out += " min_gbps=";
-  text::append_g17(out, r.min_gbps);
+  text::append_g(out, r.min_gbps, 17);
   out += "\nend\n";
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -230,15 +231,16 @@ void expect_reads_match_oracle(const Tracer& t, const std::string& where) {
 
 TEST(TracerIndexTest, ReadsMatchOracleOverRandomTraces) {
   // Each seed interleaves records with reads, clears, disable/enable
-  // toggles and capacity changes; capacities are small so rings wrap.
-  constexpr std::size_t kCapacities[] = {4, 8, 16};
+  // toggles and capacity changes. The small capacities wrap; the two large
+  // ones are never reached, so their rings are still growing.
+  constexpr std::size_t kCapacities[] = {4, 8, 16, 2048, 1u << 20};
   constexpr TraceEventKind kKinds[] = {TraceEventKind::kQueueDepth,
                                        TraceEventKind::kLinkUtilization,
                                        TraceEventKind::kFlowStart, TraceEventKind::kLinkDown};
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng{seed};
     Tracer t;
-    t.enable(kCapacities[rng.uniform_index(3)]);
+    t.enable(kCapacities[rng.uniform_index(std::size(kCapacities))]);
     std::int64_t now_us = 0;
     bool wrapped = false;
     for (int op = 0; op < 300; ++op) {
@@ -261,7 +263,7 @@ TEST(TracerIndexTest, ReadsMatchOracleOverRandomTraces) {
           t.enable(t.capacity());  // same capacity: keeps the events
         }
       } else {
-        t.enable(kCapacities[rng.uniform_index(3)]);
+        t.enable(kCapacities[rng.uniform_index(std::size(kCapacities))]);
       }
     }
     expect_reads_match_oracle(t, "seed " + std::to_string(seed) + " end");
@@ -290,6 +292,77 @@ TEST(TracerIndexTest, ReenableWithNewCapacityRebuildsIndex) {
   EXPECT_DOUBLE_EQ(two.points().back().value, 204.0);
   expect_same_events(t.events_of(TraceEventKind::kQueueDepth, 2),
                      reference::events_of(t, TraceEventKind::kQueueDepth, 2), "after re-enable");
+}
+
+// ---- Ring storage that grows on demand -------------------------------------
+
+/// Records events a = first .. first + n - 1 of alternating kinds.
+void record_run(Tracer& t, std::uint32_t first, std::uint32_t n) {
+  for (std::uint32_t i = first; i < first + n; ++i) {
+    t.record(at_us(i), i % 2 == 0 ? TraceEventKind::kQueueDepth : TraceEventKind::kFlowStart,
+             i % kEntities, i, static_cast<double>(i));
+  }
+}
+
+TEST(TracerRingTest, WrapsExactlyAtCapacity) {
+  // 3000 is past two growth steps and not a power of two, so the last step
+  // stops at the capacity instead of doubling past it.
+  constexpr std::uint32_t kCap = 3000;
+  Tracer t;
+  t.enable(kCap);
+  record_run(t, 0, kCap);
+  EXPECT_EQ(t.size(), kCap);
+  EXPECT_EQ(t.dropped(), 0u);
+  std::vector<TraceEvent> evs = t.events();
+  ASSERT_EQ(evs.size(), kCap);
+  for (std::uint32_t i = 0; i < kCap; ++i) ASSERT_EQ(evs[i].b, i) << "slot " << i;
+  expect_reads_match_oracle(t, "full");
+
+  record_run(t, kCap, 1);
+  EXPECT_EQ(t.size(), kCap);
+  EXPECT_EQ(t.capacity(), kCap);
+  EXPECT_EQ(t.dropped(), 1u);
+  evs = t.events();
+  ASSERT_EQ(evs.size(), kCap);
+  EXPECT_EQ(evs.front().b, 1u);  // event 0 was overwritten
+  EXPECT_EQ(evs.back().b, kCap);
+  expect_reads_match_oracle(t, "one past full");
+}
+
+TEST(TracerRingTest, GrowsThroughSeveralStepsWithoutReachingCapacity) {
+  Tracer t;
+  t.enable(1u << 20);
+  std::uint32_t recorded = 0;
+  for (const std::uint32_t upto : {1u, 1024u, 1025u, 5000u, 20'000u}) {
+    record_run(t, recorded, upto - recorded);
+    recorded = upto;
+    EXPECT_EQ(t.size(), recorded);
+    EXPECT_EQ(t.dropped(), 0u);
+    EXPECT_EQ(t.capacity(), 1u << 20);
+    const std::vector<TraceEvent> evs = t.events();
+    ASSERT_EQ(evs.size(), recorded);
+    for (std::uint32_t i = 0; i < recorded; ++i) ASSERT_EQ(evs[i].b, i) << "slot " << i;
+    expect_reads_match_oracle(t, std::to_string(recorded) + " events");
+  }
+}
+
+TEST(TracerRingTest, ReenableWithSmallerCapacityKeepsIndexReadsRight) {
+  Tracer t;
+  t.enable(4096);
+  record_run(t, 0, 3000);
+  expect_reads_match_oracle(t, "before");  // builds the index over 3000 slots
+  t.enable(100);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.capacity(), 100u);
+  EXPECT_EQ(t.series(TraceEventKind::kQueueDepth, 0).size(), 0u);
+  record_run(t, 5000, 60);
+  EXPECT_EQ(t.size(), 60u);
+  expect_reads_match_oracle(t, "growing again");
+  record_run(t, 5060, 190);
+  EXPECT_EQ(t.size(), 100u);
+  EXPECT_EQ(t.dropped(), 150u);
+  EXPECT_EQ(t.events().front().b, 5150u);
+  expect_reads_match_oracle(t, "wrapped");
 }
 
 TEST(TracerConcurrencyTest, ConstReadsFromTwoThreadsAgree) {

@@ -1,20 +1,26 @@
 // Property tests for the stream-free formatter (common/text.h) every reply,
-// cache key and canonical scenario is printed with: its bytes must be the
-// bytes the iostreams it replaced printed, so transcripts, cache keys and
-// canonical scenario text stay byte-identical.
+// cache key, canonical scenario and trace export is printed with: its bytes
+// must be the bytes the iostreams and printf calls it replaced printed, so
+// transcripts, cache keys, canonical scenario text and trace files stay
+// byte-identical.
 //
-//  - append_g17 == `ostream << setprecision(17)` on 1M random 64-bit
+//  - append_g(17) == `ostream << setprecision(17)` on 1M random 64-bit
 //    patterns (every class: normals, subnormals, infinities, NaNs of both
 //    signs), on uniform doubles in [0, 400) (the Gbps range replies print),
 //    on short binary fractions whose 17th digit is a rounding tie, and on
 //    hand-picked edges: +-0, +-inf, signed quiet NaN, denorm_min,
 //    max, lowest, and the neighbourhoods of 1e16 and 1e17 where %.17g
 //    switches between fixed and exponent notation;
+//  - append_g at precisions 6, 9 and 17 (the tracer exports' `%.6g` and
+//    `%.9g`, and the round-trip form) == `snprintf("%.*g")` on random bit
+//    patterns, on rounding ties at each precision and around the powers of
+//    ten where `%g` switches between fixed and exponent notation;
 //  - append_hex16 keeps its zero padding, append_uint/append_int match
 //    `ostream <<` at the integer limits.
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <iomanip>
 #include <limits>
 #include <random>
@@ -44,8 +50,21 @@ class StreamG17 {
 
 std::string g17(double v) {
   std::string out;
-  append_g17(out, v);
+  append_g(out, v, 17);
   return out;
+}
+
+std::string g(double v, int precision) {
+  std::string out;
+  append_g(out, v, precision);
+  return out;
+}
+
+/// The reference printer of append_g: printf's `%.*g`.
+std::string printf_g(double v, int precision) {
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+  return std::string(buf, static_cast<std::size_t>(n));
 }
 
 TEST(TextFormat, G17MatchesStreamOnRandomBitPatterns) {
@@ -129,6 +148,51 @@ TEST(TextFormat, G17MatchesStreamOnEdges) {
   EXPECT_EQ(g17(0.1), "0.10000000000000001");
 }
 
+TEST(TextFormat, GMatchesPrintfAtTracePrecisions) {
+  using L = std::numeric_limits<double>;
+  std::mt19937_64 rng{0x5EED0609};
+  for (const int p : {6, 9, 17}) {
+    std::vector<double> values = {0.0, -0.0, L::infinity(), -L::infinity(), L::quiet_NaN(),
+                                  std::copysign(L::quiet_NaN(), -1.0), L::denorm_min(),
+                                  -L::denorm_min(), L::min(), L::max(), L::lowest()};
+    for (int i = 0; i < 300'000; ++i) values.push_back(std::bit_cast<double>(rng()));
+    // Short binary fractions: their p-digit rounding often lands exactly
+    // halfway, where both printers must round to even.
+    for (int k = 1; k <= 60; ++k) {
+      for (int i = 0; i < 500; ++i) {
+        values.push_back(std::ldexp(static_cast<double>(rng() >> (11 + rng() % 53)), -k));
+      }
+    }
+    // Neighbourhoods of the values that round up to the next power of ten
+    // (9.99999|5 at p = 6), where `%g` can switch notation.
+    for (int e = -6; e <= 20; ++e) {
+      const double edge = (1.0 - 0.5 * std::pow(10.0, -p)) * std::pow(10.0, e);
+      for (const double anchor : {edge, -edge, std::pow(10.0, e)}) {
+        double v = anchor;
+        for (int k = 0; k < 50; ++k) v = std::nextafter(v, -L::infinity());
+        for (int k = 0; k < 100; ++k) {
+          values.push_back(v);
+          v = std::nextafter(v, L::infinity());
+        }
+      }
+    }
+    int mismatches = 0;
+    for (const double v : values) {
+      const std::string want = printf_g(v, p);
+      const std::string got = g(v, p);
+      if (got != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "%." << p << "g of bits 0x" << std::hex
+                      << std::bit_cast<std::uint64_t>(v) << ": got '" << got << "', printf '"
+                      << want << "'";
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "precision " << p;
+  }
+  EXPECT_EQ(g(999999.5, 6), "1e+06");
+  EXPECT_EQ(g(0.0001, 6), "0.0001");
+  EXPECT_EQ(g(1.0 / 3.0, 9), "0.333333333");
+}
+
 TEST(TextFormat, Hex16KeepsItsZeroPadding) {
   const auto hex = [](std::uint64_t v) {
     std::string out;
@@ -166,7 +230,7 @@ TEST(TextFormat, IntegersMatchStream) {
   }
   std::string out = "x=";
   append_uint(out, 42);
-  append_g17(out, 2.5);
+  append_g(out, 2.5, 17);
   EXPECT_EQ(out, "x=422.5") << "appends must not clobber what is already there";
 }
 
