@@ -99,15 +99,17 @@ inline void emit(const metrics::Table& table, const std::string& csv_name) {
   std::cout << "[csv] " << path << "\n";
 }
 
-/// Export the tracer to `path` if set (after the run finished).
-inline void export_trace(const metrics::Tracer& tracer, const std::string& path) {
-  if (path.empty()) return;
-  if (tracer.save(path)) {
-    std::cout << "[trace] " << path << " (" << tracer.size() << " events, "
-              << tracer.dropped() << " dropped)\n";
-  } else {
-    std::cout << "[trace] failed to write " << path << "\n";
+/// Export the tracer to `path` if set (after the run finished). Returns
+/// false if the file could not be written; the bench must then exit 1.
+[[nodiscard]] inline bool export_trace(const metrics::Tracer& tracer, const std::string& path) {
+  if (path.empty()) return true;
+  if (!tracer.save(path)) {
+    std::cerr << "error: cannot write trace " << path << "\n";
+    return false;
   }
+  std::cout << "[trace] " << path << " (" << tracer.size() << " events, " << tracer.dropped()
+            << " dropped)\n";
+  return true;
 }
 
 }  // namespace hpn::bench

@@ -21,6 +21,7 @@ struct PortReport {
   double port_gbps[2] = {0, 0};  ///< Offered demand per port (flows x 50G).
   double queue_kb[2] = {0, 0};
   int flows[2] = {0, 0};
+  bool trace_written = true;  ///< False if --trace could not be written.
 };
 
 PortReport run(bool dual_plane, std::uint16_t sport_base, Duration sim_time,
@@ -93,7 +94,7 @@ PortReport run(bool dual_plane, std::uint16_t sport_base, Duration sim_time,
         static_cast<std::uint32_t>(port_link[p].value()));
     rep.queue_kb[p] = q.empty() ? 0.0 : q.points().back().value / 1e3;
   }
-  bench::export_trace(s.tracer(), trace_path);
+  rep.trace_written = bench::export_trace(s.tracer(), trace_path);
   return rep;
 }
 
@@ -190,5 +191,5 @@ int main(int argc, char** argv) {
   std::cout << "\nhot-port queue reduction with dual-plane: "
             << metrics::Table::percent(1.0 - dual_avg_q / std::max(1e-9, clos_peak_q), 1)
             << " (paper: -91.8%)\n";
-  return 0;
+  return clos.trace_written ? 0 : 1;
 }

@@ -31,6 +31,7 @@ struct Result {
   double samples_per_sec = 0.0;
   double agg_gbps = 0.0;        ///< Mean cross-segment (Agg) traffic.
   double agg_queue_mb = 0.0;    ///< Peak Agg downlink queue (fluid probe).
+  bool trace_written = true;    ///< False if --trace could not be written.
 };
 
 struct Rig {
@@ -143,7 +144,7 @@ Result run(bool hpn, const bench::Args& args) {
       res.agg_queue_mb = std::max(res.agg_queue_mb, q.points().back().value / 1e6);
     }
   }
-  if (hpn) bench::export_trace(fluid_sim.tracer(), args.trace_path);
+  if (hpn) res.trace_written = bench::export_trace(fluid_sim.tracer(), args.trace_path);
   return res;
 }
 
@@ -181,5 +182,5 @@ int main(int argc, char** argv) {
             << "(c) peak Agg queue: DCN+ " << metrics::Table::num(dcn.agg_queue_mb, 2)
             << " MB vs HPN " << metrics::Table::num(hpn.agg_queue_mb, 2)
             << " MB (paper: DCN+ builds multi-MB queues, HPN stays near zero)\n";
-  return 0;
+  return hpn.trace_written ? 0 : 1;
 }

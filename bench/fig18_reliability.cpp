@@ -6,6 +6,8 @@
 //      back on repair.
 //  (b) link flapping: single-ToR stalls for ~ the whole flap episode (>9s);
 //      dual-ToR sees negligible impact.
+#include <algorithm>
+
 #include "bench_common.h"
 #include "train/training_job.h"
 #include "topo/builders.h"
@@ -48,6 +50,7 @@ struct Outcome {
   double after = 0.0;         ///< samples/s after repair (0 = crashed)
   bool crashed = false;
   double stall_seconds = 0.0; ///< longest iteration stretch during episode
+  bool trace_written = true;  ///< False if --trace could not be written.
 };
 
 Outcome run_link_failure(bool dual_tor, Duration repair_after,
@@ -100,7 +103,7 @@ Outcome run_link_failure(bool dual_tor, Duration repair_after,
   job.run_iterations(5);
   out.after = job.state() == train::JobState::kRunning ? job.steady_samples_per_sec(3) : 0.0;
   out.crashed = job.state() == train::JobState::kCrashed;
-  bench::export_trace(rig.sim.tracer(), trace_path);
+  out.trace_written = bench::export_trace(rig.sim.tracer(), trace_path);
   return out;
 }
 
@@ -212,5 +215,7 @@ int main(int argc, char** argv) {
                fmt(o.stall_seconds), o.crashed ? "-" : fmt(o.after)});
   }
   bench::emit(b, "fig18b_link_flapping");
-  return 0;
+  const bool traces_written = std::all_of(outcomes.begin(), outcomes.end(),
+                                          [](const Outcome& o) { return o.trace_written; });
+  return traces_written ? 0 : 1;
 }

@@ -255,7 +255,11 @@ int main(int argc, char** argv) {
   // 16 QPs each but short flows, and fewer reps than the micro scenarios.
   const DataSize flow_size = args.smoke ? DataSize::kilobytes(64) : DataSize::kilobytes(32);
   const int reps = args.smoke ? 2 : 3;
-  const int incast_reps = 2;
+  // The incast floor compares each side's best; at full scale four
+  // interleaved reps (two with each side first) spread both sides over the
+  // whole measurement, so a burst of outside load cannot cover all of one
+  // side's runs (two reps once read 1.97x against the 2.0x floor).
+  const int incast_reps = args.smoke ? 2 : 4;
 
   const Measure ref_fire =
       bench_schedule_fire<sim::testing::ReferenceSimulator>(micro_n, reps);
@@ -342,13 +346,14 @@ int main(int argc, char** argv) {
                 "pooled schedule/fire must not allocate in steady state");
   HPN_CHECK_MSG(new_cancel.allocs_per_event < 0.001,
                 "pooled cancel/re-arm churn must not allocate in steady state");
-  // The incast's run (set-up counted apart) allocates once per packet hop:
-  // the propagation closure [this, link, sent] is 48 bytes, past
-  // InlineCallback's 40-byte buffer. Every path has two hops, and measured
-  // runs make 2.04 (full) and 2.07 (smoke) allocations per delivered
-  // packet; any further per-event allocation exceeds the guard.
-  HPN_CHECK_MSG(run_allocs_per_packet <= 2.25,
-                "dense incast run must allocate at most once per packet hop (got "
+  // The incast's run (set-up counted apart) does not allocate per packet:
+  // the propagation closure [this, link, sent] is 32 bytes and fits
+  // InlineCallback's buffer (packet.cpp static_asserts it). What is left is
+  // FIFO ring and PFC-list growth: measured runs make 0.039 (full) and
+  // 0.069 (smoke) allocations per delivered packet. One allocation per
+  // packet hop (2 per packet here) is far past the guard.
+  HPN_CHECK_MSG(run_allocs_per_packet <= 0.1,
+                "dense incast run must not allocate per packet (got "
                     << run_allocs_per_packet << " allocations per delivered packet)");
   const double incast_floor = args.smoke ? 1.2 : 2.0;
   HPN_CHECK_MSG(incast_speedup >= incast_floor,

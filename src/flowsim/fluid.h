@@ -9,17 +9,27 @@
 // multiplicative decrease proportional to the ECN marking probability of
 // the most-congested hop, queues integrating (inflow - capacity).
 //
-// Link state is found through a slot table dense by LinkId, so the per-tick
-// loops index vectors instead of hashing. Determinism: each tick walks the
-// links that any flow has touched in ascending LinkId order, so per-tick
-// tracer samples (queue depth, then utilization, per watched link) are
-// recorded in ascending LinkId order. Per-link arrival sums follow the flow
-// map's iteration order, which fixes their floating-point rounding.
+// Layout: active flows sit in one table in ascending FlowId order (ids only
+// grow, so a start appends), each path a span into one array of link slots;
+// link state is dense by slot, found through a table dense by LinkId. A tick
+// is three sweeps: flows add their rate into each hop's arrival sum, links
+// integrate their queues and compute their feedback (bottleneck scale and
+// ECN marking probability) once, and flows fold that feedback over their
+// hops. Completions and stop_flow compact the table and the hop array.
+//
+// Determinism: the order is defined by FlowId and LinkId alone. Per-link
+// arrival sums add flows in ascending FlowId order, which fixes their
+// floating-point rounding. Per-tick tracer samples (queue depth, then
+// utilization, per watched link) are recorded in ascending LinkId order.
+// Flows that finish in a tick leave the table first; then their kFlowFinish
+// records and completion callbacks run in ascending FlowId order. A
+// callback may start or stop flows.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -74,20 +84,34 @@ class FluidSimulator {
   [[nodiscard]] const FluidConfig& config() const { return config_; }
 
  private:
-  struct ActiveFlow {
-    std::vector<LinkId> path;
+  /// One active flow; flows_ keeps them in ascending id order.
+  struct Flow {
+    FlowId id;
+    std::uint32_t first_hop = 0;  ///< Path start in hops_.
+    std::uint32_t hop_count = 0;
     double cap_bps = 0.0;
     double rate_bps = 0.0;
     double goodput_bps = 0.0;
     double remaining_bits = 0.0;
     bool infinite = false;
-    CompletionFn on_complete;
   };
 
   struct LinkState {
     double queue_bits = 0.0;
-    double arrival_bps = 0.0;
     double delivered_bps = 0.0;
+    double cap_bps = 0.0;  ///< Read from the topology when a flow first touches it.
+  };
+
+  /// What a link tells the flows crossing it, computed once per tick.
+  struct Feedback {
+    double scale = 1.0;   ///< cap / arrival when over capacity, else 1.
+    double p_mark = 0.0;  ///< ECN marking probability at the updated queue.
+  };
+
+  /// A touched link and its slot; used_links_ walks them in LinkId order.
+  struct UsedLink {
+    LinkId id;
+    std::uint32_t slot = 0;
   };
 
   void tick();
@@ -96,22 +120,29 @@ class FluidSimulator {
   void audit_tick();
   [[nodiscard]] double mark_probability(double queue_bits) const;
   void ensure_ticking();
-  /// State of a link some flow has touched: two vector indexes, no hashing.
-  [[nodiscard]] LinkState& state(LinkId link) { return links_[slot_of_[link.index()]]; }
-  /// State of `link`, or nullptr if no flow ever used it (or it is invalid).
-  [[nodiscard]] const LinkState* find_state(LinkId link) const;
+  /// Slot of `link`, assigned on first touch.
+  std::uint32_t touch(LinkId link);
+  /// Slot of `link`, or kNoSlot if no flow ever used it (or it is invalid).
+  [[nodiscard]] std::uint32_t find_slot(LinkId link) const;
+  /// Position of `id` in flows_, or flows_.size() if it is not active.
+  [[nodiscard]] std::size_t find_flow(FlowId id) const;
 
   const topo::Topology* topo_;
   sim::Simulator* sim_;
   FluidConfig config_;
-  std::unordered_map<FlowId, ActiveFlow> flows_;
+  std::vector<Flow> flows_;              ///< Ascending FlowId.
+  std::vector<CompletionFn> callbacks_;  ///< Parallel to flows_.
+  std::vector<std::uint32_t> hops_;      ///< Every path's link slots, in flows_ order.
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  /// Dense by LinkId index: the link's position in links_, or kNoSlot. A
-  /// slot table keeps untouched links at 4 B each instead of a LinkState.
+  /// Dense by LinkId index: the link's slot, or kNoSlot. A slot table keeps
+  /// untouched links at 4 B each instead of a LinkState.
   std::vector<std::uint32_t> slot_of_;
-  std::vector<LinkState> links_;       ///< Links flows have touched, first-touch order.
-  std::vector<LinkId> used_links_;     ///< The same links, ascending LinkId.
-  std::vector<double> audit_goodput_;  ///< Auditor scratch, parallel to links_.
+  // Link state by slot (first-touch order).
+  std::vector<LinkState> links_;
+  std::vector<double> arrival_;      ///< Offered rate into the link, last tick.
+  std::vector<Feedback> feedback_;
+  std::vector<UsedLink> used_links_;  ///< The touched links, ascending LinkId.
+  std::vector<double> audit_goodput_;  ///< Auditor scratch, by slot.
   FlowId::underlying next_id_ = 1;
   std::unique_ptr<sim::PeriodicTimer> timer_;
   std::uint64_t tick_count_ = 0;

@@ -1,6 +1,7 @@
 #include "flowsim/packet.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 
@@ -47,6 +48,8 @@ FlowId PacketSimulator::start_flow(std::vector<LinkId> path, DataSize size,
                                    Bandwidth line_rate, CompletionFn on_complete) {
   HPN_CHECK(!path.empty());
   HPN_CHECK(size > DataSize::zero());
+  HPN_CHECK_MSG(path.size() <= std::numeric_limits<std::uint16_t>::max(),
+                "flow path has more hops than a packet's hop index holds");
   for (const LinkId l : path) {
     HPN_CHECK_MSG(l.index() < ports_.size(), "flow path uses a link the topology lacks");
   }
@@ -160,7 +163,11 @@ void PacketSimulator::enqueue(LinkId link, Packet pkt) {
   }
 
   if (sim_->auditor().enabled()) {
-    pkt.ticket = sim_->auditor().fifo_enqueue(static_cast<std::uint32_t>(link.value()));
+    const std::uint64_t ticket =
+        sim_->auditor().fifo_enqueue(static_cast<std::uint32_t>(link.value()));
+    HPN_CHECK_MSG(ticket <= std::numeric_limits<std::uint32_t>::max(),
+                  "FIFO audit ticket on link " << link.value() << " wrapped 32 bits");
+    pkt.ticket = static_cast<std::uint32_t>(ticket);
   }
   p.queued_bytes += pkt.bytes;
   p.queue.push_back(pkt);
@@ -246,7 +253,10 @@ void PacketSimulator::try_transmit(LinkId link) {
       resume_all(out);
     }
     const Duration propagation = topo_->link(link).latency;
-    sim_->schedule_after(propagation, [this, link, sent] { packet_arrived(link, sent); });
+    auto arrive = [this, link, sent] { packet_arrived(link, sent); };
+    static_assert(sim::InlineCallback::fits_inline<decltype(arrive)>(),
+                  "the per-hop propagation closure must not allocate");
+    sim_->schedule_after(propagation, std::move(arrive));
     try_transmit(link);
   });
 }

@@ -81,13 +81,15 @@ class PacketSimulator {
   void audit_quiescent() const;
 
  private:
+  /// 20 bytes, so the propagation closure (this + LinkId + Packet) fits
+  /// InlineCallback's buffer and a packet hop does not allocate.
   struct Packet {
     FlowId flow;
     std::uint32_t seq = 0;
     std::int32_t bytes = 0;
+    std::uint32_t ticket = 0;  ///< Per-port FIFO audit ticket (auditor on).
+    std::uint16_t hop = 0;     ///< Index into the flow's path.
     bool ecn_marked = false;
-    std::size_t hop = 0;       ///< Index into the flow's path.
-    std::uint64_t ticket = 0;  ///< Per-port FIFO audit ticket (auditor on).
   };
 
   /// FIFO ring that keeps its capacity across drain cycles, so a port that

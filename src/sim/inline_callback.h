@@ -22,7 +22,7 @@ namespace hpn::sim {
 class InlineCallback {
  public:
   /// Inline capture budget. 40 bytes covers the engines' largest hot-path
-  /// capture (packet propagation: this + LinkId + a 24-byte Packet).
+  /// capture (packet propagation: this + LinkId + a 20-byte Packet, 32 bytes).
   /// Control-plane lambdas (fault events, training-step closures) exceed
   /// it and take the heap path — they fire per fault or per iteration,
   /// not per packet.
@@ -31,6 +31,13 @@ class InlineCallback {
   /// the heap; keeping the buffer 8-aligned is what makes the 48-byte
   /// footprint (and the one-line pool slot) possible.
   static constexpr std::size_t kStorageAlign = 8;
+
+  /// Whether a callable of type Fn is stored inline (no allocation).
+  template <typename Fn>
+  static constexpr bool fits_inline() {
+    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kStorageAlign &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
 
   InlineCallback() = default;
 
@@ -88,12 +95,6 @@ class InlineCallback {
     void (*destroy)(void*) noexcept;
     bool heap;
   };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kStorageAlign &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
 
   template <typename Fn>
   static const Ops* inline_ops() {

@@ -114,6 +114,20 @@ TEST_F(FluidTest, EmptyPathRejected) {
   EXPECT_THROW(fl.start_flow({}, Bandwidth::gbps(1)), CheckError);
 }
 
+TEST_F(FluidTest, RejectedPathLeavesNoState) {
+  // A path is checked whole before any hop is stored: a stray hop would
+  // shift the spans of the flows started after it.
+  FluidSimulator fl{t, s};
+  EXPECT_THROW(fl.start_flow({hot, LinkId{999}}, Bandwidth::gbps(1)), CheckError);
+  EXPECT_EQ(fl.active_flows(), 0u);
+  fl.start_flow({cold}, Bandwidth::gbps(1));
+  s.run_for(Duration::millis(1));
+  fl.start_flow({hot}, Bandwidth::gbps(1));
+  s.run_for(Duration::millis(1));
+  EXPECT_EQ(fl.arrival_rate(cold).as_bits_per_sec(), 1e9);
+  EXPECT_EQ(fl.arrival_rate(hot).as_bits_per_sec(), 1e9);
+}
+
 TEST_F(FluidTest, QueueOfUnknownLinkIsZero) {
   FluidSimulator fl{t, s};
   EXPECT_EQ(fl.queue_of(LinkId{999}).as_bits(), 0);
