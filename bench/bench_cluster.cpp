@@ -101,6 +101,23 @@ int main(int argc, char** argv) {
   }
   planner.print(std::cout);
 
+  // The shared flow engine's work per case: each recompute re-rates the
+  // conflict components its changes touched, one-flow components in closed
+  // form. Counts, not times: identical at any --jobs.
+  metrics::Table engine{"flow engine work, per case"};
+  engine.columns({"policy", "seed", "recomputes", "completions", "heap_updates", "resolves",
+                  "flows_rerated", "components", "closed_form"});
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const flowsim::FlowSession::Stats& ss = reports[i].session;
+    const flowsim::IncrementalMaxMin::Stats& ms = reports[i].solver;
+    engine.add_row({std::string{cluster::to_string(cases[i].policy)},
+                    std::to_string(cases[i].seed), std::to_string(ss.recomputes),
+                    std::to_string(ss.completions), std::to_string(ss.heap_updates),
+                    std::to_string(ms.resolves), std::to_string(ms.flows_rerated),
+                    std::to_string(ms.components), std::to_string(ms.closed_form)});
+  }
+  engine.print(std::cout);
+
   // The tier-1 artifact: one summary row per (policy, seed) case.
   metrics::Table csv{"bench_cluster"};
   csv.columns({"policy", "seed", "jobs", "utilization", "mean_fragmentation", "crashes",

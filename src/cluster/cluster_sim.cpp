@@ -129,6 +129,8 @@ class ClusterSim {
     report.crashes = crashes_;
     report.crash_cost_dollars = crash_cost_dollars_;
     report.planner = conns_->stats();
+    report.session = session_->stats();
+    report.solver = session_->solver_stats();
     if (config_.audit && !sim_.auditor().ok()) {
       report.audit_report = sim_.auditor().report();
     }

@@ -26,6 +26,7 @@
 #include "cluster/trace.h"
 #include "fabric/fabric.h"
 #include "fault/checkpoint.h"
+#include "flowsim/session.h"
 #include "workload/parallelism.h"
 
 namespace hpn::cluster {
@@ -112,6 +113,10 @@ struct ClusterReport {
   std::string audit_report;
   /// Work the shared connection planner (Algorithm 1) did.
   ccl::ConnectionManager::Stats planner;
+  /// Work the shared flow engine did: the session's recomputes and heap
+  /// updates, and the max-min solver's components under them.
+  flowsim::FlowSession::Stats session;
+  flowsim::IncrementalMaxMin::Stats solver;
   /// With ClusterConfig::trace_path set: whether the file was written, the
   /// events it holds and the events the ring overwrote before the export.
   bool trace_saved = false;

@@ -250,8 +250,8 @@ void IncrementalMaxMin::remove_flow(Handle h) {
   Flow& f = flows_[h];
   HPN_CHECK_MSG(f.alive, "remove_flow on dead handle");
   if (paths_.hops(f.path) != 0) {
-    mark_path_dirty(f.path);
     detach(h);
+    mark_path_dirty(f.path);
   }
   f.path = PathTable::kEmpty;
   f.alive = false;
@@ -270,8 +270,8 @@ void IncrementalMaxMin::set_path(Handle h, PathId path) {
     return;
   }
   if (was_network) {
-    mark_path_dirty(f.path);
     detach(h);
+    mark_path_dirty(f.path);
   }
   f.path = path;
   if (paths_.hops(path) == 0) {
@@ -306,44 +306,84 @@ std::size_t IncrementalMaxMin::resolve() {
     return 0;
   }
 
-  // Closure of the conflict graph over the dirty seeds: every flow on a
-  // reached link joins, pulling in every link of its path. Flows outside
-  // the closure share no link (transitively) with anything that changed,
-  // so their max-min subproblem — and rate — is untouched.
+  // One connected component of the conflict graph per unvisited seed: every
+  // flow on a reached link joins, pulling in every link of its path. Flows
+  // outside the components share no link (transitively) with anything that
+  // changed, so their max-min subproblem — and rate — is untouched. Each
+  // component is an independent subproblem and is rated on its own.
   next_stamp();
-  bfs_.clear();
-  for (const LinkId l : dirty_) visit_link(l);
-  dirty_.clear();
-  for (std::size_t qi = 0; qi < bfs_.size(); ++qi) {
-    const LinkId l = bfs_[qi];
-    link_up_seen_[l.index()] = topo_->link(l).up ? 1 : 0;
-    for (const Handle h : link_flows_[l.index()]) {
-      if (flow_seen_[h] == stamp_) continue;
-      flow_seen_[h] = stamp_;
-      affected_.push_back(h);
-      for (const LinkId pl : paths_.links(flows_[h].path)) visit_link(pl);
+  for (const LinkId seed : dirty_) {
+    if (link_seen_[seed.index()] == stamp_) continue;
+    const std::size_t first = affected_.size();
+    bfs_.clear();
+    visit_link(seed);
+    for (std::size_t qi = 0; qi < bfs_.size(); ++qi) {
+      const LinkId l = bfs_[qi];
+      link_up_seen_[l.index()] = topo_->link(l).up ? 1 : 0;
+      for (const Handle h : link_flows_[l.index()]) {
+        if (flow_seen_[h] == stamp_) continue;
+        flow_seen_[h] = stamp_;
+        affected_.push_back(h);
+        for (const LinkId pl : paths_.links(flows_[h].path)) visit_link(pl);
+      }
     }
+    rate_component(first);
   }
+  dirty_.clear();
   if (affected_.empty()) {
     stats_.last_affected = 0;
     return 0;
-  }
-
-  filler_.begin(affected_.size());
-  for (const Handle h : affected_) {
-    const Flow& f = flows_[h];
-    const std::vector<LinkId>& links = paths_.links(f.path);
-    filler_.add_item(links.data(), links.size(), f.cap_bps);
-  }
-  filler_.run(*topo_);
-  for (std::uint32_t i = 0; i < affected_.size(); ++i) {
-    flows_[affected_[i]].rate_bps = filler_.rate(i);
   }
 
   ++stats_.resolves;
   stats_.flows_rerated += affected_.size();
   stats_.last_affected = affected_.size();
   return affected_.size();
+}
+
+void IncrementalMaxMin::rate_component(std::size_t first) {
+  const std::size_t n = affected_.size() - first;
+  if (n == 0) return;  // the seed lost its last flow before this resolve
+  ++stats_.components;
+  if (n == 1) {
+    ++stats_.closed_form;
+    Flow& f = flows_[affected_[first]];
+    f.rate_bps = closed_form_rate(f);
+    return;
+  }
+  filler_.begin(n);
+  for (std::size_t i = first; i < affected_.size(); ++i) {
+    const Flow& f = flows_[affected_[i]];
+    const std::vector<LinkId>& links = paths_.links(f.path);
+    filler_.add_item(links.data(), links.size(), f.cap_bps);
+  }
+  filler_.run(*topo_);
+  for (std::size_t i = first; i < affected_.size(); ++i) {
+    flows_[affected_[i]].rate_bps = filler_.rate(static_cast<std::uint32_t>(i - first));
+  }
+}
+
+double IncrementalMaxMin::closed_form_rate(const Flow& f) const {
+  // WaterFiller::run on this one item, round for round: a down link stalls
+  // it at 0; otherwise its only round's share is the tightest of its links'
+  // capacity / occurrences and its cap, and it fixes at min(share, cap).
+  const std::vector<LinkId>& links = paths_.links(f.path);
+  for (const LinkId l : links) {
+    if (!topo_->link(l).up) return 0.0;
+  }
+  double link_share = std::numeric_limits<double>::infinity();
+  for (auto k = links.begin(); k != links.end(); ++k) {
+    if (std::find(links.begin(), k, *k) != k) continue;  // counted at its first occurrence
+    const auto occurrences = static_cast<double>(std::count(k, links.end(), *k));
+    link_share =
+        std::min(link_share, topo_->link(*k).capacity.as_bits_per_sec() / occurrences);
+  }
+  const double cap_share =
+      std::isfinite(f.cap_bps) ? f.cap_bps : std::numeric_limits<double>::infinity();
+  double share = std::min(link_share, cap_share);
+  HPN_CHECK_MSG(std::isfinite(share), "water-filling found no finite bottleneck");
+  share = std::max(share, 0.0);
+  return std::min(share, f.cap_bps);
 }
 
 double IncrementalMaxMin::throughput_on(LinkId link) const {
@@ -399,8 +439,9 @@ void IncrementalMaxMin::detach(Handle h) {
 }
 
 void IncrementalMaxMin::mark_dirty(LinkId link) {
-  ensure_link(link);
-  dirty_.push_back(link);
+  // A link no flow crosses bounds no rate: it is never a seed.
+  const std::size_t idx = link.index();
+  if (idx < link_flows_.size() && !link_flows_[idx].empty()) dirty_.push_back(link);
 }
 
 void IncrementalMaxMin::mark_path_dirty(PathId path) {
@@ -416,7 +457,7 @@ void IncrementalMaxMin::next_stamp() {
 }
 
 void IncrementalMaxMin::visit_link(LinkId link) {
-  ensure_link(link);
+  // Every link reached is a seed or on an attached path, so already sized.
   const std::size_t idx = link.index();
   if (link_seen_[idx] == stamp_) return;
   link_seen_[idx] = stamp_;

@@ -8,12 +8,22 @@
 //
 // One engine, IncrementalMaxMin, solves every run. It keeps flow/link state
 // alive across calls: flow add/remove/reroute and link up/down flips mark
-// links dirty; resolve() re-runs water-filling (detail::WaterFiller) only
-// over the connected component(s) of the flow-conflict graph (flows joined
-// by shared links) that contain a dirty link. Untouched components provably
-// keep their allocation, so a single access-link flip at Pod scale re-rates
-// a handful of flows instead of re-solving 100K+ from zero. A cold solve is
-// the first resolve() of a fresh engine with every flow added.
+// the links that carry flows dirty; resolve() re-rates only the connected
+// components of the flow-conflict graph (flows joined by shared links) that
+// contain a dirty link. Untouched components provably keep their
+// allocation, so a single access-link flip at Pod scale re-rates a handful
+// of flows instead of re-solving 100K+ from zero. A cold solve is the first
+// resolve() of a fresh engine with every flow added.
+//
+// Components are independent max-min subproblems, and resolve() rates each
+// one on its own, so a flow's rate depends only on its own component, never
+// on which other components happened to be dirty at the same time (no
+// kEps coupling across components), and a re-solve gives what a cold solve
+// of the same flow set gives. A component of one flow (most of a training fleet: NVLink
+// hops and rail rings that share nothing) is rated in closed form — 0 on a
+// down link, else min(cap, min over its distinct links of capacity /
+// occurrences) — which is WaterFiller's arithmetic for that one item, bit
+// for bit. Larger components run detail::WaterFiller on their own items.
 //
 // Every network flow is one water-filling item. The hot path keeps it cheap:
 //
@@ -168,6 +178,8 @@ class IncrementalMaxMin {
   struct Stats {
     std::uint64_t resolves = 0;       ///< resolve() calls that re-rated flows
     std::uint64_t flows_rerated = 0;  ///< cumulative flows re-rated
+    std::uint64_t components = 0;     ///< conflict components rated
+    std::uint64_t closed_form = 0;    ///< ...of which one flow, rated in closed form
     std::uint64_t link_flips = 0;     ///< up/down transitions observed
     std::size_t last_affected = 0;    ///< flows re-rated by the last resolve
   };
@@ -186,10 +198,15 @@ class IncrementalMaxMin {
   /// Add `h` to (remove it from) the membership list of every link on its path.
   void attach(Handle h);
   void detach(Handle h);
+  /// Seed the next resolve() at `link` unless no flow crosses it.
   void mark_dirty(LinkId link);
   void mark_path_dirty(PathId path);
   void next_stamp();
   void visit_link(LinkId link);
+  /// Rate the component affected_[first..] that resolve() just collected.
+  void rate_component(std::size_t first);
+  /// The rate WaterFiller gives `f` when it is alone in its component.
+  [[nodiscard]] double closed_form_rate(const Flow& f) const;
 
   const topo::Topology* topo_;
   PathTable paths_;

@@ -34,7 +34,10 @@ FlowId FlowSession::start_flow(PathId path, DataSize size, Bandwidth cap,
   settle_to_now();
   const FlowId id{next_id_++};
   const Handle h = solver_.add_flow(path, cap.as_bits_per_sec());
-  if (h >= slots_.size()) slots_.resize(h + 1);
+  if (h >= slots_.size()) {
+    slots_.resize(h + 1);
+    heap_pos_.resize(h + 1, kNone);
+  }
   Slot& s = slots_[h];
   s.id = id;
   s.stalled = false;
@@ -192,18 +195,17 @@ void FlowSession::attach(Handle h, double bits) {
 }
 
 void FlowSession::detach(Handle h) {
-  Slot& s = slots_[h];
-  const std::uint32_t pos = s.heap_pos;
+  const std::uint32_t pos = heap_pos_[h];
   const HeapEntry moved = heap_.back();
   heap_.pop_back();
   if (moved.h != h) {
     heap_[pos] = moved;
-    slots_[moved.h].heap_pos = pos;
+    heap_pos_[moved.h] = pos;
     heap_sift_up(pos);
-    if (slots_[moved.h].heap_pos == pos) heap_sift_down(pos);
+    if (heap_pos_[moved.h] == pos) heap_sift_down(pos);
   }
   ++stats_.heap_updates;
-  s.heap_pos = kNone;
+  heap_pos_[h] = kNone;
 }
 
 void FlowSession::rerate(Handle h, double rate) {
@@ -235,21 +237,15 @@ void FlowSession::rekey(Handle h) {
     key = rem <= kBitEps ? s.at.as_seconds() : kInf;
   }
   ++stats_.heap_updates;
-  if (s.heap_pos == kNone) {
-    s.heap_pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back({key, h});
-    heap_sift_up(s.heap_pos);
+  const std::uint32_t pos = heap_pos_[h];
+  if (pos == kNone) {
+    heap_.push_back({key, s.id.value(), h});
+    heap_sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
   } else {
-    heap_[s.heap_pos].key = key;
-    const std::uint32_t pos = s.heap_pos;
+    heap_[pos].key = key;
     heap_sift_up(pos);
-    if (s.heap_pos == pos) heap_sift_down(pos);
+    if (heap_pos_[h] == pos) heap_sift_down(pos);
   }
-}
-
-bool FlowSession::before(const HeapEntry& a, const HeapEntry& b) const {
-  if (a.key != b.key) return a.key < b.key;
-  return slots_[a.h].id.value() < slots_[b.h].id.value();
 }
 
 // The completion heap is 4-ary: a drain pops the root and sifts its
@@ -260,11 +256,11 @@ void FlowSession::heap_sift_up(std::uint32_t i) {
     const std::uint32_t parent = (i - 1) / 4;
     if (!before(e, heap_[parent])) break;
     heap_[i] = heap_[parent];
-    slots_[heap_[i].h].heap_pos = i;
+    heap_pos_[heap_[i].h] = i;
     i = parent;
   }
   heap_[i] = e;
-  slots_[e.h].heap_pos = i;
+  heap_pos_[e.h] = i;
 }
 
 void FlowSession::heap_sift_down(std::uint32_t i) {
@@ -280,11 +276,11 @@ void FlowSession::heap_sift_down(std::uint32_t i) {
     }
     if (!before(heap_[child], e)) break;
     heap_[i] = heap_[child];
-    slots_[heap_[i].h].heap_pos = i;
+    heap_pos_[heap_[i].h] = i;
     i = child;
   }
   heap_[i] = e;
-  slots_[e.h].heap_pos = i;
+  heap_pos_[e.h] = i;
 }
 
 // ---- Recompute -------------------------------------------------------------
@@ -331,9 +327,14 @@ void FlowSession::recompute_and_reschedule() {
     detach(h);
     done_.push_back(h);
   }
-  std::sort(done_.begin(), done_.end(), [this](Handle a, Handle b) {
+  // Heap ties already pop in FlowId order, so only flows that drain at
+  // different keys in one recompute can arrive out of it.
+  const auto by_id = [this](Handle a, Handle b) {
     return slots_[a].id.value() < slots_[b].id.value();
-  });
+  };
+  if (!std::is_sorted(done_.begin(), done_.end(), by_id)) {
+    std::sort(done_.begin(), done_.end(), by_id);
+  }
   std::vector<std::pair<FlowId, CompletionFn>> fire;
   fire.reserve(done_.size());
   for (const Handle h : done_) {

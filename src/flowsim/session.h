@@ -15,8 +15,11 @@
 // Progress is settled lazily, per flow. A flow keeps one service clock:
 // bits served since it (re)joined, plus the rate and instant of its last
 // change; its remaining bits are its bits to deliver minus clock(now),
-// computed when asked. One indexed min-heap orders the active flows by the
-// instant they drain, ties broken by FlowId. A recompute therefore costs
+// computed when asked. One indexed 4-ary min-heap orders the active flows by
+// the instant they drain, ties broken by FlowId. Each 16-byte entry carries
+// its key, FlowId and Handle, and the positions live in one dense
+// Handle-indexed array, so sifting and tie-breaking never read a flow's
+// slot. A recompute therefore costs
 // O((flows re-rated + flows completed) * log n), not O(active flows): only
 // the flows the solver re-rated advance their clock and get a new heap
 // key, and the completion event is rescheduled only when the heap minimum
@@ -127,7 +130,6 @@ class FlowSession {
   /// One active flow, indexed by its solver Handle (id == 0: free slot).
   struct Slot {
     FlowId id{0};
-    std::uint32_t heap_pos = kNone;  ///< index in heap_
     bool stalled = false;            ///< rate hit zero while bits remain (down link)
     double bits = 0.0;               ///< bits to deliver when it (re)joined
     double clock = 0.0;              ///< bits served since it (re)joined, as of `at`
@@ -183,11 +185,14 @@ class FlowSession {
   };
 
   /// Completion-heap entry: the instant (s) a flow drains (inf while
-  /// stalled), kept inline so sifting reads slots only to break ties.
+  /// stalled) and its FlowId, the tie-break, kept inline so sifting reads
+  /// no slot.
   struct HeapEntry {
     double key;
+    FlowId::underlying id;
     Handle h;
   };
+  static_assert(sizeof(HeapEntry) == 16, "four heap children share a cache line");
 
   [[nodiscard]] static double clock_at(const Slot& s, TimePoint now) {
     return s.clock + s.rate * (now - s.at).as_seconds();
@@ -204,7 +209,9 @@ class FlowSession {
   void rerate(Handle h, double rate);
   void rekey(Handle h);
   /// Heap order: earlier key first, then smaller FlowId.
-  [[nodiscard]] bool before(const HeapEntry& a, const HeapEntry& b) const;
+  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return a.key != b.key ? a.key < b.key : a.id < b.id;
+  }
   void heap_sift_up(std::uint32_t i);
   void heap_sift_down(std::uint32_t i);
 
@@ -228,6 +235,7 @@ class FlowSession {
   Chunked<Slot> slots_;
   IdIndex handle_of_;
   std::vector<HeapEntry> heap_;         ///< one entry per active flow
+  std::vector<std::uint32_t> heap_pos_; ///< Handle -> index in heap_ (kNone: absent)
   std::vector<Handle> touched_local_;   ///< host-local flows since last recompute
   FlowId::underlying next_id_ = 1;
   sim::EventId pending_recompute_ = sim::kInvalidEvent;

@@ -51,8 +51,10 @@ topo::Cluster build_tiny_clos(std::uint32_t hosts_knob, std::uint32_t aggs_knob)
     hloc.pod = 0;
     hloc.segment = 0;
     hloc.host = h;
-    const NodeId nic =
-        c.topo.add_node(topo::NodeKind::kNic, "h" + std::to_string(h) + ".nic", hloc);
+    std::string name = "h";
+    name += std::to_string(h);
+    name += ".nic";
+    const NodeId nic = c.topo.add_node(topo::NodeKind::kNic, std::move(name), hloc);
     topo::Host host;
     host.index = h;
     topo::NicAttachment att;
@@ -89,7 +91,9 @@ topo::Cluster build_random_net(std::uint64_t seed, std::uint32_t nodes_knob,
   std::vector<NodeId> ids;
   ids.reserve(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) {
-    ids.push_back(c.topo.add_node(topo::NodeKind::kTor, "n" + std::to_string(i)));
+    std::string name = "n";
+    name += std::to_string(i);
+    ids.push_back(c.topo.add_node(topo::NodeKind::kTor, std::move(name)));
   }
   c.tors = ids;
   static constexpr double kPaletteGbps[] = {10, 25, 40, 100, 200, 400};

@@ -70,7 +70,8 @@ Cluster build_dcn_plus(const DcnPlusConfig& cfg) {
         host.index = static_cast<std::int32_t>(c.hosts.size());
         host.pod = static_cast<std::int16_t>(pod);
         host.segment = static_cast<std::int16_t>(seg);
-        const std::string hname = "h" + std::to_string(host.index);
+        std::string hname = "h";
+        hname += std::to_string(host.index);
 
         Location hloc;
         hloc.pod = host.pod;

@@ -64,8 +64,10 @@ std::vector<StorageHost> attach_frontend(Cluster& c, const FrontendConfig& cfg) 
     Location loc;
     loc.pod = -2;
     loc.host = h.index;
-    h.frontend_nic =
-        c.topo.add_node(NodeKind::kNic, "h" + std::to_string(h.index) + ".fnic", loc);
+    std::string name = "h";
+    name += std::to_string(h.index);
+    name += ".fnic";
+    h.frontend_nic = c.topo.add_node(NodeKind::kNic, std::move(name), loc);
     wire(h.frontend_nic, slot++);
   }
 

@@ -77,9 +77,16 @@ Cluster build_hpn(const HpnConfig& cfg) {
           loc.plane = static_cast<std::int16_t>(cfg.dual_plane ? pl : -1);
           loc.rail = static_cast<std::int16_t>(cfg.rail_only_tier2 ? rg : -1);
           loc.local = i;
-          std::string name = "agg" + std::to_string(pod) + ".p" + std::to_string(pl);
-          if (cfg.rail_only_tier2) name += ".r" + std::to_string(rg);
-          name += "." + std::to_string(i);
+          std::string name = "agg";
+          name += std::to_string(pod);
+          name += ".p";
+          name += std::to_string(pl);
+          if (cfg.rail_only_tier2) {
+            name += ".r";
+            name += std::to_string(rg);
+          }
+          name += '.';
+          name += std::to_string(i);
           const NodeId agg = c.topo.add_node(NodeKind::kAgg, std::move(name), loc);
           plane_groups[static_cast<std::size_t>(rg)].push_back(agg);
           c.aggs.push_back(agg);

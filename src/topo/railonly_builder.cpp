@@ -51,7 +51,8 @@ Cluster build_rail_only(const RailOnlyConfig& cfg) {
     host.index = static_cast<std::int32_t>(c.hosts.size());
     host.pod = 0;
     host.segment = 0;
-    const std::string hname = "h" + std::to_string(host.index);
+    std::string hname = "h";
+    hname += std::to_string(host.index);
 
     Location hloc;
     hloc.pod = host.pod;

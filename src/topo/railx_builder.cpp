@@ -61,7 +61,8 @@ Cluster build_railx(const RailXConfig& cfg) {
       host.index = static_cast<std::int32_t>(c.hosts.size());
       host.pod = 0;
       host.segment = static_cast<std::int16_t>(g);
-      const std::string hname = "h" + std::to_string(host.index);
+      std::string hname = "h";
+      hname += std::to_string(host.index);
 
       Location hloc;
       hloc.pod = host.pod;

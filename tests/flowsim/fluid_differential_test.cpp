@@ -74,7 +74,9 @@ Scenario random_scenario(std::uint64_t seed) {
   Rng rng{seed};
   const auto nodes = rng.uniform_int(3, 10);
   for (std::int64_t i = 0; i < nodes; ++i) {
-    sc.topo.add_node(i == 0 ? NodeKind::kTor : NodeKind::kNic, "n" + std::to_string(i));
+    std::string name = "n";
+    name += std::to_string(i);
+    sc.topo.add_node(i == 0 ? NodeKind::kTor : NodeKind::kNic, std::move(name));
   }
   // A spanning chain keeps every node reachable; extra cables add cycles.
   // Capacities are distinct so per-link arithmetic differs link to link.

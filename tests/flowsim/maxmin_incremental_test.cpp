@@ -4,9 +4,13 @@
 // the same state. Driven by a seeded fuzz loop over random multigraphs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <string>
 #include <unordered_map>
 
 #include "common/rng.h"
+#include "fabric/fabric.h"
 #include "flowsim/maxmin.h"
 #include "tests/support/random_scenarios.h"
 #include "tests/support/reference_maxmin.h"
@@ -168,6 +172,127 @@ TEST(IncrementalMaxMin, SingleFlipTouchesOnlyItsComponent) {
   EXPECT_EQ(inc.resolve(), 2u);
   EXPECT_NEAR(inc.rate(fa1), 50e9, 1);
   EXPECT_EQ(inc.stats().link_flips, 1u);  // only the anonymous flip is counted
+}
+
+// History independence: a rate depends only on the flow set and the link
+// states, never on which components a resolve() found dirty together. Each
+// case loads a registry fabric, resolves, fails two links, removes every
+// 5th flow and resolves again; a fresh engine given the surviving flows
+// must then produce the same rates bit for bit.
+TEST(IncrementalMaxMin, ReSolveEqualsColdSolveOnRegistryFabrics) {
+  fabric::FabricScale scale;
+  scale.hosts_per_segment = 2;
+  scale.gpus_per_host = 4;
+  std::size_t compared = 0;
+  std::size_t mismatches = 0;
+  for (const fabric::Fabric* f : fabric::all_fabrics()) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(std::string{f->name()} + " seed=" + std::to_string(seed));
+      topo::Cluster cluster = f->build(scale);
+      Rng rng{seed * 7919};
+      IncrementalMaxMin warm{cluster.topo};
+      std::vector<ShadowFlow> shadow;
+      ts::add_collective_load(cluster.topo, rng,
+                              [&](const std::vector<LinkId>& path, double cap) {
+                                shadow.push_back({warm.add_flow(path, cap), path, cap});
+                              });
+      warm.resolve();
+      ts::fail_any_links(cluster.topo, rng, 2);
+      warm.notify_topology_changed();
+      std::vector<ShadowFlow> kept;
+      for (std::size_t i = 0; i < shadow.size(); ++i) {
+        if (i % 5 == 0) {
+          warm.remove_flow(shadow[i].handle);
+        } else {
+          kept.push_back(shadow[i]);
+        }
+      }
+      warm.resolve();
+
+      IncrementalMaxMin cold{cluster.topo};
+      std::vector<IncrementalMaxMin::Handle> cold_handles;
+      for (const ShadowFlow& s : kept) cold_handles.push_back(cold.add_flow(s.path, s.cap_bps));
+      cold.resolve();
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        ++compared;
+        const double w = warm.rate(kept[i].handle);
+        const double c = cold.rate(cold_handles[i]);
+        if (std::bit_cast<std::uint64_t>(w) != std::bit_cast<std::uint64_t>(c)) {
+          ++mismatches;
+          ADD_FAILURE() << "flow " << i << ": re-solve " << w << " != cold solve " << c;
+        }
+      }
+    }
+  }
+  std::printf("[history] re-solve vs cold solve: %zu mismatches over %zu rates\n", mismatches,
+              compared);
+  EXPECT_GT(compared, 0u);
+}
+
+// A one-flow component is rated in closed form; it must equal a
+// single-item WaterFiller run bit for bit. Each trial gives every flow its
+// own links (so each is its own component), with duplicate-link paths,
+// down links, finite, infinite and zero caps, and capacities down to the
+// smallest positive double (the topology refuses a zero-capacity link).
+TEST(IncrementalMaxMin, ClosedFormEqualsSingleItemWaterFiller) {
+  constexpr int kFlows = 8;
+  constexpr int kLinksPerFlow = 4;
+  std::size_t rated = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng{seed};
+    topo::Topology t;
+    std::vector<std::vector<LinkId>> own(kFlows);
+    for (int f = 0; f < kFlows; ++f) {
+      const NodeId a = t.add_node(topo::NodeKind::kTor, "a");
+      const NodeId b = t.add_node(topo::NodeKind::kTor, "b");
+      for (int k = 0; k < kLinksPerFlow; ++k) {
+        const double dice = rng.uniform_real();
+        const Bandwidth cap = dice < 0.05   ? Bandwidth::bits_per_sec(
+                                                  std::numeric_limits<double>::denorm_min())
+                              : dice < 0.5  ? Bandwidth::gbps(100)
+                                            : Bandwidth::gbps(rng.uniform_real(1.0, 800.0));
+        const LinkId l =
+            t.add_duplex_link(a, b, topo::LinkKind::kFabric, cap, Duration::micros(1)).forward;
+        if (rng.bernoulli(0.1)) t.set_link_up(l, false);
+        own[static_cast<std::size_t>(f)].push_back(l);
+      }
+    }
+    IncrementalMaxMin inc{t};
+    std::vector<IncrementalMaxMin::Handle> handles;
+    std::vector<std::vector<LinkId>> paths;
+    std::vector<double> caps;
+    for (int f = 0; f < kFlows; ++f) {
+      const auto& links = own[static_cast<std::size_t>(f)];
+      std::vector<LinkId> path;
+      const int hops = static_cast<int>(rng.uniform_int(1, 6));
+      for (int h = 0; h < hops; ++h) path.push_back(links[rng.uniform_index(links.size())]);
+      const double dice = rng.uniform_real();
+      const double cap = dice < 0.3    ? std::numeric_limits<double>::infinity()
+                         : dice < 0.35 ? 0.0
+                         : dice < 0.6  ? 100e9
+                                       : rng.uniform_real(1e9, 900e9);
+      handles.push_back(inc.add_flow(path, cap));
+      paths.push_back(std::move(path));
+      caps.push_back(cap);
+    }
+    ASSERT_EQ(inc.resolve(), static_cast<std::size_t>(kFlows));
+    EXPECT_EQ(inc.stats().components, static_cast<std::uint64_t>(kFlows));
+    EXPECT_EQ(inc.stats().closed_form, static_cast<std::uint64_t>(kFlows));
+    for (int f = 0; f < kFlows; ++f) {
+      const auto i = static_cast<std::size_t>(f);
+      detail::WaterFiller filler;
+      filler.begin(1);
+      filler.add_item(paths[i].data(), paths[i].size(), caps[i]);
+      filler.run(t);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(inc.rate(handles[i])),
+                std::bit_cast<std::uint64_t>(filler.rate(0)))
+          << "flow " << f << ": closed form " << inc.rate(handles[i]) << ", filler "
+          << filler.rate(0);
+      ++rated;
+    }
+  }
+  EXPECT_EQ(rated, 200u * kFlows);
 }
 
 }  // namespace

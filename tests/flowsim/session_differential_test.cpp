@@ -46,8 +46,9 @@ Topology build_topology() {
   Topology t;
   std::vector<NodeId> nodes;
   for (int i = 0; i < 6; ++i) {
-    nodes.push_back(t.add_node(i < 4 ? NodeKind::kNic : NodeKind::kTor,
-                               "n" + std::to_string(i)));
+    std::string name = "n";
+    name += std::to_string(i);
+    nodes.push_back(t.add_node(i < 4 ? NodeKind::kNic : NodeKind::kTor, std::move(name)));
   }
   const double gbps[] = {40.0, 100.0, 200.0, 100.0};
   for (int c = 0; c < kCables; ++c) {

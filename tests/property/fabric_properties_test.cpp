@@ -286,7 +286,9 @@ TEST_P(RailXGrid, OddGroupEpochsStayConnected) {
 
 INSTANTIATE_TEST_SUITE_P(Groups, RailXGrid, ::testing::Values(2, 3, 4, 5, 6, 7),
                          [](const ::testing::TestParamInfo<int>& param_info) {
-                           return "g" + std::to_string(param_info.param);
+                           std::string name = "g";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 // ---- UB-Mesh-lite -----------------------------------------------------------

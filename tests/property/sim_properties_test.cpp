@@ -75,7 +75,9 @@ TEST_P(HashQuality, UniformityOverSourcePorts) {
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, HashQuality, ::testing::Values(2, 4, 8, 15, 60),
                          [](const ::testing::TestParamInfo<int>& param_info) {
-                           return "n" + std::to_string(param_info.param);
+                           std::string name = "n";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -145,7 +145,9 @@ TEST_P(FatTreeGrid, ClassicalArithmetic) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, FatTreeGrid, ::testing::Values(4, 6, 8, 10),
                          [](const ::testing::TestParamInfo<int>& param_info) {
-                           return "k" + std::to_string(param_info.param);
+                           std::string name = "k";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 }  // namespace

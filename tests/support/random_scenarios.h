@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,9 @@ inline RandomNet make_random_net(Rng& rng, int min_nodes = 4, int max_nodes = 24
   std::vector<NodeId> ids;
   ids.reserve(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) {
-    ids.push_back(net.topo.add_node(topo::NodeKind::kTor, "n" + std::to_string(i)));
+    std::string name = "n";
+    name += std::to_string(i);
+    ids.push_back(net.topo.add_node(topo::NodeKind::kTor, std::move(name)));
   }
   static constexpr double kPaletteGbps[] = {10, 25, 40, 100, 200, 400};
   const auto random_capacity = [&rng]() {
@@ -100,6 +103,29 @@ inline std::vector<FlowDemand> random_flows(const RandomNet& net, Rng& rng, int 
   flows.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) flows.push_back(random_flow(net, rng));
   return flows;
+}
+
+/// Collective-shaped load: 24 random walks, each with a cap drawn from
+/// {inf, 200G, 400G} and carrying 1..8 identical flows (channels x chunks in
+/// the real ccl layer). `add(path, cap)` registers one flow.
+template <class AddFn>
+void add_collective_load(const topo::Topology& t, Rng& rng, AddFn add) {
+  static constexpr double kCaps[] = {std::numeric_limits<double>::infinity(), 200e9, 400e9};
+  for (int klass = 0; klass < 24; ++klass) {
+    const std::vector<LinkId> path = random_walk_path(t, rng);
+    if (path.empty()) continue;
+    const double cap = kCaps[rng.uniform_index(3)];
+    const int members = static_cast<int>(rng.uniform_int(1, 8));
+    for (int k = 0; k < members; ++k) add(path, cap);
+  }
+}
+
+/// Flip `count` links drawn uniformly from the whole topology down.
+inline void fail_any_links(topo::Topology& t, Rng& rng, int count) {
+  for (int i = 0; i < count; ++i) {
+    const LinkId l{static_cast<LinkId::underlying>(rng.uniform_index(t.link_count()))};
+    t.set_link_up(l, false);
+  }
 }
 
 /// Flip a few random links down (and return them) to create stalled flows.

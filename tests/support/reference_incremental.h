@@ -1,8 +1,16 @@
 // Test-only oracle: the pre-aggregation per-flow max-min engine (PR 1's
 // dense/heap WaterFiller + IncrementalMaxMin), kept verbatim — modulo the
 // renames and header-inlining below — when the production engine moved to
-// interned paths and a struct-of-arrays kernel. One edit since: set_cap is
-// gone, with the production engine's (no test changes a live flow's cap).
+// interned paths and a struct-of-arrays kernel. Two edits since: set_cap is
+// gone, with the production engine's (no test changes a live flow's cap),
+// and a test-only option selects how resolve() water-fills:
+//   - by default, as the engine was: one RefWaterFiller run over the union
+//     of every dirty component. A round then fixes an item at another
+//     component's share whenever its own share is within kEps above it, so
+//     a rate can depend on which unrelated components were dirty with it;
+//   - `per_component` runs RefWaterFiller once per connected component, in
+//     the order the dirty seeds reach them (the production engine's
+//     semantics, which the bit-equal differentials compare against).
 //
 // Every flow here is its own pointer-chasing SolverItem and carries its own
 // std::vector<LinkId> path copy; that is exactly the point: the production
@@ -227,6 +235,11 @@ class ReferenceWaterFiller {
 
 }  // namespace refinc
 
+struct ReferenceIncrementalOptions {
+  /// Water-fill each dirty component in its own run instead of their union.
+  bool per_component = false;
+};
+
 /// Persistent per-flow max-min state with component-scoped incremental
 /// re-solve — the pre-aggregation production engine, preserved as the
 /// differential oracle and the honest bench baseline.
@@ -235,8 +248,9 @@ class ReferenceIncrementalMaxMin {
   using Handle = std::uint32_t;
   static constexpr Handle kInvalidHandle = std::numeric_limits<Handle>::max();
 
-  explicit ReferenceIncrementalMaxMin(const topo::Topology& topology)
-      : topo_{&topology} {}
+  explicit ReferenceIncrementalMaxMin(const topo::Topology& topology,
+                                      ReferenceIncrementalOptions options = {})
+      : topo_{&topology}, options_{options} {}
 
   /// Registers a flow; its rate is available after the next resolve().
   /// Empty-path flows rate immediately at cap (host-local transfers).
@@ -323,32 +337,27 @@ class ReferenceIncrementalMaxMin {
     // the closure share no link (transitively) with anything that changed,
     // so their max-min subproblem — and rate — is untouched.
     next_stamp();
-    bfs_.clear();
     affected_.clear();
-    for (const LinkId l : dirty_) visit_link(l);
-    dirty_.clear();
-    for (std::size_t qi = 0; qi < bfs_.size(); ++qi) {
-      const LinkId l = bfs_[qi];
-      link_up_seen_[l.index()] = topo_->link(l).up ? 1 : 0;
-      for (const Handle h : link_flows_[l.index()]) {
-        if (flow_seen_[h] == stamp_) continue;
-        flow_seen_[h] = stamp_;
-        affected_.push_back(h);
-        for (const LinkId pl : flows_[h].path) visit_link(pl);
+    if (options_.per_component) {
+      for (const LinkId seed : dirty_) {
+        if (link_seen_[seed.index()] == stamp_) continue;
+        const std::size_t first = affected_.size();
+        bfs_.clear();
+        visit_link(seed);
+        collect();
+        water_fill(first);
       }
+    } else {
+      bfs_.clear();
+      for (const LinkId l : dirty_) visit_link(l);
+      collect();
+      water_fill(0);
     }
+    dirty_.clear();
     if (affected_.empty()) {
       stats_.last_affected = 0;
       return 0;
     }
-
-    items_.clear();
-    items_.reserve(affected_.size());
-    for (const Handle h : affected_) {
-      Flow& f = flows_[h];
-      items_.push_back(refinc::RefSolverItem{&f.path, f.cap_bps, &f.rate_bps});
-    }
-    filler_.run(*topo_, items_);
 
     ++stats_.resolves;
     stats_.flows_rerated += affected_.size();
@@ -435,6 +444,33 @@ class ReferenceIncrementalMaxMin {
     dirty_.push_back(link);
   }
 
+  /// Breadth-first from the links queued in bfs_: every flow on a reached
+  /// link joins affected_ and queues every link of its path.
+  void collect() {
+    for (std::size_t qi = 0; qi < bfs_.size(); ++qi) {
+      const LinkId l = bfs_[qi];
+      link_up_seen_[l.index()] = topo_->link(l).up ? 1 : 0;
+      for (const Handle h : link_flows_[l.index()]) {
+        if (flow_seen_[h] == stamp_) continue;
+        flow_seen_[h] = stamp_;
+        affected_.push_back(h);
+        for (const LinkId pl : flows_[h].path) visit_link(pl);
+      }
+    }
+  }
+
+  /// One RefWaterFiller run over the flows affected_[first..].
+  void water_fill(std::size_t first) {
+    if (first == affected_.size()) return;
+    items_.clear();
+    items_.reserve(affected_.size() - first);
+    for (std::size_t i = first; i < affected_.size(); ++i) {
+      Flow& f = flows_[affected_[i]];
+      items_.push_back(refinc::RefSolverItem{&f.path, f.cap_bps, &f.rate_bps});
+    }
+    filler_.run(*topo_, items_);
+  }
+
   void next_stamp() {
     if (++stamp_ == 0) {
       std::fill(link_seen_.begin(), link_seen_.end(), 0u);
@@ -452,6 +488,7 @@ class ReferenceIncrementalMaxMin {
   }
 
   const topo::Topology* topo_;
+  ReferenceIncrementalOptions options_;
   std::vector<Flow> flows_;
   std::vector<Handle> free_handles_;
   std::size_t alive_count_ = 0;
