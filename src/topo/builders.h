@@ -18,13 +18,21 @@
 //
 // All builders take scale knobs so tests can construct tiny instances and
 // benches paper-scale ones; wiring *shape* is identical at every scale.
+// Link speeds are not a knob: every fabric wires with `kLinkSpeeds`. Every
+// fabric but the fat tree (one GPU per host) has the same host, eight GPUs
+// on one NVSwitch, each with a PCIe NIC wired single- or dual-port to ToRs;
+// each builder adds its hosts through `add_host` (topo/host_wiring.h), and
+// the fat tree, frontend and storage attachments wire their NICs through
+// `wire_nic`.
 #pragma once
 
 #include "topo/cluster.h"
 
 namespace hpn::topo {
 
-/// Physical channel properties shared by all builders.
+/// Physical channel properties. Every builder, the frontend network and
+/// the storage attachments wire with the one set `kLinkSpeeds`; the fat
+/// tree uses its `fabric` speed for every link.
 struct LinkSpeeds {
   Bandwidth access = Bandwidth::gbps(200);     ///< NIC port <-> ToR.
   Bandwidth fabric = Bandwidth::gbps(400);     ///< Switch <-> switch.
@@ -38,6 +46,8 @@ struct LinkSpeeds {
   Duration fabric_latency = Duration::micros(1);
 };
 
+inline constexpr LinkSpeeds kLinkSpeeds{};
+
 struct HpnConfig {
   int pods = 1;
   int segments_per_pod = 1;
@@ -50,9 +60,9 @@ struct HpnConfig {
   bool rail_only_tier2 = false;       ///< Table 4 variant.
   int tor_uplinks = 60;               ///< 400G uplinks per ToR.
   int aggs_per_plane = 60;            ///< Agg switches per plane per Pod.
-  int agg_core_uplinks = 8;           ///< vs 120 downlinks -> 15:1 (§6.2).
-  int cores_per_plane = 0;            ///< 0 = auto (= agg_core_uplinks).
-  LinkSpeeds speeds;
+  /// Also the Core count per plane, one uplink per Core: vs 120 downlinks
+  /// -> 15:1 (§6.2).
+  int agg_core_uplinks = 8;
 
   /// Full production scale: 15 segments x (128+8) hosts = 15360 active GPUs.
   static HpnConfig paper_pod();
@@ -70,9 +80,7 @@ struct DcnPlusConfig {
   bool dual_tor = true;
   int aggs_per_pod = 8;
   int links_per_tor_agg = 8;          ///< ToR: 8 aggs x 8 links = 64x400G up.
-  int agg_core_uplinks = 64;          ///< Full bisection (1:1).
-  int core_count = 0;                 ///< 0 = auto (16).
-  LinkSpeeds speeds;
+  int agg_core_uplinks = 64;          ///< Full bisection (1:1), over 16 Cores.
 
   static DcnPlusConfig paper_pod();
 };
@@ -81,8 +89,6 @@ Cluster build_dcn_plus(const DcnPlusConfig& cfg);
 
 struct FatTreeConfig {
   int k = 4;                          ///< Even; hosts = k^3/4.
-  Bandwidth link = Bandwidth::gbps(400);
-  Duration latency = Duration::micros(1);
 };
 
 Cluster build_fat_tree(const FatTreeConfig& cfg);
@@ -96,9 +102,6 @@ struct RailOnlyConfig {
   int hosts = 8;
   int gpus_per_host = 8;           ///< = rail count.
   bool dual_tor = true;            ///< Keep HPN's dual-ToR access for parity.
-  LinkSpeeds speeds;
-
-  static RailOnlyConfig tiny();
 };
 
 Cluster build_rail_only(const RailOnlyConfig& cfg);
@@ -113,9 +116,6 @@ struct RailXConfig {
   int groups = 5;                  ///< >= 2; odd keeps every epoch connected.
   int hosts_per_group = 2;
   int gpus_per_host = 8;
-  LinkSpeeds speeds;
-
-  static RailXConfig tiny();
 };
 
 Cluster build_railx(const RailXConfig& cfg);
@@ -128,9 +128,6 @@ struct UbMeshConfig {
   int cols = 2;
   int hosts_per_switch = 2;
   int gpus_per_host = 8;
-  LinkSpeeds speeds;
-
-  static UbMeshConfig tiny();
 };
 
 Cluster build_ubmesh(const UbMeshConfig& cfg);

@@ -6,8 +6,14 @@
 
 #include "common/check.h"
 #include "topo/builders.h"
+#include "topo/host_wiring.h"
 
 namespace hpn::topo {
+namespace {
+
+constexpr int kCoreCount = 16;  ///< Tier3 switches, shared by every Pod.
+
+}  // namespace
 
 DcnPlusConfig DcnPlusConfig::paper_pod() { return DcnPlusConfig{}; }
 
@@ -59,77 +65,33 @@ Cluster build_dcn_plus(const DcnPlusConfig& cfg) {
       for (const NodeId tor : seg_tors) {
         for (const NodeId agg : pod_aggs[static_cast<std::size_t>(pod)]) {
           for (int i = 0; i < cfg.links_per_tor_agg; ++i) {
-            c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, cfg.speeds.fabric,
-                                   cfg.speeds.fabric_latency);
+            c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, kLinkSpeeds.fabric,
+                                   kLinkSpeeds.fabric_latency);
           }
         }
       }
 
       for (int h = 0; h < cfg.hosts_per_segment; ++h) {
-        Host host;
-        host.index = static_cast<std::int32_t>(c.hosts.size());
-        host.pod = static_cast<std::int16_t>(pod);
-        host.segment = static_cast<std::int16_t>(seg);
-        std::string hname = "h";
-        hname += std::to_string(host.index);
-
-        Location hloc;
-        hloc.pod = host.pod;
-        hloc.segment = host.segment;
-        hloc.host = host.index;
-        host.nvswitch = c.topo.add_node(NodeKind::kNvSwitch, hname + ".nvsw", hloc);
-
-        for (int rail = 0; rail < cfg.gpus_per_host; ++rail) {
-          Location gloc = hloc;
-          gloc.rail = static_cast<std::int16_t>(rail);
-          const NodeId gpu =
-              c.topo.add_node(NodeKind::kGpu, hname + ".g" + std::to_string(rail), gloc);
-          host.gpus.push_back(gpu);
-          host.gpu_nvlink.push_back(
-              c.topo.add_duplex_link(gpu, host.nvswitch, LinkKind::kNvlink,
-                                     cfg.speeds.nvlink, cfg.speeds.nvlink_latency)
-                  .forward);
-          const NodeId nic =
-              c.topo.add_node(NodeKind::kNic, hname + ".nic" + std::to_string(rail), gloc);
-          host.gpu_pcie.push_back(
-              c.topo.add_duplex_link(gpu, nic, LinkKind::kPcie, cfg.speeds.pcie,
-                                     cfg.speeds.pcie_latency)
-                  .forward);
-
-          NicAttachment att;
-          att.nic = nic;
-          att.ports = planes;
-          for (int pl = 0; pl < planes; ++pl) {
-            att.tor[static_cast<std::size_t>(pl)] = seg_tors[static_cast<std::size_t>(pl)];
-            att.access[static_cast<std::size_t>(pl)] =
-                c.topo.add_duplex_link(nic, seg_tors[static_cast<std::size_t>(pl)],
-                                       LinkKind::kAccess, cfg.speeds.access,
-                                       cfg.speeds.access_latency)
-                    .forward;
-          }
-          host.nics.push_back(att);
-        }
-        c.hosts.push_back(std::move(host));
+        add_host(c, pod, seg, {seg_tors, planes, 0});
       }
     }
   }
 
   if (has_tier3) {
-    const int core_count = cfg.core_count > 0 ? cfg.core_count : 16;
-    HPN_CHECK_MSG(cfg.agg_core_uplinks % core_count == 0,
+    HPN_CHECK_MSG(cfg.agg_core_uplinks % kCoreCount == 0,
                   "DCN+ agg_core_uplinks must divide evenly across cores");
-    for (int i = 0; i < core_count; ++i) {
+    for (int i = 0; i < kCoreCount; ++i) {
       Location loc;
       loc.local = i;
       c.cores.push_back(c.topo.add_node(NodeKind::kCore, "core." + std::to_string(i), loc));
     }
-    const int per_core = cfg.agg_core_uplinks / core_count;
+    const int per_core = cfg.agg_core_uplinks / kCoreCount;
     for (int pod = 0; pod < cfg.pods; ++pod) {
       for (const NodeId agg : pod_aggs[static_cast<std::size_t>(pod)]) {
         for (const NodeId core : c.cores) {
           for (int i = 0; i < per_core; ++i) {
-            c.topo.add_duplex_link(agg, core, LinkKind::kFabric, cfg.speeds.fabric,
-                                   cfg.speeds.fabric_latency);
+            c.topo.add_duplex_link(agg, core, LinkKind::kFabric, kLinkSpeeds.fabric,
+                                   kLinkSpeeds.fabric_latency);
           }
         }
       }

@@ -1,10 +1,12 @@
 // Classic k-ary fat tree (Al-Fares et al., SIGCOMM'08) — the Table 1
 // 3-tier comparator. Hosts carry a single single-port NIC; every layer
-// hashes, so elephant flows traverse up to three hash stages.
+// hashes, so elephant flows traverse up to three hash stages. Every link,
+// PCIe and access included, runs at the fabric speed.
 #include <string>
 
 #include "common/check.h"
 #include "topo/builders.h"
+#include "topo/host_wiring.h"
 
 namespace hpn::topo {
 
@@ -44,7 +46,7 @@ Cluster build_fat_tree(const FatTreeConfig& cfg) {
       // Agg `a` connects to core group `a`, one link to each member.
       for (int i = 0; i < half; ++i) {
         c.topo.add_duplex_link(agg, cores[static_cast<std::size_t>(a * half + i)],
-                               LinkKind::kFabric, cfg.link, cfg.latency);
+                               LinkKind::kFabric, kLinkSpeeds.fabric, kLinkSpeeds.fabric_latency);
       }
     }
     for (int e = 0; e < half; ++e) {
@@ -56,7 +58,8 @@ Cluster build_fat_tree(const FatTreeConfig& cfg) {
           NodeKind::kTor, "tor" + std::to_string(pod) + "." + std::to_string(e), loc);
       c.tors.push_back(tor);
       for (const NodeId agg : aggs) {
-        c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, cfg.link, cfg.latency);
+        c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, kLinkSpeeds.fabric,
+                               kLinkSpeeds.fabric_latency);
       }
       for (int h = 0; h < half; ++h) {
         Host host;
@@ -73,16 +76,12 @@ Cluster build_fat_tree(const FatTreeConfig& cfg) {
         const NodeId gpu = c.topo.add_node(NodeKind::kGpu, hname + ".g0", hloc);
         const NodeId nic = c.topo.add_node(NodeKind::kNic, hname + ".nic0", hloc);
         host.gpus.push_back(gpu);
-        host.gpu_pcie.push_back(
-            c.topo.add_duplex_link(gpu, nic, LinkKind::kPcie, cfg.link, cfg.latency).forward);
-
-        NicAttachment att;
-        att.nic = nic;
-        att.ports = 1;
-        att.tor[0] = tor;
-        att.access[0] =
-            c.topo.add_duplex_link(nic, tor, LinkKind::kAccess, cfg.link, cfg.latency).forward;
-        host.nics.push_back(att);
+        host.gpu_pcie.push_back(c.topo
+                                    .add_duplex_link(gpu, nic, LinkKind::kPcie, kLinkSpeeds.fabric,
+                                                     kLinkSpeeds.fabric_latency)
+                                    .forward);
+        host.nics.push_back(wire_nic(c.topo, nic, {&tor, 1}, kLinkSpeeds.fabric,
+                                     kLinkSpeeds.fabric_latency));
         c.hosts.push_back(std::move(host));
       }
     }

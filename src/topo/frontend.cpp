@@ -3,21 +3,29 @@
 #include <string>
 
 #include "common/check.h"
+#include "topo/builders.h"
+#include "topo/host_wiring.h"
 
 namespace hpn::topo {
+namespace {
 
-std::vector<StorageHost> attach_frontend(Cluster& c, const FrontendConfig& cfg) {
-  HPN_CHECK(cfg.hosts_per_segment >= 1 && cfg.aggs >= 1 && cfg.storage_hosts >= 0);
+constexpr int kHostsPerSegment = 16;  ///< Compute hosts per frontend ToR pair.
+constexpr int kAggs = 8;
+constexpr int kStorageHosts = 8;      ///< CPFS/OSS hosts (96-128 in production, §8).
+
+}  // namespace
+
+std::vector<StorageHost> attach_frontend(Cluster& c) {
   HPN_CHECK_MSG(c.frontend_tors.empty(), "frontend already attached");
 
   // Entities needing access: every compute host's NIC0 plus the storage
   // cluster; storage fills its own trailing segments.
   const int compute = static_cast<int>(c.hosts.size());
-  const int total = compute + cfg.storage_hosts;
-  const int segments = (total + cfg.hosts_per_segment - 1) / cfg.hosts_per_segment;
+  const int total = compute + kStorageHosts;
+  const int segments = (total + kHostsPerSegment - 1) / kHostsPerSegment;
 
   // Agg layer (1:1): every frontend ToR connects once to every Agg.
-  for (int a = 0; a < cfg.aggs; ++a) {
+  for (int a = 0; a < kAggs; ++a) {
     Location loc;
     loc.pod = -2;  // frontend plane of the world
     loc.local = a;
@@ -38,25 +46,17 @@ std::vector<StorageHost> attach_frontend(Cluster& c, const FrontendConfig& cfg) 
       pair[static_cast<std::size_t>(p)] = tor;
       c.frontend_tors.push_back(tor);
       for (const NodeId agg : c.frontend_aggs) {
-        c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, cfg.fabric, cfg.latency);
+        c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, kLinkSpeeds.fabric,
+                               kLinkSpeeds.fabric_latency);
       }
     }
     tor_pairs.push_back(pair);
   }
 
   auto wire = [&](NodeId endpoint, int slot) {
-    const auto& pair = tor_pairs.at(static_cast<std::size_t>(slot / cfg.hosts_per_segment));
-    NicAttachment att;
-    att.nic = endpoint;
-    att.ports = 2;
-    for (int p = 0; p < 2; ++p) {
-      att.tor[static_cast<std::size_t>(p)] = pair[static_cast<std::size_t>(p)];
-      att.access[static_cast<std::size_t>(p)] =
-          c.topo.add_duplex_link(endpoint, pair[static_cast<std::size_t>(p)],
-                                 LinkKind::kAccess, cfg.access, cfg.latency)
-              .forward;
-    }
-    return att;
+    return wire_nic(c.topo, endpoint,
+                    tor_pairs.at(static_cast<std::size_t>(slot / kHostsPerSegment)),
+                    kLinkSpeeds.access, kLinkSpeeds.access_latency);
   };
 
   int slot = 0;
@@ -72,7 +72,7 @@ std::vector<StorageHost> attach_frontend(Cluster& c, const FrontendConfig& cfg) 
   }
 
   std::vector<StorageHost> storage;
-  for (int i = 0; i < cfg.storage_hosts; ++i) {
+  for (int i = 0; i < kStorageHosts; ++i) {
     Location loc;
     loc.pod = -2;
     loc.local = i;
@@ -85,8 +85,7 @@ std::vector<StorageHost> attach_frontend(Cluster& c, const FrontendConfig& cfg) 
   return storage;
 }
 
-std::vector<StorageHost> attach_backend_storage(Cluster& c, int storage_hosts,
-                                                Bandwidth access, Duration latency) {
+std::vector<StorageHost> attach_backend_storage(Cluster& c, int storage_hosts) {
   HPN_CHECK(storage_hosts >= 1);
   HPN_CHECK_MSG(!c.hosts.empty(), "attach storage to a built cluster");
   const int rails = c.gpus_per_host;
@@ -105,14 +104,9 @@ std::vector<StorageHost> attach_backend_storage(Cluster& c, int storage_hosts,
     StorageHost sh;
     sh.on_backend = true;
     sh.host = c.topo.add_node(NodeKind::kStorage, "bstorage" + std::to_string(i), loc);
-    sh.nic.nic = sh.host;
-    sh.nic.ports = reference.ports;
-    for (int p = 0; p < reference.ports; ++p) {
-      const NodeId tor = reference.tor.at(static_cast<std::size_t>(p));
-      sh.nic.tor[static_cast<std::size_t>(p)] = tor;
-      sh.nic.access[static_cast<std::size_t>(p)] =
-          c.topo.add_duplex_link(sh.host, tor, LinkKind::kAccess, access, latency).forward;
-    }
+    sh.nic = wire_nic(c.topo, sh.host,
+                      std::span{reference.tor}.first(static_cast<std::size_t>(reference.ports)),
+                      kLinkSpeeds.access, kLinkSpeeds.access_latency);
     storage.push_back(sh);
   }
   return storage;

@@ -2,13 +2,9 @@
 
 #include "common/check.h"
 #include "topo/builders.h"
+#include "topo/host_wiring.h"
 
 namespace hpn::topo {
-namespace {
-
-std::string idx(std::string base, long v) { return base + std::to_string(v); }
-
-}  // namespace
 
 HpnConfig HpnConfig::paper_pod() {
   HpnConfig cfg;
@@ -53,10 +49,6 @@ Cluster build_hpn(const HpnConfig& cfg) {
   const bool has_tier2 = cfg.segments_per_pod > 1 || cfg.pods > 1;
   const bool has_tier3 = cfg.pods > 1;
 
-  // ToR grid: [pod][segment][rail_set][plane].
-  std::vector<std::vector<std::vector<std::vector<NodeId>>>> tor_grid(
-      static_cast<std::size_t>(cfg.pods));
-
   // ---- Tier-2 Agg switches -------------------------------------------------
   // [pod][plane][rail (or 0)][i]. Single-plane ablation shares one group.
   std::vector<std::vector<std::vector<std::vector<NodeId>>>> agg_grid(
@@ -96,12 +88,10 @@ Cluster build_hpn(const HpnConfig& cfg) {
   }
 
   // ---- Segments: ToRs and hosts -------------------------------------------
+  // c.tors is the ToR grid: [pod][segment][rail_set][plane], plane fastest.
+  const int seg_tor_count = tor_rail_sets * planes;
   for (int pod = 0; pod < cfg.pods; ++pod) {
-    auto& pod_tors = tor_grid[static_cast<std::size_t>(pod)];
-    pod_tors.resize(static_cast<std::size_t>(cfg.segments_per_pod));
     for (int seg = 0; seg < cfg.segments_per_pod; ++seg) {
-      auto& seg_tors = pod_tors[static_cast<std::size_t>(seg)];
-      seg_tors.resize(static_cast<std::size_t>(tor_rail_sets));
       for (int rs = 0; rs < tor_rail_sets; ++rs) {
         for (int pl = 0; pl < planes; ++pl) {
           Location loc;
@@ -112,74 +102,27 @@ Cluster build_hpn(const HpnConfig& cfg) {
           loc.local = rs * planes + pl;
           std::string name = "tor" + std::to_string(pod) + "." + std::to_string(seg) +
                              ".r" + std::to_string(rs) + "p" + std::to_string(pl);
-          const NodeId tor = c.topo.add_node(NodeKind::kTor, std::move(name), loc);
-          seg_tors[static_cast<std::size_t>(rs)].push_back(tor);
-          c.tors.push_back(tor);
+          c.tors.push_back(c.topo.add_node(NodeKind::kTor, std::move(name), loc));
         }
       }
-
+      const HostAccess access{std::span<const NodeId>{c.tors}.last(
+                                  static_cast<std::size_t>(seg_tor_count)),
+                              planes, cfg.rail_optimized ? planes : 0};
       const int total_hosts = cfg.hosts_per_segment + cfg.backup_hosts_per_segment;
       for (int h = 0; h < total_hosts; ++h) {
-        Host host;
-        host.index = static_cast<std::int32_t>(c.hosts.size());
-        host.pod = static_cast<std::int16_t>(pod);
-        host.segment = static_cast<std::int16_t>(seg);
-        host.backup = h >= cfg.hosts_per_segment;
-        const std::string hname = idx("h", host.index);
-
-        Location hloc;
-        hloc.pod = host.pod;
-        hloc.segment = host.segment;
-        hloc.host = host.index;
-        host.nvswitch = c.topo.add_node(NodeKind::kNvSwitch, hname + ".nvsw", hloc);
-
-        for (int rail = 0; rail < rails; ++rail) {
-          Location gloc = hloc;
-          gloc.rail = static_cast<std::int16_t>(rail);
-          const NodeId gpu = c.topo.add_node(NodeKind::kGpu, hname + ".g" + std::to_string(rail), gloc);
-          host.gpus.push_back(gpu);
-          host.gpu_nvlink.push_back(
-              c.topo.add_duplex_link(gpu, host.nvswitch, LinkKind::kNvlink,
-                                     cfg.speeds.nvlink, cfg.speeds.nvlink_latency)
-                  .forward);
-
-          const NodeId nic =
-              c.topo.add_node(NodeKind::kNic, hname + ".nic" + std::to_string(rail), gloc);
-          host.gpu_pcie.push_back(
-              c.topo.add_duplex_link(gpu, nic, LinkKind::kPcie, cfg.speeds.pcie,
-                                     cfg.speeds.pcie_latency)
-                  .forward);
-
-          NicAttachment att;
-          att.nic = nic;
-          att.ports = planes;
-          const int rs = cfg.rail_optimized ? rail : 0;
-          for (int pl = 0; pl < planes; ++pl) {
-            const NodeId tor =
-                seg_tors[static_cast<std::size_t>(rs)][static_cast<std::size_t>(pl)];
-            att.tor[static_cast<std::size_t>(pl)] = tor;
-            att.access[static_cast<std::size_t>(pl)] =
-                c.topo.add_duplex_link(nic, tor, LinkKind::kAccess, cfg.speeds.access,
-                                       cfg.speeds.access_latency)
-                    .forward;
-          }
-          host.nics.push_back(att);
-        }
-        c.hosts.push_back(std::move(host));
+        add_host(c, pod, seg, access, h >= cfg.hosts_per_segment);
       }
     }
   }
 
   // ---- Tier-2 wiring -------------------------------------------------------
   if (has_tier2) {
+    std::size_t next_tor = 0;  // Walks c.tors in grid order.
     for (int pod = 0; pod < cfg.pods; ++pod) {
       for (int seg = 0; seg < cfg.segments_per_pod; ++seg) {
         for (int rs = 0; rs < tor_rail_sets; ++rs) {
           for (int pl = 0; pl < planes; ++pl) {
-            const NodeId tor = tor_grid[static_cast<std::size_t>(pod)]
-                                       [static_cast<std::size_t>(seg)]
-                                       [static_cast<std::size_t>(rs)]
-                                       [static_cast<std::size_t>(pl)];
+            const NodeId tor = c.tors[next_tor++];
             // Dual-plane: a ToR only uplinks into its own plane's aggs; the
             // flow's plane (and thus its whole tier-2 path set) is fixed the
             // moment the NIC picks an egress port (§6.1).
@@ -196,8 +139,8 @@ Cluster build_hpn(const HpnConfig& cfg) {
             const int per_agg = cfg.tor_uplinks / static_cast<int>(targets.size());
             for (const NodeId agg : targets) {
               for (int i = 0; i < per_agg; ++i) {
-                c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, cfg.speeds.fabric,
-                                       cfg.speeds.fabric_latency);
+                c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, kLinkSpeeds.fabric,
+                                       kLinkSpeeds.fabric_latency);
               }
             }
           }
@@ -209,8 +152,7 @@ Cluster build_hpn(const HpnConfig& cfg) {
   // ---- Tier-3 wiring -------------------------------------------------------
   if (has_tier3) {
     const int agg_planes = cfg.dual_plane ? planes : 1;
-    const int cores_per_plane =
-        cfg.cores_per_plane > 0 ? cfg.cores_per_plane : cfg.agg_core_uplinks;
+    const int cores_per_plane = cfg.agg_core_uplinks;
     std::vector<std::vector<NodeId>> core_grid(static_cast<std::size_t>(agg_planes));
     for (int pl = 0; pl < agg_planes; ++pl) {
       for (int i = 0; i < cores_per_plane; ++i) {
@@ -234,8 +176,8 @@ Cluster build_hpn(const HpnConfig& cfg) {
               const auto core_idx =
                   (static_cast<std::size_t>(u) + a) % static_cast<std::size_t>(cores_per_plane);
               c.topo.add_duplex_link(group[a], core_grid[static_cast<std::size_t>(pl)][core_idx],
-                                     LinkKind::kFabric, cfg.speeds.fabric,
-                                     cfg.speeds.fabric_latency);
+                                     LinkKind::kFabric, kLinkSpeeds.fabric,
+                                     kLinkSpeeds.fabric_latency);
             }
           }
         }

@@ -15,15 +15,9 @@
 
 #include "common/check.h"
 #include "topo/builders.h"
+#include "topo/host_wiring.h"
 
 namespace hpn::topo {
-
-RailXConfig RailXConfig::tiny() {
-  RailXConfig cfg;
-  cfg.groups = 5;
-  cfg.hosts_per_group = 2;
-  return cfg;
-}
 
 Cluster build_railx(const RailXConfig& cfg) {
   HPN_CHECK_MSG(cfg.groups >= 2, "railx config: need at least two groups");
@@ -39,8 +33,10 @@ Cluster build_railx(const RailXConfig& cfg) {
   const int rails = cfg.gpus_per_host;
   const int groups = cfg.groups;
 
-  // ToR grid: [group][rail].
-  std::vector<std::vector<NodeId>> tor_grid(static_cast<std::size_t>(groups));
+  // c.tors is the ToR grid: [group][rail], rail fastest.
+  const auto tor_of = [&c, rails](int g, int rail) {
+    return c.tors[static_cast<std::size_t>(g * rails + rail)];
+  };
   for (int g = 0; g < groups; ++g) {
     for (int rail = 0; rail < rails; ++rail) {
       Location loc;
@@ -48,60 +44,17 @@ Cluster build_railx(const RailXConfig& cfg) {
       loc.segment = static_cast<std::int16_t>(g);
       loc.rail = static_cast<std::int16_t>(rail);
       loc.local = g * rails + rail;
-      const NodeId tor = c.topo.add_node(
-          NodeKind::kTor, "tor.g" + std::to_string(g) + ".r" + std::to_string(rail), loc);
-      tor_grid[static_cast<std::size_t>(g)].push_back(tor);
-      c.tors.push_back(tor);
+      c.tors.push_back(c.topo.add_node(
+          NodeKind::kTor, "tor.g" + std::to_string(g) + ".r" + std::to_string(rail), loc));
     }
   }
 
   for (int g = 0; g < groups; ++g) {
-    for (int h = 0; h < cfg.hosts_per_group; ++h) {
-      Host host;
-      host.index = static_cast<std::int32_t>(c.hosts.size());
-      host.pod = 0;
-      host.segment = static_cast<std::int16_t>(g);
-      std::string hname = "h";
-      hname += std::to_string(host.index);
-
-      Location hloc;
-      hloc.pod = host.pod;
-      hloc.segment = host.segment;
-      hloc.host = host.index;
-      host.nvswitch = c.topo.add_node(NodeKind::kNvSwitch, hname + ".nvsw", hloc);
-
-      for (int rail = 0; rail < rails; ++rail) {
-        Location gloc = hloc;
-        gloc.rail = static_cast<std::int16_t>(rail);
-        const NodeId gpu =
-            c.topo.add_node(NodeKind::kGpu, hname + ".g" + std::to_string(rail), gloc);
-        host.gpus.push_back(gpu);
-        host.gpu_nvlink.push_back(
-            c.topo.add_duplex_link(gpu, host.nvswitch, LinkKind::kNvlink, cfg.speeds.nvlink,
-                                   cfg.speeds.nvlink_latency)
-                .forward);
-
-        const NodeId nic =
-            c.topo.add_node(NodeKind::kNic, hname + ".nic" + std::to_string(rail), gloc);
-        host.gpu_pcie.push_back(
-            c.topo.add_duplex_link(gpu, nic, LinkKind::kPcie, cfg.speeds.pcie,
-                                   cfg.speeds.pcie_latency)
-                .forward);
-
-        NicAttachment att;
-        att.nic = nic;
-        att.ports = 1;
-        const NodeId tor =
-            tor_grid[static_cast<std::size_t>(g)][static_cast<std::size_t>(rail)];
-        att.tor[0] = tor;
-        att.access[0] =
-            c.topo.add_duplex_link(nic, tor, LinkKind::kAccess, cfg.speeds.access,
-                                   cfg.speeds.access_latency)
-                .forward;
-        host.nics.push_back(att);
-      }
-      c.hosts.push_back(std::move(host));
-    }
+    const HostAccess access{std::span<const NodeId>{c.tors}.subspan(
+                                static_cast<std::size_t>(g * rails),
+                                static_cast<std::size_t>(rails)),
+                            1, 1};
+    for (int h = 0; h < cfg.hosts_per_group; ++h) add_host(c, 0, g, access);
   }
 
   // ---- Circuit tier --------------------------------------------------------
@@ -116,12 +69,11 @@ Cluster build_railx(const RailXConfig& cfg) {
     for (int g = 0; g < pair_count; ++g) {
       const int peer = (g + d) % groups;
       for (int rail = 0; rail < rails; ++rail) {
-        const LinkId l =
-            c.topo.add_duplex_link(tor_grid[static_cast<std::size_t>(g)][static_cast<std::size_t>(rail)],
-                                   tor_grid[static_cast<std::size_t>(peer)][static_cast<std::size_t>(rail)],
-                                   LinkKind::kFabric, cfg.speeds.fabric,
-                                   cfg.speeds.fabric_latency)
-                .forward;
+        const LinkId l = c.topo
+                             .add_duplex_link(tor_of(g, rail), tor_of(peer, rail),
+                                              LinkKind::kFabric, kLinkSpeeds.fabric,
+                                              kLinkSpeeds.fabric_latency)
+                             .forward;
         class_links[static_cast<std::size_t>(d)].push_back(l);
       }
     }

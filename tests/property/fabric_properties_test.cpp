@@ -187,10 +187,10 @@ TEST_P(RailOnlyGrid, RailLocalityIsAbsolute) {
 }
 
 constexpr topo::RailOnlyConfig kRailOnlyGrid[] = {
-    {.hosts = 4, .gpus_per_host = 8, .dual_tor = true, .speeds = {}},  // tiny()
-    {.hosts = 8, .gpus_per_host = 4, .dual_tor = true, .speeds = {}},
-    {.hosts = 3, .gpus_per_host = 2, .dual_tor = false, .speeds = {}},
-    {.hosts = 1, .gpus_per_host = 8, .dual_tor = true, .speeds = {}},
+    {.hosts = 4, .gpus_per_host = 8, .dual_tor = true},
+    {.hosts = 8, .gpus_per_host = 4, .dual_tor = true},
+    {.hosts = 3, .gpus_per_host = 2, .dual_tor = false},
+    {.hosts = 1, .gpus_per_host = 8, .dual_tor = true},
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -201,7 +201,7 @@ INSTANTIATE_TEST_SUITE_P(
 class RailXGrid : public ::testing::TestWithParam<int> {};  // group count
 
 TEST_P(RailXGrid, StructuralFormulas) {
-  topo::RailXConfig cfg = topo::RailXConfig::tiny();
+  topo::RailXConfig cfg;
   cfg.groups = GetParam();
   const topo::Cluster c = topo::build_railx(cfg);
   const int g = cfg.groups;
@@ -217,7 +217,7 @@ TEST_P(RailXGrid, StructuralFormulas) {
 }
 
 TEST_P(RailXGrid, RotorScheduleShape) {
-  topo::RailXConfig cfg = topo::RailXConfig::tiny();
+  topo::RailXConfig cfg;
   cfg.groups = GetParam();
   const topo::Cluster c = topo::build_railx(cfg);
   const int g = cfg.groups;
@@ -244,7 +244,7 @@ TEST_P(RailXGrid, RingBisectionIsTwoPerRail) {
   // Epoch 0 is the difference-1 ring: any contiguous half/rest cut is
   // crossed by exactly 2 live circuit cables per rail (1 for the G=2
   // degenerate ring, whose single cable IS the cut).
-  topo::RailXConfig cfg = topo::RailXConfig::tiny();
+  topo::RailXConfig cfg;
   cfg.groups = GetParam();
   const topo::Cluster c = topo::build_railx(cfg);
   const int g = cfg.groups;
@@ -265,7 +265,7 @@ TEST_P(RailXGrid, RingBisectionIsTwoPerRail) {
 }
 
 TEST_P(RailXGrid, OddGroupEpochsStayConnected) {
-  topo::RailXConfig cfg = topo::RailXConfig::tiny();
+  topo::RailXConfig cfg;
   cfg.groups = GetParam();
   topo::Cluster c = topo::build_railx(cfg);
   if (cfg.groups % 2 == 0) GTEST_SKIP() << "even group counts split on d = G/2";
@@ -304,7 +304,7 @@ class UbMeshGrid : public ::testing::TestWithParam<MeshParam> {};
 
 TEST_P(UbMeshGrid, StructuralFormulas) {
   const auto [rows, cols] = GetParam();
-  topo::UbMeshConfig cfg = topo::UbMeshConfig::tiny();
+  topo::UbMeshConfig cfg;
   cfg.rows = rows;
   cfg.cols = cols;
   const topo::Cluster c = topo::build_ubmesh(cfg);
@@ -337,7 +337,7 @@ TEST_P(UbMeshGrid, StructuralFormulas) {
 
 TEST_P(UbMeshGrid, TwoHopDiameterAndDiagonalEcmp) {
   const auto [rows, cols] = GetParam();
-  topo::UbMeshConfig cfg = topo::UbMeshConfig::tiny();
+  topo::UbMeshConfig cfg;
   cfg.rows = rows;
   cfg.cols = cols;
   const topo::Cluster c = topo::build_ubmesh(cfg);

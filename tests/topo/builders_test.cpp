@@ -247,7 +247,7 @@ TEST(FatTree, OddKRejected) {
 }
 
 TEST(RailOnlyBuilder, TinyShape) {
-  const Cluster c = build_rail_only(RailOnlyConfig::tiny());
+  const Cluster c = build_rail_only({.hosts = 4});
   EXPECT_EQ(c.arch, Arch::kRailOnly);
   EXPECT_EQ(c.hosts.size(), 4u);
   EXPECT_EQ(c.gpu_count(), 32);
@@ -268,7 +268,7 @@ TEST(RailOnlyBuilder, TinyShape) {
 }
 
 TEST(RailXBuilder, TinyShape) {
-  const auto cfg = RailXConfig::tiny();
+  const RailXConfig cfg{};
   const Cluster c = build_railx(cfg);
   EXPECT_EQ(c.arch, Arch::kRailXLite);
   EXPECT_EQ(c.hosts.size(), 10u);  // 5 groups x 2 hosts
@@ -291,7 +291,7 @@ TEST(RailXBuilder, TinyShape) {
 }
 
 TEST(UbMeshBuilder, TinyShape) {
-  const Cluster c = build_ubmesh(UbMeshConfig::tiny());
+  const Cluster c = build_ubmesh({});
   EXPECT_EQ(c.arch, Arch::kUbMeshLite);
   EXPECT_EQ(c.tors.size(), 4u);   // 2x2 grid
   EXPECT_EQ(c.hosts.size(), 8u);  // 2 hosts per switch
