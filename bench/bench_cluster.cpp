@@ -103,10 +103,12 @@ int main(int argc, char** argv) {
 
   // The shared flow engine's work per case: each recompute re-rates the
   // conflict components its changes touched, one-flow components in closed
-  // form. Counts, not times: identical at any --jobs.
+  // form; `lookups` counts connection-set lookups (ccl looks each ring edge
+  // up once per communicator, other messages once each). Counts, not
+  // times: identical at any --jobs.
   metrics::Table engine{"flow engine work, per case"};
   engine.columns({"policy", "seed", "recomputes", "completions", "heap_updates", "resolves",
-                  "flows_rerated", "components", "closed_form"});
+                  "flows_rerated", "components", "closed_form", "lookups"});
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const flowsim::FlowSession::Stats& ss = reports[i].session;
     const flowsim::IncrementalMaxMin::Stats& ms = reports[i].solver;
@@ -114,7 +116,8 @@ int main(int argc, char** argv) {
                     std::to_string(cases[i].seed), std::to_string(ss.recomputes),
                     std::to_string(ss.completions), std::to_string(ss.heap_updates),
                     std::to_string(ms.resolves), std::to_string(ms.flows_rerated),
-                    std::to_string(ms.components), std::to_string(ms.closed_form)});
+                    std::to_string(ms.components), std::to_string(ms.closed_form),
+                    std::to_string(reports[i].planner.lookups)});
   }
   engine.print(std::cout);
 

@@ -30,9 +30,31 @@ Communicator::Communicator(const topo::Cluster& cluster, sim::Simulator& simulat
                                                         << hosts_.size() << " hosts)");
   const auto& att = cluster.nic_of(ranks_.front());
   port_rate_ = cluster.topo.link(att.access[0]).capacity;
+  shared_ = std::make_shared<Shared>();
+  shared_->conns = conns_;
 }
 
-Communicator::~Communicator() { *alive_ = false; }
+Communicator::~Communicator() { shared_->alive = false; }
+
+std::uint32_t Communicator::Shared::open(ConnId conn, DataSize size) {
+  std::uint32_t msg;
+  if (free.empty()) {
+    msg = static_cast<std::uint32_t>(messages.size());
+    messages.emplace_back();
+  } else {
+    msg = free.back();
+    free.pop_back();
+  }
+  messages[msg] = Message{FlowId::invalid(), conn, size};
+  return msg;
+}
+
+void Communicator::Shared::close(std::uint32_t msg) {
+  Message& m = messages[msg];
+  conns->complete_wqe(m.conn, m.size);  // the manager outlives communicators
+  m.flow = FlowId::invalid();
+  free.push_back(msg);
+}
 
 int Communicator::global_rank(int host_pos, int rail) const {
   return hosts_[static_cast<std::size_t>(host_pos)] * rails_ + rail;
@@ -178,9 +200,10 @@ void Communicator::run(Ref ref) {
         rings[rail] = Ring{0, hosts * channels};
         const Ref rail_ref{ref.slot, ref.gen, ref.stage, static_cast<std::uint16_t>(rail)};
         for (int i = 0; i < hosts; ++i) {
+          const std::vector<ConnId>& edge = ring_edge(i, rail);
           const int src = global_rank(i, rail);
           const int dst = global_rank((i + 1) % hosts, rail);
-          for (int ch = 0; ch < channels; ++ch) send_message(src, dst, channel_bytes, rail_ref);
+          for (int ch = 0; ch < channels; ++ch) send_on(edge, src, dst, channel_bytes, rail_ref);
         }
       }
       return;
@@ -244,23 +267,38 @@ void Communicator::ring_step(Ref ref) {
   const int hosts = host_count();
   ring.flows_left = hosts;
   for (int i = 0; i < hosts; ++i) {
-    send_message(global_rank(i, ref.rail), global_rank((i + 1) % hosts, ref.rail), phase.bytes,
-                 ref);
+    send_on(ring_edge(i, ref.rail), global_rank(i, ref.rail),
+            global_rank((i + 1) % hosts, ref.rail), phase.bytes, ref);
   }
 }
 
 // ---- Messages and flows -----------------------------------------------------
 
 void Communicator::send_message(int src_rank, int dst_rank, DataSize size, Ref ref) {
-  const auto& conn_ids = conns_->establish(src_rank, dst_rank);
+  send_on(conns_->establish(src_rank, dst_rank), src_rank, dst_rank, size, ref);
+}
+
+const std::vector<ConnId>& Communicator::ring_edge(int host_pos, int rail) {
+  if (ring_edges_.empty()) ring_edges_.assign(ranks_.size(), nullptr);
+  const std::vector<ConnId>*& edge =
+      ring_edges_[static_cast<std::size_t>(host_pos * rails_ + rail)];
+  if (edge == nullptr) {
+    const int next = (host_pos + 1) % host_count();
+    edge = &conns_->establish(global_rank(host_pos, rail), global_rank(next, rail));
+  }
+  return *edge;
+}
+
+void Communicator::send_on(const std::vector<ConnId>& conn_ids, int src_rank, int dst_rank,
+                           DataSize size, Ref ref) {
   const ConnId conn = conns_->pick(conn_ids);
   const routing::Path& path = conns_->path_of(conn);
   if (!path.valid()) {
     // Destination unreachable right now (e.g. both dst ports down). RDMA
     // keeps retrying; the message goes out once a path exists again.
     sim_->schedule_after(config_.unreachable_retry,
-                         [this, alive = alive_, src_rank, dst_rank, size, ref] {
-                           if (*alive) send_message(src_rank, dst_rank, size, ref);
+                         [this, shared = shared_, src_rank, dst_rank, size, ref] {
+                           if (shared->alive) send_message(src_rank, dst_rank, size, ref);
                          });
     return;
   }
@@ -273,47 +311,58 @@ void Communicator::send_message(int src_rank, int dst_rank, DataSize size, Ref r
     cached.epoch = epoch;
     cached.valid = true;
   }
-  const FlowId flow = session_->start_flow(
-      cached.path, size, port_rate_,
-      [this, alive = alive_, cm = conns_, conn, size, ref](FlowId id) {
-        cm->complete_wqe(conn, size);  // the manager outlives communicators
-        if (!*alive) return;
-        inflight_.erase(id);
-        if (op_at(ref).stages[ref.stage].phase.kind == Phase::kRings) {
-          ring_arrive(ref);
-        } else {
-          arrive(ref);
-        }
-      });
-  inflight_.emplace(flow, conn);
+  const std::uint32_t msg = shared_->open(conn, size);
+  auto on_done = [this, shared = shared_, ref, msg](FlowId) {
+    shared->close(msg);
+    if (!shared->alive) return;
+    if (op_at(ref).stages[ref.stage].phase.kind == Phase::kRings) {
+      ring_arrive(ref);
+    } else {
+      arrive(ref);
+    }
+  };
+  static_assert(flowsim::CompletionFn::fits_inline<decltype(on_done)>(),
+                "a message completion must not allocate");
+  const FlowId flow = session_->start_flow(cached.path, size, port_rate_, std::move(on_done));
+  shared_->messages[msg].flow = flow;
 }
 
 void Communicator::on_fabric_change() {
   // Shared QP contexts let in-flight messages move ports (§4); re-trace
   // every active connection and hand the session the new path, in
-  // ascending FlowId order rather than the hash map's bucket order.
-  std::vector<FlowId> flows;
-  flows.reserve(inflight_.size());
-  for (const auto& entry : inflight_) flows.push_back(entry.first);
-  std::sort(flows.begin(), flows.end());
-  for (const FlowId flow : flows) {
-    const routing::Path& path = conns_->path_of(inflight_.at(flow));
-    if (path.valid()) session_->reroute_flow(flow, path.links);
+  // ascending FlowId order rather than the message table's record order.
+  std::vector<Message> inflight;
+  for (const Message& m : shared_->messages) {
+    if (m.flow.is_valid()) inflight.push_back(m);
+  }
+  std::sort(inflight.begin(), inflight.end(),
+            [](const Message& a, const Message& b) { return a.flow < b.flow; });
+  for (const Message& m : inflight) {
+    const routing::Path& path = conns_->path_of(m.conn);
+    if (path.valid()) session_->reroute_flow(m.flow, path.links);
   }
   session_->refresh();
 }
 
-void Communicator::intra_host_flow(int rank, bool up, DataSize size, Ref ref) {
-  const topo::Host& h = cluster_->host_of(rank);
-  const LinkId up_link = h.gpu_nvlink.at(static_cast<std::size_t>(cluster_->rail_of(rank)));
-  const LinkId link = up ? up_link : cluster_->topo.link(up_link).reverse;
-  const Bandwidth cap = cluster_->topo.link(link).capacity;
+void Communicator::intra_host_flow(std::size_t member, bool up, DataSize size, Ref ref) {
+  if (nvlink_paths_.empty()) nvlink_paths_.assign(2 * ranks_.size(), PathId::invalid());
+  PathId& path = nvlink_paths_[2 * member + (up ? 1 : 0)];
+  if (!path.is_valid()) {
+    const int rank = ranks_[member];
+    const topo::Host& h = cluster_->host_of(rank);
+    const LinkId up_link = h.gpu_nvlink.at(static_cast<std::size_t>(cluster_->rail_of(rank)));
+    const LinkId link = up ? up_link : cluster_->topo.link(up_link).reverse;
+    // The single-hop path is interned directly: no vector materialized.
+    path = session_->paths().intern(&link, 1);
+  }
+  const Bandwidth cap = cluster_->topo.link(session_->paths().links(path).front()).capacity;
   ++ops_[ref.slot].stages[ref.stage].outstanding;
-  // Intern the single-hop path directly — no per-flow vector materialized.
-  session_->start_flow(session_->paths().intern(&link, 1), size, cap,
-                       [this, alive = alive_, ref](FlowId) {
-                         if (*alive) arrive(ref);
-                       });
+  auto on_done = [this, shared = shared_, ref](FlowId) {
+    if (shared->alive) arrive(ref);
+  };
+  static_assert(flowsim::CompletionFn::fits_inline<decltype(on_done)>(),
+                "an NVLink flow completion must not allocate");
+  session_->start_flow(path, size, cap, std::move(on_done));
 }
 
 void Communicator::intra_phase(DataSize bytes, bool up, Ref ref) {
@@ -323,7 +372,7 @@ void Communicator::intra_phase(DataSize bytes, bool up, Ref ref) {
     defer<&Communicator::arrive>(Duration::zero(), ref);
     return;
   }
-  for (const int rank : ranks_) intra_host_flow(rank, up, bytes, ref);
+  for (std::size_t m = 0; m < ranks_.size(); ++m) intra_host_flow(m, up, bytes, ref);
 }
 
 int Communicator::all_to_all_messages(DataSize per_gpu, bool allow_host_relay, Ref ref) {
@@ -341,9 +390,9 @@ int Communicator::all_to_all_messages(DataSize per_gpu, bool allow_host_relay, R
   const double up_bytes = intra_share + (allow_host_relay ? cross_share : 0.0);
   if (rails_ > 1 && up_bytes > 0.0) {
     const DataSize bytes = DataSize::bytes(static_cast<std::int64_t>(up_bytes));
-    for (const int rank : ranks_) {
-      intra_host_flow(rank, /*up=*/true, bytes, ref);
-      intra_host_flow(rank, /*up=*/false, bytes, ref);
+    for (std::size_t m = 0; m < ranks_.size(); ++m) {
+      intra_host_flow(m, /*up=*/true, bytes, ref);
+      intra_host_flow(m, /*up=*/false, bytes, ref);
     }
   }
 

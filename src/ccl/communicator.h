@@ -27,6 +27,18 @@
 // in order, each phase runs one chunk at a time, and a phase admits chunk c
 // once c has left the phase before it. Flow, timer and retry callbacks carry
 // only (op slot, generation, stage, rail).
+//
+// A message starts and completes without allocating or hashing in steady
+// state. Each ring edge's connection set is looked up once per
+// communicator (its first use goes through ConnectionManager::establish,
+// so planning order is unchanged) and each member GPU's NVLink up and down
+// paths are interned once; Algorithm 2's `pick` still runs per message. An
+// in-flight message is a record {FlowId, ConnId, size} in a dense table
+// with a free list, and its completion closure carries the record index
+// and the op reference, which fits the session callback's inline buffer.
+// The table lives in a block shared with every callback, beside the
+// liveness flag, so a message that drains after the communicator died
+// still returns its WQE bytes.
 #pragma once
 
 #include <cstdint>
@@ -191,6 +203,28 @@ class Communicator {
     std::uint16_t rail;
   };
 
+  /// One in-flight network message: its flow, the connection it was posted
+  /// on and the WQE bytes to return when it drains. `flow` is invalid while
+  /// the record is free.
+  struct Message {
+    FlowId flow;
+    ConnId conn;
+    DataSize size;
+  };
+
+  /// What callbacks share with the communicator and may outlive it: the
+  /// liveness flag and the in-flight message table.
+  struct Shared {
+    bool alive = true;
+    ConnectionManager* conns;
+    std::vector<Message> messages;      ///< dense, indexed by record
+    std::vector<std::uint32_t> free;    ///< free records, reused last-in first-out
+    /// Takes a record for a message of `size` posted on `conn`.
+    std::uint32_t open(ConnId conn, DataSize size);
+    /// Returns the message's WQE bytes to the manager and frees its record.
+    void close(std::uint32_t msg);
+  };
+
   /// ConnId -> interned path, keyed by the connection's path epoch.
   /// Collectives send many messages per connection (channels x pipeline
   /// chunks x ring steps), so after the first send a message reuses the
@@ -221,16 +255,23 @@ class Communicator {
   /// Calls `Step(ref)` after `delay`, unless the communicator is gone.
   template <void (Communicator::*Step)(Ref)>
   void defer(Duration delay, Ref ref) {
-    sim_->schedule_after(delay, [this, alive = alive_, ref] {
-      if (*alive) (this->*Step)(ref);
+    sim_->schedule_after(delay, [this, shared = shared_, ref] {
+      if (shared->alive) (this->*Step)(ref);
     });
   }
 
   /// One message src -> dst (global ranks) over planned connections;
   /// retries while unreachable.
   void send_message(int src_rank, int dst_rank, DataSize size, Ref ref);
-  /// Intra-host transfer for `rank` (up: GPU->NVSwitch, down: reverse).
-  void intra_host_flow(int rank, bool up, DataSize size, Ref ref);
+  /// send_message over `conn_ids`, the pair's connection set.
+  void send_on(const std::vector<ConnId>& conn_ids, int src_rank, int dst_rank, DataSize size,
+               Ref ref);
+  /// The connection set of rail `rail`'s ring edge from host position
+  /// `host_pos` to the next, established on first use.
+  const std::vector<ConnId>& ring_edge(int host_pos, int rail);
+  /// Intra-host transfer for member `member` (ranks_ index; up:
+  /// GPU->NVSwitch, down: reverse).
+  void intra_host_flow(std::size_t member, bool up, DataSize size, Ref ref);
   /// One flow of `bytes` per member GPU, or one empty-phase event.
   void intra_phase(DataSize bytes, bool up, Ref ref);
   /// Every message of a MoE all-to-all; returns the unroutable ones.
@@ -263,13 +304,19 @@ class Communicator {
   std::vector<int> hosts_;  ///< Host indexes, ring order.
   int rails_ = 0;
   Bandwidth port_rate_;
-  std::unordered_map<FlowId, ConnId> inflight_;  ///< In-flight messages' connections.
   std::vector<CachedPath> conn_paths_;  ///< ConnId-indexed.
+  /// host position x rails_ + rail -> the ring edge's connection set
+  /// (nullptr until first used); the manager keeps the sets alive. Sized
+  /// on the first ring, as a communicator may never run one.
+  std::vector<const std::vector<ConnId>*> ring_edges_;
+  /// 2 x member + up -> the GPU's NVLink path (invalid until first used).
+  /// Sized on the first intra-host flow.
+  std::vector<PathId> nvlink_paths_;
   std::vector<Op> ops_;
   std::vector<std::uint32_t> free_ops_;
-  /// Cleared on destruction; every session and simulator callback checks it
-  /// before touching this object.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// `alive` is cleared on destruction; every session and simulator callback
+  /// holds the block and checks it before touching this object.
+  std::shared_ptr<Shared> shared_;
 };
 
 }  // namespace hpn::ccl

@@ -78,6 +78,7 @@ bool ConnectionManager::routable(int src_rank, int dst_rank) {
 
 const std::vector<ConnId>& ConnectionManager::establish(int src_rank, int dst_rank) {
   HPN_CHECK_MSG(src_rank != dst_rank, "self-connection requested");
+  ++stats_.lookups;
   const std::uint64_t key = pair_key(src_rank, dst_rank);
   auto it = by_pair_.find(key);
   if (it != by_pair_.end()) return it->second;

@@ -66,7 +66,9 @@ class ConnectionManager {
                     ConnectionConfig config = {});
 
   /// Algorithm 1. Establishes (or returns cached) connections src -> dst.
-  /// Returns at least one connection as long as the pair is reachable.
+  /// Returns at least one connection as long as the pair is reachable. The
+  /// set never changes once planned, and the reference stays valid for the
+  /// manager's lifetime, so callers may keep it.
   const std::vector<ConnId>& establish(int src_rank, int dst_rank);
 
   /// Does any network path currently exist between the pair's NICs (on any
@@ -96,6 +98,7 @@ class ConnectionManager {
 
   /// Work Algorithm 1 did since construction.
   struct Stats {
+    std::uint64_t lookups = 0;           ///< establish() calls
     std::uint64_t pairs_planned = 0;     ///< establish() calls that planned a pair
     std::uint64_t slots = 0;             ///< connection slots searched
     std::uint64_t traces = 0;            ///< source ports traced by the search

@@ -182,7 +182,7 @@ void FluidSimulator::tick() {
 
   // 3. Per-flow goodput, data accounting and DCQCN feedback. Finished flows
   // leave the table here; the survivors and their hops slide down over them.
-  std::vector<std::pair<FlowId, CompletionFn>> done;
+  done_.clear();
   std::size_t kept = 0;
   std::uint32_t kept_hops = 0;
   for (std::size_t i = 0; i < flows_.size(); ++i) {
@@ -203,7 +203,7 @@ void FluidSimulator::tick() {
       }
       f.remaining_bits -= f.goodput_bps * dt;
       if (f.remaining_bits <= 0.0) {
-        done.emplace_back(f.id, std::move(callbacks_[i]));
+        done_.emplace_back(f.id, std::move(callbacks_[i]));
         continue;
       }
     }
@@ -224,12 +224,13 @@ void FluidSimulator::tick() {
   callbacks_.resize(kept);
   hops_.resize(kept_hops);
 
-  for (auto& [fid, fn] : done) {
+  for (auto& [fid, fn] : done_) {
     sim_->trace(metrics::TraceEventKind::kFlowFinish,
                 static_cast<std::uint32_t>(fid.value()), metrics::kTraceNoId, 0.0,
                 "fluid");
     if (fn) fn(fid);
   }
+  done_.clear();  // release the fired closures' captures now
 
   if (sim_->auditor().enabled()) audit_tick();
 }

@@ -27,11 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "flowsim/completion.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
 
@@ -57,7 +58,7 @@ struct FluidConfig {
 
 class FluidSimulator {
  public:
-  using CompletionFn = std::function<void(FlowId)>;
+  using CompletionFn = flowsim::CompletionFn;
 
   FluidSimulator(const topo::Topology& topology, sim::Simulator& simulator,
                  FluidConfig config = {});
@@ -143,6 +144,9 @@ class FluidSimulator {
   std::vector<Feedback> feedback_;
   std::vector<UsedLink> used_links_;  ///< The touched links, ascending LinkId.
   std::vector<double> audit_goodput_;  ///< Auditor scratch, by slot.
+  /// Tick scratch: the flows that finished this tick and their callbacks.
+  /// A tick runs from its timer only, never inside a callback.
+  std::vector<std::pair<FlowId, CompletionFn>> done_;
   FlowId::underlying next_id_ = 1;
   std::unique_ptr<sim::PeriodicTimer> timer_;
   std::uint64_t tick_count_ = 0;

@@ -23,9 +23,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "flowsim/completion.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
 
@@ -55,7 +55,7 @@ struct PacketSimConfig {
 
 class PacketSimulator {
  public:
-  using CompletionFn = std::function<void(FlowId)>;
+  using CompletionFn = flowsim::CompletionFn;
 
   PacketSimulator(const topo::Topology& topology, sim::Simulator& simulator,
                   PacketSimConfig config = {});

@@ -11,6 +11,8 @@ namespace hpn::flowsim {
 namespace {
 constexpr double kBitEps = 1.0;  // flows within one bit of done are done
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Drain-list entries kept between recomputes (56 B each).
+constexpr std::size_t kFireKept = 1024;
 
 /// Bits a flow of `size` has served with `remaining` to go, clamped to
 /// [0, size] and truncated to whole bits.
@@ -335,8 +337,8 @@ void FlowSession::recompute_and_reschedule() {
   if (!std::is_sorted(done_.begin(), done_.end(), by_id)) {
     std::sort(done_.begin(), done_.end(), by_id);
   }
-  std::vector<std::pair<FlowId, CompletionFn>> fire;
-  fire.reserve(done_.size());
+  fire_.clear();
+  fire_.reserve(done_.size());
   for (const Handle h : done_) {
     Slot& s = slots_[h];
     // Sub-bit residue counts as delivered so the ledger closes exactly.
@@ -346,7 +348,7 @@ void FlowSession::recompute_and_reschedule() {
                 (now - s.started).as_seconds());
     delivered_bits_ += s.size.as_bits();
     handle_of_.erase(s.id);
-    fire.emplace_back(s.id, std::move(s.on_complete));
+    fire_.emplace_back(s.id, std::move(s.on_complete));
     s.id = FlowId{0};
     s.on_complete = nullptr;
     solver_.remove_flow(h);
@@ -394,9 +396,14 @@ void FlowSession::recompute_and_reschedule() {
 
   // Completion callbacks run after rates settle; they may start new flows,
   // which batches into a fresh recompute at this same instant.
-  for (auto& [id, fn] : fire) {
+  for (auto& [id, fn] : fire_) {
     if (fn) fn(id);
   }
+  fire_.clear();  // release the fired closures' captures now
+  // A burst (a whole collective phase draining at one instant) gives its
+  // list back rather than holding it for the session's life; that costs
+  // one allocation per burst, not per flow.
+  if (fire_.capacity() > kFireKept) fire_ = decltype(fire_){};
 }
 
 void FlowSession::reschedule_completion() {

@@ -28,15 +28,22 @@
 //
 // Flows that complete at one instant fire their callbacks in ascending
 // FlowId order, after the rates of the survivors have been re-solved.
+//
+// Starting and completing a flow allocates nothing in steady state: the
+// completion callback (flowsim/completion.h) stores ccl's message closures
+// inline (ccl static_asserts it), the FlowId index is open-addressed, and
+// the drain list that carries finished flows' callbacks out of their slots
+// is reused scratch.
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "flowsim/completion.h"
 #include "flowsim/maxmin.h"
 #include "sim/simulator.h"
 
@@ -44,7 +51,7 @@ namespace hpn::flowsim {
 
 class FlowSession {
  public:
-  using CompletionFn = std::function<void(FlowId)>;
+  using CompletionFn = flowsim::CompletionFn;
 
   FlowSession(const topo::Topology& topology, sim::Simulator& simulator);
 
@@ -247,6 +254,10 @@ class FlowSession {
 
   // Recompute scratch.
   std::vector<Handle> done_;
+  /// Drained flows' ids and callbacks, fired after the re-rate. A recompute
+  /// runs from the event loop only, never inside a callback, so one list
+  /// serves every recompute; one a burst grew past 1,024 entries is freed.
+  std::vector<std::pair<FlowId, CompletionFn>> fire_;
   struct StallEvent {
     FlowId id;
     bool stall;

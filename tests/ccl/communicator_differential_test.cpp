@@ -140,6 +140,7 @@ enum class Script {
   kEveryCollective,  ///< each collective alone at three sizes
   kConcurrent,       ///< overlapping ops on one communicator and on two sharing a manager
   kPortFailover,     ///< a port down mid-flight + on_fabric_change, repaired later
+  kFailoverAfterDone,  ///< a port down while messages reuse a drained op's records
   kUnreachable,      ///< both ports of a NIC down: messages ride the retry loop
   kRailOnly,         ///< rail-only tier2: unroutable all-to-all, then relay
 };
@@ -233,6 +234,45 @@ void failover(Rig& rig, Comm& comm, std::vector<std::int64_t>& out, bool both_po
   expect_idle(comm);
 }
 
+/// An all-to-all fills the message table and drains, so its records are
+/// free when a big all-reduce and a send start and reuse them last-in
+/// first-out. The port fails as soon as the all-reduce's ring messages are
+/// posted beside the send's: on_fabric_change then walks a table of freed
+/// records and live ones out of FlowId order, and must still re-steer in
+/// ascending FlowId order.
+template <typename Comm>
+void failover_after_done(Rig& rig, Comm& comm, std::vector<std::int64_t>& out) {
+  ctrl::FabricController fabric{rig.cluster, rig.sim, rig.router};
+  const int host = comm.host_count() - 1;
+  out.push_back(drain(rig, comm, [&](std::function<void()> d) {
+    comm.all_to_all(DataSize::megabytes(8), true, std::move(d));
+  }));
+  const TimePoint start = rig.sim.now();
+  std::vector<std::int64_t> done_at(2, -1);
+  const auto mark = [&](std::size_t i) {
+    return [&, i] { done_at[i] = (rig.sim.now() - start).as_nanos(); };
+  };
+  comm.all_reduce(DataSize::megabytes(96), mark(0));
+  comm.point_to_point(0, comm.world_size() - 1, DataSize::megabytes(16), mark(1));
+  const auto posted = [&] {
+    const std::vector<std::int64_t> bits = wqe_bits(rig.conns);
+    return std::count_if(bits.begin(), bits.end(), [](std::int64_t b) { return b > 0; });
+  };
+  while (posted() <= 1 && rig.sim.step()) {
+  }
+  out.push_back((rig.sim.now() - start).as_nanos());
+  fabric.fail_access(host, 0, 0);
+  comm.on_fabric_change();
+  rig.sim.schedule_at(start + Duration::millis(35), [&] {
+    fabric.repair_access(host, 0, 0);
+    comm.on_fabric_change();
+  });
+  rig.sim.run();
+  out.insert(out.end(), done_at.begin(), done_at.end());
+  out.push_back(static_cast<std::int64_t>(rig.sim.processed_events()));
+  expect_idle(comm);
+}
+
 template <typename Comm>
 Outcome play(const Case& c) {
   Rig rig{c.fabric};
@@ -242,6 +282,7 @@ Outcome play(const Case& c) {
     case Script::kEveryCollective: every_collective(rig, comm, out.results); break;
     case Script::kConcurrent: concurrent(rig, comm, out.results); break;
     case Script::kPortFailover: failover(rig, comm, out.results, false); break;
+    case Script::kFailoverAfterDone: failover_after_done(rig, comm, out.results); break;
     case Script::kUnreachable: failover(rig, comm, out.results, true); break;
     case Script::kRailOnly:
       for (const bool relay : {false, true}) {
@@ -401,6 +442,10 @@ TEST(CommunicatorDifferential, PortDownMidFlightAndUnreachableRetry) {
            Case{"unreachable, bulk", Fabric::kHpnTiny, 8, {}, Script::kUnreachable},
            Case{"unreachable, per-step", Fabric::kHpnTiny, 8,
                 with([](CclConfig& x) { x.bulk_rings = false; }), Script::kUnreachable},
+           Case{"failover after done, bulk", Fabric::kHpnTiny, 8, {},
+                Script::kFailoverAfterDone},
+           Case{"failover after done, per-step", Fabric::kHpnTiny, 8,
+                with([](CclConfig& x) { x.bulk_rings = false; }), Script::kFailoverAfterDone},
        }) {
     expect_same(c);
   }
@@ -437,10 +482,10 @@ void start(Comm& comm, Op op, std::function<void()> done) {
 /// Starts `op` twice, destroys the communicator after `events` simulator
 /// events, then drains the session. The oracle's late span ends are dropped.
 template <typename Comm>
-Outcome destroyed(Op op, std::uint64_t events, int& late_dones) {
+Outcome destroyed(Op op, std::uint64_t events, bool bulk_rings, int& late_dones) {
   Rig rig{Fabric::kHpnTiny};
   CclConfig cfg;
-  cfg.bulk_rings = false;
+  cfg.bulk_rings = bulk_rings;
   if (op == Op::kTreeAllReduce) cfg.algorithm = RingAlgorithm::kTree;
   auto comm = std::make_unique<Comm>(rig.cluster, rig.sim, rig.session, rig.conns, rig.ranks(6),
                                      cfg);
@@ -466,18 +511,17 @@ Outcome destroyed(Op op, std::uint64_t events, int& late_dones) {
   return out;
 }
 
-TEST(CommunicatorDifferential, DestroyedMidFlightEveryCollectivePerStepRings) {
-  // Per-step rings keep a timer or a message of every rail in flight at all
-  // times, so each destruction point leaves callbacks armed against a dead
-  // communicator: the sanitizer jobs run this case for the dead path.
+void expect_destroyed_same(bool bulk_rings) {
   for (const Op op : {Op::kAllReduce, Op::kTreeAllReduce, Op::kReduceScatter, Op::kAllGather,
                       Op::kMultiAllReduce, Op::kAllToAll, Op::kPointToPoint}) {
     for (const std::uint64_t events : {0u, 3u, 40u, 400u}) {
       int late = 0;
       int oracle_late = 0;
-      const Outcome got = destroyed<Communicator>(op, events, late);
-      const Outcome want = destroyed<reference::Communicator>(op, events, oracle_late);
-      const std::string name = "destroyed op " + std::to_string(static_cast<int>(op)) +
+      const Outcome got = destroyed<Communicator>(op, events, bulk_rings, late);
+      const Outcome want =
+          destroyed<reference::Communicator>(op, events, bulk_rings, oracle_late);
+      const std::string name = std::string{bulk_rings ? "bulk" : "per-step"} +
+                               " destroyed op " + std::to_string(static_cast<int>(op)) +
                                " after " + std::to_string(events) + " events";
       EXPECT_EQ(compare(name, got, want), 0);
       EXPECT_EQ(late, 0) << name << ": a done fired after the communicator died";
@@ -485,6 +529,21 @@ TEST(CommunicatorDifferential, DestroyedMidFlightEveryCollectivePerStepRings) {
       for (const std::int64_t bits : got.wqe_bits) EXPECT_EQ(bits, 0) << name;
     }
   }
+}
+
+TEST(CommunicatorDifferential, DestroyedMidFlightEveryCollectivePerStepRings) {
+  // Per-step rings keep a timer or a message of every rail in flight at all
+  // times, so each destruction point leaves callbacks armed against a dead
+  // communicator: the sanitizer jobs run this case for the dead path.
+  expect_destroyed_same(/*bulk_rings=*/false);
+}
+
+TEST(CommunicatorDifferential, DestroyedMidFlightEveryCollectiveBulkRings) {
+  // Bulk rings (the fleet's default) send every ring edge's messages at once
+  // over cached connection sets; messages that drain after the death must
+  // still close their records in the shared message table and return their
+  // WQE bytes.
+  expect_destroyed_same(/*bulk_rings=*/true);
 }
 
 }  // namespace
